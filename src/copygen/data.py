@@ -1,27 +1,19 @@
 """Loading, normalization, augmentation, and splitting of temporal facts.
 
 A fact is one row (subject, relation, object, time). Bulk operations work on
-int64 arrays of shape (n, 4); ``Quadruple`` is the scalar view used at the
-edges. Files follow the common benchmark layout: one tab-separated fact per
-line in ``train.txt`` / ``valid.txt`` / ``test.txt`` plus a sidecar
-``stat.txt`` holding the entity and relation counts, so public event-graph
-dumps load unmodified.
+int64 arrays of shape (n, 4). Files follow the common benchmark layout: one
+tab-separated fact per line in ``train.txt`` / ``valid.txt`` / ``test.txt``
+plus a sidecar ``stat.txt`` holding the entity and relation counts, so
+public event-graph dumps load unmodified.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
-
-
-class Quadruple(NamedTuple):
-    subject: int
-    relation: int
-    object: int
-    time: int
 
 
 class DataError(ValueError):

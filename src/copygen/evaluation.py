@@ -11,7 +11,10 @@ import numpy as np
 
 from .data import as_quads
 from .history import HistVocab
-from .model import ModelParams, score_batch
+# score_batch is unused here. It stays bound because the benchmark's tracer
+# (bench/spans.py) wraps evaluation.score_batch, like rank_of_truth and
+# evaluate, by looking the name up in this module's namespace.
+from .model import ModelParams, mix, score_batch, score_heads  # noqa: F401
 
 REGIMES = ("raw", "static", "time-aware")
 
@@ -64,11 +67,15 @@ def rank_of_truth(scores, truth: int, query=None, filter_index: FilterIndex | No
     The filtered regimes remove every known-true entity other than the truth
     before ranking; ties are broken by ascending entity id, matching the
     model's prediction rule. ``query`` is the (subject, relation, time)
-    triple the scores answer (required for filtering).
+    triple the scores answer (required for filtering). A score vector with a
+    NaN or infinite entry is rejected: it would rank the truth arbitrarily
+    (an all-NaN vector ranks it first).
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError(f"non-finite score vector for query {query} (truth {truth})")
     truth = int(truth)
     keep = np.ones(len(scores), dtype=bool)
     if regime != "raw" and filter_index is not None:
@@ -152,20 +159,45 @@ def evaluate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int
     vocabulary is used read-only and should be frozen at the training
     horizon.
     """
+    return _evaluate_mixes(params, quads, vocab, [(mode, alpha)],
+                           num_relations=num_relations, filter_index=filter_index,
+                           regime=regime, chunk_size=chunk_size,
+                           per_snapshot=per_snapshot)[0]
+
+
+def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
+                    num_relations: int, filter_index: FilterIndex | None,
+                    regime: str, chunk_size: int = 256,
+                    per_snapshot: bool = False) -> list[EvalResult]:
+    """One ``EvalResult`` per ``(mode, alpha)`` mix (alpha None means the
+    checkpoint's). Neither head depends on alpha, so each chunk's heads are
+    scored once and every mix is ranked against them; only one chunk's
+    heads are held at a time."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     if regime != "raw" and filter_index is None:
         raise ValueError(f"regime {regime!r} needs a filter index")
     q = as_quads(quads)
-    ranks = np.empty(len(q), dtype=np.int64)
+    mixes = [(mode, params.alpha if alpha is None else alpha) for mode, alpha in mixes]
+    modes = [mode for mode, _ in mixes]
+    ranks = np.empty((len(mixes), len(q)), dtype=np.int64)
     for start in range(0, len(q), chunk_size):
         chunk = q[start:start + chunk_size]
-        probs = score_batch(params, chunk[:, 0], chunk[:, 1], chunk[:, 3], vocab,
-                            alpha=alpha, mode=mode)
+        heads = score_heads(params, chunk[:, 0], chunk[:, 1], chunk[:, 3], vocab, modes)
+        # Mixing one query's rows at a time keeps the mix in cache and
+        # allocates no (B, N) temporaries; the mix is elementwise, so the
+        # rows are bitwise those of mixing the whole chunk.
         for i, (s, p, o, t) in enumerate(chunk.tolist()):
-            ranks[start + i] = rank_of_truth(probs[i], o, (s, p, t),
-                                             filter_index, regime)
+            row = {name: head[i] for name, head in heads.items()}
+            for j, (mode, alpha) in enumerate(mixes):
+                ranks[j, start + i] = rank_of_truth(mix(row, mode, alpha), o, (s, p, t),
+                                                    filter_index, regime)
+    return [_result(q, mode_ranks, mode, regime, num_relations, per_snapshot)
+            for mode_ranks, mode in zip(ranks, modes)]
 
+
+def _result(q: np.ndarray, ranks: np.ndarray, mode: str, regime: str,
+            num_relations: int, per_snapshot: bool) -> EvalResult:
     is_object = q[:, 1] < num_relations if len(q) else np.empty(0, dtype=bool)
     result = EvalResult(
         overall=report_from_ranks(ranks, "both", mode, regime),
@@ -188,26 +220,24 @@ ABLATION_ORDER = ("copy-only", "gen-only", "gen-new", "full")
 def ablate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
            alpha: float | None = None, filter_index: FilterIndex | None = None,
            regime: str = "static") -> list[tuple[str, EvalReport]]:
-    """Evaluate all four inference modes on one checkpoint."""
-    rows = []
-    for mode in ABLATION_ORDER:
-        result = evaluate(params, quads, vocab, num_relations=num_relations,
-                          alpha=alpha, mode=mode, filter_index=filter_index,
-                          regime=regime)
-        rows.append((mode, result.overall))
-    return rows
+    """Evaluate all four inference modes on one checkpoint, scoring each
+    chunk's heads once."""
+    results = _evaluate_mixes(params, quads, vocab,
+                              [(mode, alpha) for mode in ABLATION_ORDER],
+                              num_relations=num_relations,
+                              filter_index=filter_index, regime=regime)
+    return [(mode, result.overall) for mode, result in zip(ABLATION_ORDER, results)]
 
 
 def sweep_alpha(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
                 filter_index: FilterIndex | None = None, regime: str = "static",
                 alphas=None) -> list[tuple[float, EvalReport]]:
-    """Re-mix one checkpoint at each alpha and evaluate the full mode."""
+    """Re-mix one checkpoint at each alpha and evaluate the full mode,
+    scoring each chunk's heads once."""
     if alphas is None:
         alphas = [round(0.1 * i, 1) for i in range(11)]
-    rows = []
-    for alpha in alphas:
-        result = evaluate(params, quads, vocab, num_relations=num_relations,
-                          alpha=float(alpha), mode="full",
-                          filter_index=filter_index, regime=regime)
-        rows.append((float(alpha), result.overall))
-    return rows
+    alphas = [float(alpha) for alpha in alphas]
+    results = _evaluate_mixes(params, quads, vocab, [("full", alpha) for alpha in alphas],
+                              num_relations=num_relations,
+                              filter_index=filter_index, regime=regime)
+    return [(alpha, result.overall) for alpha, result in zip(alphas, results)]

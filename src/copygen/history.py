@@ -20,14 +20,11 @@ class HistVocab:
 
     Absorbing snapshots [0, k) makes ``lookup(s, p)`` exactly the set of
     objects o with an observed fact (s, p, o, t), t < k. Membership is
-    binary: re-absorbing a fact changes nothing. ``count_mode=True``
-    additionally tracks occurrence counts (experimental; membership
-    semantics are unchanged).
+    binary: re-absorbing a fact changes nothing.
     """
 
-    def __init__(self, count_mode: bool = False):
+    def __init__(self):
         self._entries: dict[tuple[int, int], set[int]] = {}
-        self._counts: dict[tuple[int, int, int], int] | None = {} if count_mode else None
         self.frontier = 0
         self.frozen = False
 
@@ -52,9 +49,6 @@ class HistVocab:
                 self._entries[key] = {o}
             else:
                 bucket.add(o)
-            if self._counts is not None:
-                triple = (s, p, o)
-                self._counts[triple] = self._counts.get(triple, 0) + 1
         self.frontier += 1
         return self
 
@@ -64,11 +58,6 @@ class HistVocab:
         if not objs:
             return np.empty(0, dtype=np.int64)
         return np.fromiter(sorted(objs), dtype=np.int64, count=len(objs))
-
-    def count(self, subject: int, relation: int, obj: int) -> int:
-        if self._counts is None:
-            raise ValueError("vocabulary was built without count_mode")
-        return self._counts.get((int(subject), int(relation), int(obj)), 0)
 
     def freeze(self) -> "HistVocab":
         """Make the vocabulary read-only (test-time state)."""
@@ -94,30 +83,27 @@ def absorb_quads(vocab: HistVocab, quads) -> HistVocab:
     return vocab
 
 
-def vocab_from_quads(quads, count_mode: bool = False) -> HistVocab:
-    return absorb_quads(HistVocab(count_mode=count_mode), quads)
+def vocab_from_quads(quads) -> HistVocab:
+    return absorb_quads(HistVocab(), quads)
 
 
 def copy_mask(vocab: HistVocab, subject: int, relation: int, num_entities: int,
-              magnitude: float = 100.0, *, invert: bool = False,
-              present_value: float = 0.0) -> np.ndarray:
-    """Dense additive mask: ``present_value`` at historical candidates,
-    ``-magnitude`` everywhere else.
+              magnitude: float = 100.0, *, invert: bool = False) -> np.ndarray:
+    """Dense additive mask: 0 at historical candidates, ``-magnitude``
+    everywhere else, so it only suppresses.
 
     ``invert=True`` suppresses the candidates instead (used by the
-    generation-new ablation). ``present_value`` defaults to 0 so the mask is
-    purely suppressive; a nonzero value rescales all in-vocabulary logits
-    jointly.
+    generation-new ablation).
     """
     if magnitude <= 0:
         raise ValueError("mask magnitude must be positive")
     objs = vocab.lookup(subject, relation)
     if invert:
-        mask = np.full(num_entities, present_value, dtype=np.float64)
+        mask = np.zeros(num_entities, dtype=np.float64)
         mask[objs] = -magnitude
     else:
         mask = np.full(num_entities, -magnitude, dtype=np.float64)
-        mask[objs] = present_value
+        mask[objs] = 0.0
     return mask
 
 

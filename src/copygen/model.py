@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
+# score_heads calls masks_for and this module's stage functions through the
+# module namespace, where the benchmark's tracer (bench/spans.py) wraps them.
 from .history import HistVocab, masks_for
 
 MODES = ("full", "copy-only", "gen-only", "gen-new")
@@ -100,11 +102,16 @@ class ModelParams:
 
 
 def stable_softmax(logits: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over the last axis, computed in float64."""
+    """Max-shifted softmax over the last axis, computed in float64.
+
+    The shifted copy is the only temporary: exp and the division run in
+    place on it, which keeps the same IEEE operations as out-of-place ones.
+    """
     z = np.asarray(logits, dtype=np.float64)
     z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def time_embedding(params: ModelParams, k: int) -> np.ndarray:
@@ -169,6 +176,60 @@ def combine(pc: np.ndarray, pg: np.ndarray, alpha: float) -> np.ndarray:
     return alpha * np.asarray(pc) + (1.0 - alpha) * np.asarray(pg)
 
 
+# The softmax heads each mode mixes: pc is the copy head, pg the generation
+# head, pg_new the generation head restricted to entities outside the history.
+MODE_HEADS = {"full": ("pc", "pg"), "copy-only": ("pc",), "gen-only": ("pg",),
+              "gen-new": ("pc", "pg_new")}
+
+
+def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVocab,
+                modes) -> dict[str, np.ndarray]:
+    """The float64 softmax heads that ``modes`` mix, keyed as in
+    ``MODE_HEADS``, each of shape (B, N).
+
+    The query inputs are built once and each head is computed once, however
+    many modes (or alphas) are later mixed from them with ``mix``.
+    """
+    for mode in modes:
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    need = {head for mode in modes for head in MODE_HEADS[mode]}
+    n = params.num_entities
+    mag = params.mask_magnitude
+    inputs = query_inputs(params, subjects, relations, times)
+
+    # Each mask is added in place and dropped at once, so at most one
+    # (B, N) mask is alive next to the logits.
+    heads = {}
+    if "pc" in need:
+        logits = copy_index_batch(params, inputs).astype(np.float64)
+        logits += masks_for(vocab, subjects, relations, n, mag)
+        heads["pc"] = stable_softmax(logits)
+        del logits
+    if "pg" in need or "pg_new" in need:
+        logits = generation_logits_batch(params, inputs).astype(np.float64)
+        if "pg" in need:
+            heads["pg"] = stable_softmax(logits)
+        if "pg_new" in need:
+            logits += masks_for(vocab, subjects, relations, n, mag, invert=True)
+            heads["pg_new"] = stable_softmax(logits)
+    return heads
+
+
+def mix(heads: dict[str, np.ndarray], mode: str, alpha: float) -> np.ndarray:
+    """Probability rows of one mode from ``score_heads`` output.
+
+    ``copy-only`` / ``gen-only`` return one head unchanged (identical to
+    ``full`` at alpha 1 / 0); ``full`` and ``gen-new`` combine the copy head
+    with ``pg`` / ``pg_new``.
+    """
+    if mode == "copy-only":
+        return heads["pc"]
+    if mode == "gen-only":
+        return heads["pg"]
+    return combine(heads["pc"], heads["pg_new" if mode == "gen-new" else "pg"], alpha)
+
+
 def score_batch(params: ModelParams, subjects, relations, times, vocab: HistVocab,
                 *, alpha: float | None = None, mode: str = "full",
                 return_copy: bool = False):
@@ -180,32 +241,9 @@ def score_batch(params: ModelParams, subjects, relations, times, vocab: HistVoca
     vocabulary. With ``return_copy`` the copy-mode rows are returned too
     (None when the mode has no copy share).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if alpha is None:
-        alpha = params.alpha
-    n = params.num_entities
-    mag = params.mask_magnitude
-    inputs = query_inputs(params, subjects, relations, times)
-
-    pc = None
-    if mode != "gen-only":
-        masks = masks_for(vocab, subjects, relations, n, mag)
-        pc = stable_softmax(copy_index_batch(params, inputs).astype(np.float64) + masks)
-    if mode == "copy-only":
-        return (pc, pc) if return_copy else pc
-
-    gen_logits = generation_logits_batch(params, inputs).astype(np.float64)
-    if mode == "gen-only":
-        probs = stable_softmax(gen_logits)
-        return (probs, None) if return_copy else probs
-    if mode == "gen-new":
-        comp = masks_for(vocab, subjects, relations, n, mag, invert=True)
-        pg = stable_softmax(gen_logits + comp)
-    else:
-        pg = stable_softmax(gen_logits)
-    probs = combine(pc, pg, alpha)
-    return (probs, pc) if return_copy else probs
+    heads = score_heads(params, subjects, relations, times, vocab, (mode,))
+    probs = mix(heads, mode, params.alpha if alpha is None else alpha)
+    return (probs, heads.get("pc")) if return_copy else probs
 
 
 def score_query(params: ModelParams, query: Query, vocab: HistVocab, *,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from copygen import model
 from copygen.evaluation import (
     build_filter,
     evaluate,
@@ -86,6 +87,12 @@ class TestRankOfTruth:
             assert raw == rank_oracle(scores, truth, set())
             assert got <= raw
 
+    def test_non_finite_scores_rejected(self):
+        for scores in (np.full(5, np.nan), [0.1, np.nan, 0.2, 0.3, 0.4],
+                       [0.1, np.inf, 0.2, 0.3, 0.4], [-np.inf, 0.1, 0.2, 0.3, 0.4]):
+            with pytest.raises(ValueError, match="non-finite"):
+                rank_of_truth(scores, 3, regime="raw")
+
     def test_needs_query_for_filtering(self):
         with pytest.raises(ValueError):
             rank_of_truth([0.1, 0.2], 0, None, build_filter(quads((0, 0, 1, 0))))
@@ -115,9 +122,8 @@ class TestReports:
         assert 1 / 30 <= report.mrr <= 1.0
 
 
-def eval_setup(seed=0, n=12, r=3, horizon=6):
+def eval_setup(seed=0, n=12, r=3, horizon=6, count=80):
     rng = np.random.default_rng(seed)
-    count = 80
     facts = np.column_stack([
         rng.integers(0, n, count), rng.integers(0, 2 * r, count),
         rng.integers(0, n, count), rng.integers(0, horizon, count)])
@@ -163,6 +169,12 @@ class TestEvaluate:
                          filter_index=index, chunk_size=1000)
         assert small.overall == large.overall
 
+    def test_nan_parameters_raise(self):
+        params, _, test, vocab, index, r = eval_setup()
+        params.w_gen[0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            evaluate(params, test, vocab, num_relations=r, filter_index=index)
+
     def test_regime_needs_filter(self):
         params, _, test, vocab, _, r = eval_setup()
         with pytest.raises(ValueError, match="filter"):
@@ -203,3 +215,44 @@ class TestAblationIdentities:
                              filter_index=index)
         assert rows[0.0].metrics() == gen_only.overall.metrics()
         assert rows[1.0].metrics() == copy_only.overall.metrics()
+
+
+class TestScoreOnce:
+    """ablate and sweep_alpha score each chunk's heads once and re-mix them;
+    every re-mixed row equals the single-mix evaluate exactly."""
+
+    @staticmethod
+    def count_head_calls(monkeypatch):
+        calls = {"copy_index_batch": 0, "generation_logits_batch": 0}
+        for name in calls:
+            original = getattr(model, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(model, name, counted)
+        return calls
+
+    def test_heads_scored_once_per_chunk(self, monkeypatch):
+        params, _, test, vocab, index, r = eval_setup(seed=9, count=2000)
+        chunks = -(-len(test) // 256)
+        assert chunks > 1
+        calls = self.count_head_calls(monkeypatch)
+        ablate(params, test, vocab, num_relations=r, filter_index=index)
+        assert calls == {"copy_index_batch": chunks, "generation_logits_batch": chunks}
+        calls.update(dict.fromkeys(calls, 0))
+        sweep_alpha(params, test, vocab, num_relations=r, filter_index=index)
+        assert calls == {"copy_index_batch": chunks, "generation_logits_batch": chunks}
+
+    def test_rows_equal_single_mix_evaluate(self):
+        params, _, test, vocab, index, r = eval_setup(seed=10, count=2000)
+        kwargs = dict(num_relations=r, filter_index=index)
+        for alpha in (None, 0.3):
+            for mode, report in ablate(params, test, vocab, alpha=alpha, **kwargs):
+                single = evaluate(params, test, vocab, mode=mode, alpha=alpha, **kwargs)
+                assert report == single.overall, (mode, alpha)
+        rows = sweep_alpha(params, test, vocab, **kwargs)
+        assert len(rows) == 11
+        for alpha, report in rows:
+            assert report == evaluate(params, test, vocab, alpha=alpha, **kwargs).overall

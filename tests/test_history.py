@@ -71,16 +71,6 @@ class TestAbsorb:
             previous = {key: set(vocab.lookup(*key).tolist())
                         for key in vocab._entries}
 
-    def test_count_mode(self):
-        vocab = HistVocab(count_mode=True)
-        vocab.absorb_snapshot([(1, 0, 2)])
-        vocab.absorb_snapshot([(1, 0, 2), (1, 0, 3)])
-        assert vocab.count(1, 0, 2) == 2
-        assert vocab.count(1, 0, 3) == 1
-        assert vocab.lookup(1, 0).tolist() == [2, 3]
-        with pytest.raises(ValueError):
-            HistVocab().count(1, 0, 2)
-
 
 class TestLookup:
     def test_unseen_pair_is_empty(self):
@@ -129,12 +119,6 @@ class TestCopyMask:
         vocab.absorb_snapshot([(1, 0, 2)])
         mask = copy_mask(vocab, 1, 0, num_entities=4, invert=True)
         assert mask.tolist() == [0, 0, -100, 0]
-
-    def test_present_value_override(self):
-        vocab = HistVocab()
-        vocab.absorb_snapshot([(1, 0, 2)])
-        mask = copy_mask(vocab, 1, 0, num_entities=3, present_value=1.0)
-        assert mask.tolist() == [-100, -100, 1.0]
 
     def test_bad_magnitude(self):
         with pytest.raises(ValueError):

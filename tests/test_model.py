@@ -148,6 +148,28 @@ class TestNormalization:
             assert probs.min() >= 0.0
 
 
+class TestScoreHeads:
+    def test_only_needed_heads(self):
+        rng = np.random.default_rng(8)
+        params = random_params(rng, 6, 2, 3)
+        vocab = vocab_from_quads([(0, 0, 1, 0)])
+        for modes, keys in ((("copy-only",), {"pc"}), (("gen-only",), {"pg"}),
+                            (("full",), {"pc", "pg"}), (("gen-new",), {"pc", "pg_new"}),
+                            (model.MODES, {"pc", "pg", "pg_new"})):
+            heads = model.score_heads(params, [0, 1], [0, 1], [1, 1], vocab, modes)
+            assert set(heads) == keys
+            for mode in modes:
+                assert np.array_equal(
+                    model.mix(heads, mode, 0.3),
+                    score_batch(params, [0, 1], [0, 1], [1, 1], vocab, alpha=0.3,
+                                mode=mode))
+
+    def test_softmax_leaves_input_untouched(self):
+        logits = np.arange(6.0).reshape(2, 3)
+        stable_softmax(logits)
+        assert logits.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
+
 class TestMaskDominance:
     def test_absent_entities_negligible(self):
         rng = np.random.default_rng(5)
