@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .data import as_quads
-from .history import HistVocab
+from .history import FactIndex, HistVocab
 # score_batch is unused here. It stays bound because the benchmark's tracer
 # (bench/spans.py) wraps evaluation.score_batch, like rank_of_truth and
 # evaluate, by looking the name up in this module's namespace.
@@ -21,46 +21,39 @@ REGIMES = ("raw", "static", "time-aware")
 HITS_AT = (1, 3, 10)
 
 
-class FilterIndex:
-    """Known-true triples aggregated across splits.
-
-    Stores both the time-collapsed view (the convention of prior ranking
-    work) and a per-timestamp view for the time-aware regime.
-    """
-
-    def __init__(self):
-        self._static: dict[tuple[int, int], set[int]] = {}
-        self._timed: dict[tuple[int, int, int], set[int]] = {}
-        self.num_triples = 0
-
-    def add_quads(self, quads) -> "FilterIndex":
-        for s, p, o, t in as_quads(quads).tolist():
-            bucket = self._static.setdefault((s, p), set())
-            if o not in bucket:
-                bucket.add(o)
-                self.num_triples += 1
-            self._timed.setdefault((s, p, t), set()).add(o)
-        return self
-
-    def contains(self, s: int, p: int, o: int) -> bool:
-        return o in self._static.get((s, p), ())
-
-    def objects_for(self, s: int, p: int) -> set[int]:
-        return self._static.get((s, p), set())
-
-    def objects_at(self, s: int, p: int, t: int) -> set[int]:
-        return self._timed.get((s, p, t), set())
+FilterIndex = FactIndex  # the name bench/workloads.py annotates the filter with
 
 
-def build_filter(*splits) -> FilterIndex:
-    """Union of known-true triples over the given splits (usually all three)."""
-    index = FilterIndex()
-    for quads in splits:
-        index.add_quads(quads)
-    return index
+def build_filter(*splits) -> FactIndex:
+    """Index of the known-true facts of the given splits (usually all three)."""
+    return FactIndex(np.concatenate([as_quads(()), *map(as_quads, splits)]))
 
 
-def rank_of_truth(scores, truth: int, query=None, filter_index: FilterIndex | None = None,
+def _candidates(filter_index: FactIndex | None, regime: str, queries: np.ndarray,
+                num_entities: int) -> np.ndarray:
+    """(B, N) keep-rows: the entities each (s, p, o, t) query ranks its truth
+    o against. Filtered regimes drop every known-true object but the truth."""
+    keep = np.ones((len(queries), num_entities), dtype=bool)
+    if regime != "raw":
+        at = queries[:, 3] if regime == "time-aware" else None
+        rows, objects = filter_index.select(queries[:, 0], queries[:, 1], at=at)
+        keep[rows, objects] = False
+        keep[np.arange(len(queries)), queries[:, 2]] = True
+    return keep
+
+
+def _rank(scores: np.ndarray, truth: int, keep: np.ndarray, query) -> int:
+    """1-based rank of the truth among the kept entities; ties count the
+    smaller ids first. ``query`` only names a non-finite score vector."""
+    if not np.isfinite(scores).all():
+        raise ValueError(f"non-finite score vector for query {query} (truth {truth})")
+    truth_score = scores[truth]
+    greater = int(np.count_nonzero(keep & (scores > truth_score)))
+    equal_before = int(np.count_nonzero(keep[:truth] & (scores[:truth] == truth_score)))
+    return 1 + greater + equal_before
+
+
+def rank_of_truth(scores, truth: int, query=None, filter_index: FactIndex | None = None,
                   regime: str = "static") -> int:
     """1-based rank of the truth among surviving entities.
 
@@ -74,23 +67,14 @@ def rank_of_truth(scores, truth: int, query=None, filter_index: FilterIndex | No
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     scores = np.asarray(scores, dtype=np.float64)
-    if not np.isfinite(scores).all():
-        raise ValueError(f"non-finite score vector for query {query} (truth {truth})")
     truth = int(truth)
-    keep = np.ones(len(scores), dtype=bool)
-    if regime != "raw" and filter_index is not None:
-        if query is None:
-            raise ValueError("filtered ranking needs the query (s, p, t)")
-        s, p, t = (int(v) for v in query)
-        known = (filter_index.objects_for(s, p) if regime == "static"
-                 else filter_index.objects_at(s, p, t))
-        if known:
-            keep[list(known)] = False
-        keep[truth] = True
-    truth_score = scores[truth]
-    greater = int(np.count_nonzero(keep & (scores > truth_score)))
-    equal_before = int(np.count_nonzero(keep[:truth] & (scores[:truth] == truth_score)))
-    return 1 + greater + equal_before
+    if regime == "raw" or filter_index is None:
+        return _rank(scores, truth, np.ones(len(scores), dtype=bool), query)
+    if query is None:
+        raise ValueError("filtered ranking needs the query (s, p, t)")
+    s, p, t = (int(v) for v in query)
+    keep = _candidates(filter_index, regime, np.array([[s, p, truth, t]]), len(scores))
+    return _rank(scores, truth, keep[0], query)
 
 
 @dataclasses.dataclass
@@ -150,7 +134,7 @@ class EvalResult:
 
 def evaluate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
              alpha: float | None = None, mode: str = "full",
-             filter_index: FilterIndex | None = None, regime: str = "static",
+             filter_index: FactIndex | None = None, regime: str = "static",
              chunk_size: int = 256, per_snapshot: bool = False) -> EvalResult:
     """Rank the truth of every query quadruple and aggregate the metrics.
 
@@ -166,13 +150,13 @@ def evaluate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int
 
 
 def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
-                    num_relations: int, filter_index: FilterIndex | None,
+                    num_relations: int, filter_index: FactIndex | None,
                     regime: str, chunk_size: int = 256,
                     per_snapshot: bool = False) -> list[EvalResult]:
     """One ``EvalResult`` per ``(mode, alpha)`` mix (alpha None means the
-    checkpoint's). Neither head depends on alpha, so each chunk's heads are
-    scored once and every mix is ranked against them; only one chunk's
-    heads are held at a time."""
+    checkpoint's). Neither head nor the filter depends on alpha, so each
+    chunk's heads and keep-rows are built once and every mix is ranked
+    against them; only one chunk's heads are held at a time."""
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     if regime != "raw" and filter_index is None:
@@ -184,14 +168,14 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
     for start in range(0, len(q), chunk_size):
         chunk = q[start:start + chunk_size]
         heads = score_heads(params, chunk[:, 0], chunk[:, 1], chunk[:, 3], vocab, modes)
+        keep = _candidates(filter_index, regime, chunk, params.num_entities)
         # Mixing one query's rows at a time keeps the mix in cache and
         # allocates no (B, N) temporaries; the mix is elementwise, so the
         # rows are bitwise those of mixing the whole chunk.
         for i, (s, p, o, t) in enumerate(chunk.tolist()):
             row = {name: head[i] for name, head in heads.items()}
             for j, (mode, alpha) in enumerate(mixes):
-                ranks[j, start + i] = rank_of_truth(mix(row, mode, alpha), o, (s, p, t),
-                                                    filter_index, regime)
+                ranks[j, start + i] = _rank(mix(row, mode, alpha), o, keep[i], (s, p, t))
     return [_result(q, mode_ranks, mode, regime, num_relations, per_snapshot)
             for mode_ranks, mode in zip(ranks, modes)]
 
@@ -218,7 +202,7 @@ ABLATION_ORDER = ("copy-only", "gen-only", "gen-new", "full")
 
 
 def ablate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
-           alpha: float | None = None, filter_index: FilterIndex | None = None,
+           alpha: float | None = None, filter_index: FactIndex | None = None,
            regime: str = "static") -> list[tuple[str, EvalReport]]:
     """Evaluate all four inference modes on one checkpoint, scoring each
     chunk's heads once."""
@@ -230,7 +214,7 @@ def ablate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
 
 
 def sweep_alpha(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
-                filter_index: FilterIndex | None = None, regime: str = "static",
+                filter_index: FactIndex | None = None, regime: str = "static",
                 alphas=None) -> list[tuple[float, EvalReport]]:
     """Re-mix one checkpoint at each alpha and evaluate the full mode,
     scoring each chunk's heads once."""

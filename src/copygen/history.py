@@ -1,7 +1,6 @@
-"""Cumulative per-(subject, relation) object history and the copy mask.
-
-The vocabulary is a sparse map built snapshot by snapshot; the dense masked
-view over all entities exists only transiently per query.
+"""One sorted index of (s, p, o, t) facts behind the history vocabulary and
+its copy masks, the known-fact filter of ranking and recurrence statistics.
+Dense (B, N) views over all entities exist only per batch of queries.
 """
 
 from __future__ import annotations
@@ -15,21 +14,67 @@ class SequencingError(ValueError):
     """Snapshot absorbed out of order, or a frozen vocabulary mutated."""
 
 
+def _pair_keys(subjects, relations) -> np.ndarray:
+    """One int64 key per (subject, relation) pair of non-negative ids."""
+    return (np.asarray(subjects, dtype=np.int64) << 32) | np.asarray(relations, dtype=np.int64)
+
+
+class FactIndex:
+    """(s, p, o, t) facts sorted by (subject, relation) key, then object."""
+
+    def __init__(self, quads=()):
+        q = as_quads(quads)
+        keys = _pair_keys(q[:, 0], q[:, 1])
+        order = np.lexsort((q[:, 2], keys))
+        self.quads = q[order]
+        self.keys = keys[order]
+
+    @property
+    def num_triples(self) -> int:
+        """Distinct (s, p, o) triples, whatever their times."""
+        objects = self.quads[:, 2]
+        starts = (self.keys[1:] != self.keys[:-1]) | (objects[1:] != objects[:-1])
+        return int(np.count_nonzero(starts)) + (len(objects) > 0)
+
+    def select(self, subjects, relations, *, before=None, at=None
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """(query row, object) of every fact of the queried pairs, for one
+        fancy-index assignment into a (B, N) array. ``before`` keeps facts
+        with t < before (the history at that frontier), ``at`` those of row
+        i with t == at[i] (the time-aware filter), neither all of them."""
+        keys = _pair_keys(subjects, relations)
+        lo = np.searchsorted(self.keys, keys, side="left")
+        counts = np.searchsorted(self.keys, keys, side="right") - lo
+        rows = np.repeat(np.arange(len(keys)), counts)
+        # a match's position: its row's lo plus its offset among the row's matches
+        matched = self.quads[np.arange(len(rows))
+                             + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
+        keep = np.ones(len(rows), dtype=bool) if before is None else matched[:, 3] < before
+        if at is not None:
+            keep &= matched[:, 3] == np.asarray(at, dtype=np.int64)[rows]
+        return rows[keep], matched[keep, 2]
+
+
 class HistVocab:
     """Objects seen for each (subject, relation) pair strictly before the frontier.
 
     Absorbing snapshots [0, k) makes ``lookup(s, p)`` exactly the set of
     objects o with an observed fact (s, p, o, t), t < k. Membership is
-    binary: re-absorbing a fact changes nothing.
+    binary: re-absorbing a fact changes nothing. A vocabulary over a given
+    index sees that index's facts before ``frontier``, so one index serves
+    every frontier of a training pass.
     """
 
-    def __init__(self):
-        self._entries: dict[tuple[int, int], set[int]] = {}
-        self.frontier = 0
+    def __init__(self, facts: FactIndex | None = None, frontier: int = 0):
+        self.facts = FactIndex() if facts is None else facts
+        self.frontier = frontier
         self.frozen = False
 
-    def __len__(self) -> int:
-        return len(self._entries)
+    def _absorb(self, quads: np.ndarray, frontier: int) -> None:
+        if self.frozen:
+            raise SequencingError("vocabulary is frozen")
+        self.facts = FactIndex(np.concatenate([self.facts.quads, quads]))
+        self.frontier = frontier
 
     def absorb_snapshot(self, facts, index: int | None = None) -> "HistVocab":
         """Insert one snapshot's (s, p, o) facts and advance the frontier by 1.
@@ -37,27 +82,15 @@ class HistVocab:
         ``index``, when given, must equal the current frontier: snapshots are
         absorbed strictly in order.
         """
-        if self.frozen:
-            raise SequencingError("vocabulary is frozen")
         if index is not None and index != self.frontier:
             raise SequencingError(f"expected snapshot {self.frontier}, got {index}")
         arr = np.asarray(facts, dtype=np.int64).reshape(-1, 3)
-        for s, p, o in arr.tolist():
-            key = (s, p)
-            bucket = self._entries.get(key)
-            if bucket is None:
-                self._entries[key] = {o}
-            else:
-                bucket.add(o)
-        self.frontier += 1
+        self._absorb(np.hstack([arr, np.full((len(arr), 1), self.frontier)]), self.frontier + 1)
         return self
 
     def lookup(self, subject: int, relation: int) -> np.ndarray:
         """Sorted object ids historically seen for (subject, relation)."""
-        objs = self._entries.get((int(subject), int(relation)))
-        if not objs:
-            return np.empty(0, dtype=np.int64)
-        return np.fromiter(sorted(objs), dtype=np.int64, count=len(objs))
+        return np.unique(self.facts.select([subject], [relation], before=self.frontier)[1])
 
     def freeze(self) -> "HistVocab":
         """Make the vocabulary read-only (test-time state)."""
@@ -68,18 +101,16 @@ class HistVocab:
 def absorb_quads(vocab: HistVocab, quads) -> HistVocab:
     """Absorb all snapshots of a fact array, starting at the current frontier.
 
-    Gap snapshots between the frontier and the latest fact are absorbed as
-    empty so the frontier keeps tracking absolute snapshot indices. Facts at
-    already-absorbed indices are a sequencing error.
+    The frontier moves past the latest fact, so it keeps tracking absolute
+    snapshot indices across gaps. Facts at already-absorbed indices are a
+    sequencing error.
     """
     q = as_quads(quads)
     if len(q) == 0:
         return vocab
     if int(q[:, 3].min()) < vocab.frontier:
         raise SequencingError("facts precede the vocabulary frontier")
-    horizon = int(q[:, 3].max()) + 1
-    for k in range(vocab.frontier, horizon):
-        vocab.absorb_snapshot(q[q[:, 3] == k][:, :3], index=k)
+    vocab._absorb(q, int(q[:, 3].max()) + 1)
     return vocab
 
 
@@ -87,36 +118,29 @@ def vocab_from_quads(quads) -> HistVocab:
     return absorb_quads(HistVocab(), quads)
 
 
-def copy_mask(vocab: HistVocab, subject: int, relation: int, num_entities: int,
+def masks_for(vocab: HistVocab, subjects, relations, num_entities: int,
               magnitude: float = 100.0, *, invert: bool = False) -> np.ndarray:
-    """Dense additive mask: 0 at historical candidates, ``-magnitude``
-    everywhere else, so it only suppresses.
+    """Dense additive copy masks of a batch of (subject, relation) pairs,
+    shape (B, N): 0 at each pair's historical candidates, ``-magnitude``
+    everywhere else, so they only suppress.
 
     ``invert=True`` suppresses the candidates instead (used by the
     generation-new ablation).
     """
     if magnitude <= 0:
         raise ValueError("mask magnitude must be positive")
-    objs = vocab.lookup(subject, relation)
-    if invert:
-        mask = np.zeros(num_entities, dtype=np.float64)
-        mask[objs] = -magnitude
-    else:
-        mask = np.full(num_entities, -magnitude, dtype=np.float64)
-        mask[objs] = 0.0
-    return mask
-
-
-def masks_for(vocab: HistVocab, subjects, relations, num_entities: int,
-              magnitude: float = 100.0, *, invert: bool = False) -> np.ndarray:
-    """Stack of copy masks for a batch of (subject, relation) pairs."""
-    subjects = np.asarray(subjects, dtype=np.int64)
-    relations = np.asarray(relations, dtype=np.int64)
-    out = np.empty((len(subjects), num_entities), dtype=np.float64)
-    for i in range(len(subjects)):
-        out[i] = copy_mask(vocab, subjects[i], relations[i], num_entities,
-                           magnitude, invert=invert)
+    rows, objects = vocab.facts.select(subjects, relations, before=vocab.frontier)
+    out = np.full((len(subjects), num_entities), 0.0 if invert else -magnitude,
+                  dtype=np.float64)
+    out[rows, objects] = -magnitude if invert else 0.0
     return out
+
+
+def copy_mask(vocab: HistVocab, subject: int, relation: int, num_entities: int,
+              magnitude: float = 100.0, *, invert: bool = False) -> np.ndarray:
+    """The copy mask of one (subject, relation) pair; see ``masks_for``."""
+    return masks_for(vocab, [subject], [relation], num_entities, magnitude,
+                     invert=invert)[0]
 
 
 def recurrence_stats(history, probe) -> dict[str, float]:
@@ -134,19 +158,11 @@ def recurrence_stats(history, probe) -> dict[str, float]:
     if len(h) and int(h[:, 3].max()) >= int(q[:, 3].min()):
         raise ValueError("history timestamps must all precede probe timestamps")
 
-    seen_triples: set[tuple[int, int, int]] = set(map(tuple, h[:, :3].tolist()))
-    pair_objects: dict[tuple[int, int], set[int]] = {}
-    for s, p, o in h[:, :3].tolist():
-        pair_objects.setdefault((s, p), set()).add(o)
-
-    repeats = sum((s, p, o) in seen_triples for s, p, o in q[:, :3].tolist())
-
-    groups: dict[tuple[int, int], set[int]] = {}
-    for s, p, o in q[:, :3].tolist():
-        groups.setdefault((s, p), set()).add(o)
-    hits = sum(bool(objs & pair_objects.get(pair, set())) for pair, objs in groups.items())
-
+    rows, objects = FactIndex(h).select(q[:, 0], q[:, 1])
+    repeated = np.zeros(len(q), dtype=bool)
+    repeated[rows[objects == q[rows, 2]]] = True
+    pairs = _pair_keys(q[:, 0], q[:, 1])
     return {
-        "fact_repeat_rate": repeats / len(q),
-        "group_repeat_rate": hits / len(groups),
+        "fact_repeat_rate": int(np.count_nonzero(repeated)) / len(q),
+        "group_repeat_rate": len(np.unique(pairs[repeated])) / len(np.unique(pairs)),
     }

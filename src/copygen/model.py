@@ -10,6 +10,8 @@ mandatory.
 from __future__ import annotations
 
 import dataclasses
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -23,6 +25,15 @@ MODES = ("full", "copy-only", "gen-only", "gen-new")
 
 CHECKPOINT_MAGIC = b"CYG1"
 _CONFIG_MAGIC = b"CFG1"
+# magic, N, R_aug, T, d, mask magnitude, alpha
+_HEADER = struct.Struct("<4siiiiff")
+# The learnable tensors, in checkpoint order.
+TENSOR_NAMES = ("entity_emb", "relation_emb", "time_unit", "w_copy", "b_copy", "w_gen", "b_gen")
+
+
+def _tensor_shapes(n: int, r_aug: int, d: int) -> dict[str, tuple]:
+    """Each learnable tensor's shape for N entities, R_aug relations and dim d."""
+    return dict(zip(TENSOR_NAMES, [(n, d), (r_aug, d), (d,), (n, 3 * d), (n,), (n, 3 * d), (n,)]))
 
 
 @dataclasses.dataclass
@@ -68,27 +79,11 @@ class ModelParams:
 
     def tensors(self) -> dict[str, np.ndarray]:
         """Learnable tensors in checkpoint order."""
-        return {
-            "entity_emb": self.entity_emb,
-            "relation_emb": self.relation_emb,
-            "time_unit": self.time_unit,
-            "w_copy": self.w_copy,
-            "b_copy": self.b_copy,
-            "w_gen": self.w_gen,
-            "b_gen": self.b_gen,
-        }
+        return {name: getattr(self, name) for name in TENSOR_NAMES}
 
     def validate(self) -> None:
         n, d = self.entity_emb.shape
-        expected = {
-            "entity_emb": (n, d),
-            "relation_emb": (self.relation_emb.shape[0], d),
-            "time_unit": (d,),
-            "w_copy": (n, 3 * d),
-            "b_copy": (n,),
-            "w_gen": (n, 3 * d),
-            "b_gen": (n,),
-        }
+        expected = _tensor_shapes(n, self.relation_emb.shape[0], d)
         for name, arr in self.tensors().items():
             if arr.shape != expected[name]:
                 raise ValueError(f"{name}: shape {arr.shape}, expected {expected[name]}")
@@ -144,29 +139,19 @@ def generation_logits_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarr
     return inputs @ params.w_gen.T + params.b_gen
 
 
-def copy_probs_batch(params: ModelParams, subjects, relations, times,
-                     masks: np.ndarray) -> np.ndarray:
-    inputs = query_inputs(params, subjects, relations, times)
-    index = copy_index_batch(params, inputs)
-    return stable_softmax(index.astype(np.float64) + masks)
-
-
-def generation_probs_batch(params: ModelParams, subjects, relations, times) -> np.ndarray:
-    inputs = query_inputs(params, subjects, relations, times)
-    return stable_softmax(generation_logits_batch(params, inputs))
-
-
 def copy_probs(params: ModelParams, query: Query, mask: np.ndarray) -> np.ndarray:
     """Copy-mode distribution: softmax(tanh(W_c [s; p; t_k] + b_c) + mask)."""
-    return copy_probs_batch(params, [query.subject], [query.relation], [query.time],
-                            np.asarray(mask, dtype=np.float64)[None, :])[0]
+    inputs = query_inputs(params, [query.subject], [query.relation], [query.time])
+    index = copy_index_batch(params, inputs)
+    return stable_softmax(index.astype(np.float64)
+                          + np.asarray(mask, dtype=np.float64)[None, :])[0]
 
 
 def generation_probs(params: ModelParams, query: Query) -> np.ndarray:
     """Generation-mode distribution over the whole entity vocabulary (no mask,
     no tanh)."""
-    return generation_probs_batch(params, [query.subject], [query.relation],
-                                  [query.time])[0]
+    inputs = query_inputs(params, [query.subject], [query.relation], [query.time])
+    return stable_softmax(generation_logits_batch(params, inputs))[0]
 
 
 def combine(pc: np.ndarray, pg: np.ndarray, alpha: float) -> np.ndarray:
@@ -246,16 +231,11 @@ def score_batch(params: ModelParams, subjects, relations, times, vocab: HistVoca
     return (probs, heads.get("pc")) if return_copy else probs
 
 
-def score_query(params: ModelParams, query: Query, vocab: HistVocab, *,
-                alpha: float | None = None, mode: str = "full") -> np.ndarray:
-    return score_batch(params, [query.subject], [query.relation], [query.time],
-                       vocab, alpha=alpha, mode=mode)[0]
-
-
 def predict(params: ModelParams, query: Query, vocab: HistVocab, *,
             alpha: float | None = None, mode: str = "full") -> np.ndarray:
     """Entity ids ranked by descending probability, ties broken by ascending id."""
-    probs = score_query(params, query, vocab, alpha=alpha, mode=mode)
+    probs = score_batch(params, [query.subject], [query.relation], [query.time],
+                        vocab, alpha=alpha, mode=mode)[0]
     return np.argsort(-probs, kind="stable")
 
 
@@ -266,35 +246,60 @@ def save_checkpoint(params: ModelParams, path, config_text: str | None = None) -
     magnitude and alpha; then the float32 tensors row-major in the order
     entity_emb, relation_emb, time_unit, w_copy, b_copy, w_gen, b_gen. An
     optional ``CFG1`` text block (UTF-8 key=value lines) may follow; readers
-    of the fixed prefix can ignore it.
+    of the fixed prefix can ignore it. The file is written beside ``path``
+    and renamed into place, so a failed write leaves any old one intact.
     """
     params.validate()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<iiii", params.num_entities, params.num_relations,
-                             params.num_snapshots, params.dim))
-        fh.write(struct.pack("<ff", params.mask_magnitude, params.alpha))
-        for arr in params.tensors().values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        if config_text:
-            fh.write(_CONFIG_MAGIC)
-            fh.write(config_text.encode("utf-8"))
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(_HEADER.pack(CHECKPOINT_MAGIC, params.num_entities, params.num_relations,
+                                  params.num_snapshots, params.dim,
+                                  params.mask_magnitude, params.alpha))
+            for arr in params.tensors().values():
+                fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+            if config_text:
+                fh.write(_CONFIG_MAGIC)
+                fh.write(config_text.encode("utf-8"))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _checkpoint_layout(path, blob: bytes) -> tuple[tuple, dict[str, tuple], int]:
+    """Header values (T, mask magnitude, alpha), each tensor's (offset,
+    shape) and the tensors' end, checked against the file before any read:
+    the tensors must end at EOF or at a ``CFG1`` marker."""
+    if blob[:4] != CHECKPOINT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint (bad magic {blob[:4]!r})")
+    if len(blob) < _HEADER.size:
+        raise ValueError(f"{path}: truncated header ({len(blob)} of {_HEADER.size} bytes)")
+    _, n, r_aug, horizon, d, mag, alpha = _HEADER.unpack_from(blob)
+    for field, value, least in (("N", n, 1), ("R_aug", r_aug, 1), ("T", horizon, 0), ("d", d, 1)):
+        if value < least:
+            raise ValueError(f"{path}: header field {field} is {value}, expected >= {least}")
+    tensors, end = {}, _HEADER.size
+    for name, shape in _tensor_shapes(n, r_aug, d).items():
+        tensors[name] = (end, shape)
+        end += 4 * math.prod(shape)
+        if end > len(blob):
+            raise ValueError(f"{path}: truncated in tensor {name} "
+                             f"(it ends at byte {end}, the file has {len(blob)})")
+    if len(blob) > end and blob[end:end + 4] != _CONFIG_MAGIC:
+        raise ValueError(f"{path}: {len(blob) - end} unexpected bytes after the tensors "
+                         f"(no {_CONFIG_MAGIC.decode()} marker)")
+    return (horizon, mag, alpha), tensors, end
 
 
 def load_checkpoint(path) -> ModelParams:
     blob = Path(path).read_bytes()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic {blob[:4]!r})")
-    n, r_aug, horizon, d = struct.unpack_from("<iiii", blob, 4)
-    mag, alpha = struct.unpack_from("<ff", blob, 20)
-    offset = 28
-    shapes = [(n, d), (r_aug, d), (d,), (n, 3 * d), (n,), (n, 3 * d), (n,)]
-    arrays = []
-    for shape in shapes:
-        count = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        arrays.append(arr.reshape(shape).copy())
-        offset += 4 * count
+    (horizon, mag, alpha), tensors, _ = _checkpoint_layout(path, blob)
+    arrays = [np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=offset)
+              .reshape(shape).copy() for offset, shape in tensors.values()]
     params = ModelParams(*arrays, num_snapshots=horizon,
                          mask_magnitude=float(mag), alpha=float(alpha))
     params.validate()
@@ -304,11 +309,5 @@ def load_checkpoint(path) -> ModelParams:
 def checkpoint_config_text(path) -> str | None:
     """The trailing config block of a checkpoint, if one was embedded."""
     blob = Path(path).read_bytes()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic {blob[:4]!r})")
-    n, r_aug, _, d = struct.unpack_from("<iiii", blob, 4)
-    floats = n * d + r_aug * d + d + 2 * (n * 3 * d) + 2 * n
-    pos = 28 + 4 * floats
-    if len(blob) <= pos or blob[pos:pos + 4] != _CONFIG_MAGIC:
-        return None
-    return blob[pos + 4:].decode("utf-8")
+    _, _, end = _checkpoint_layout(path, blob)
+    return blob[end + 4:].decode("utf-8") if len(blob) > end else None

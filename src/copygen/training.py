@@ -17,8 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .data import as_quads, group_snapshots
-from .history import HistVocab, masks_for
+from .history import FactIndex, HistVocab, masks_for
 from .model import (
+    TENSOR_NAMES,
     ModelParams,
     copy_index_batch,
     generation_logits_batch,
@@ -104,9 +105,7 @@ class Gradients:
     b_gen: np.ndarray
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in
-                ("entity_emb", "relation_emb", "time_unit",
-                 "w_copy", "b_copy", "w_gen", "b_gen")}
+        return {name: getattr(self, name) for name in TENSOR_NAMES}
 
 
 def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
@@ -245,15 +244,16 @@ def fit(train_quads, num_entities: int, num_relations_aug: int, num_snapshots: i
 
     Each epoch walks snapshots in ascending order: a snapshot's facts are
     batched (shuffled by the seeded generator) and stepped against the
-    vocabulary of strictly earlier snapshots, then the snapshot is absorbed,
-    so no fact ever sees itself or its contemporaries as candidates. The
-    vocabulary is rebuilt from scratch every epoch. Loss per epoch is the
-    summed cross-entropy over all training facts.
+    vocabulary of strictly earlier snapshots, so no fact ever sees itself or
+    its contemporaries as candidates. The facts are indexed once, and each
+    snapshot k reads that index at frontier k. Loss per epoch is the summed
+    cross-entropy over all training facts.
     """
     rng = np.random.default_rng(config.seed)
     params = init_params(num_entities, num_relations_aug, num_snapshots, config, rng)
     optimizer = AmsGrad(params, lr=config.learning_rate)
     sequence = group_snapshots(as_quads(train_quads))
+    facts_index = FactIndex(train_quads)
     reduction = "mean" if config.mean_loss else "sum"
     log = TrainLog()
     best = np.inf
@@ -261,11 +261,11 @@ def fit(train_quads, num_entities: int, num_relations_aug: int, num_snapshots: i
 
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        vocab = HistVocab()
         epoch_loss = 0.0
         steps = 0
         snapshot_losses = []
         for k, facts in enumerate(sequence):
+            vocab = HistVocab(facts_index, frontier=k).freeze()
             snap_loss = 0.0
             if len(facts):
                 shuffled = facts[rng.permutation(len(facts))]
@@ -278,7 +278,6 @@ def fit(train_quads, num_entities: int, num_relations_aug: int, num_snapshots: i
                     optimizer.step(params, grads)
                     snap_loss += loss
                     steps += 1
-            vocab.absorb_snapshot(facts, index=k)
             snapshot_losses.append(snap_loss)
             epoch_loss += snap_loss
         stats = EpochStats(epoch, epoch_loss, time.perf_counter() - started,

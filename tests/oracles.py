@@ -94,6 +94,32 @@ def vocab_oracle(quads, frontier):
     return table
 
 
+def filter_oracle(*splits):
+    """Known-true objects per (s, p) over all times, and per (s, p, t)."""
+    static, timed = {}, {}
+    for quads in splits:
+        for s, p, o, t in np.asarray(quads).reshape(-1, 4).tolist():
+            static.setdefault((s, p), set()).add(o)
+            timed.setdefault((s, p, t), set()).add(o)
+    return static, timed
+
+
+def recurrence_oracle(history, probe):
+    """Fact and (s, p)-group repeat rates of a probe against its history."""
+    h = np.asarray(history).reshape(-1, 4)
+    q = np.asarray(probe).reshape(-1, 4)
+    seen_triples = set(map(tuple, h[:, :3].tolist()))
+    pair_objects = {}
+    for s, p, o in h[:, :3].tolist():
+        pair_objects.setdefault((s, p), set()).add(o)
+    repeats = sum((s, p, o) in seen_triples for s, p, o in q[:, :3].tolist())
+    groups = {}
+    for s, p, o in q[:, :3].tolist():
+        groups.setdefault((s, p), set()).add(o)
+    hits = sum(bool(objs & pair_objects.get(pair, set())) for pair, objs in groups.items())
+    return {"fact_repeat_rate": repeats / len(q), "group_repeat_rate": hits / len(groups)}
+
+
 def split_oracle(quads, ratios):
     """Exhaustive search over all snapshot boundary pairs (three-way)."""
     q = np.asarray(quads)

@@ -126,9 +126,10 @@ def test_criterion_4_vocabulary_oracle():
         vocab = HistVocab()
         for frontier in range(11):
             expected = vocab_oracle(quads, frontier)
-            got = {key: set(vocab.lookup(*key).tolist()) for key in vocab._entries}
-            got = {key: objs for key, objs in got.items() if objs}
-            if got != expected:
+            # every pair in range, so pairs without history must come back empty
+            got = {(s, p): set(vocab.lookup(s, p).tolist())
+                   for s in range(n) for p in range(r)}
+            if got != {key: expected.get(key, set()) for key in got}:
                 mismatches += 1
             if frontier < 10:
                 vocab.absorb_snapshot(quads[quads[:, 3] == frontier][:, :3],

@@ -22,23 +22,29 @@ def quads(*rows):
     return np.asarray(rows, dtype=np.int64).reshape(-1, 4)
 
 
+def filtered(index, s, p, t=None):
+    """Objects the filter knows for (s, p), at time t when given."""
+    _, objects = index.select([s], [p], at=None if t is None else [t])
+    return set(objects.tolist())
+
+
 class TestBuildFilter:
     def test_time_collapsed_union(self):
         index = build_filter(quads((1, 0, 2, 0)), quads((1, 0, 3, 5)))
-        assert index.contains(1, 0, 2) and index.contains(1, 0, 3)
+        assert filtered(index, 1, 0) == {2, 3}
         assert index.num_triples == 2
 
     def test_empty(self):
         index = build_filter(np.empty((0, 4), np.int64))
         assert index.num_triples == 0
-        assert not index.contains(0, 0, 0)
+        assert filtered(index, 0, 0) == set()
 
     def test_duplicates_collapse(self):
         index = build_filter(quads((1, 0, 2, 0), (1, 0, 2, 7)))
         assert index.num_triples == 1
-        assert index.objects_at(1, 0, 0) == {2}
-        assert index.objects_at(1, 0, 7) == {2}
-        assert index.objects_at(1, 0, 3) == set()
+        assert filtered(index, 1, 0, 0) == {2}
+        assert filtered(index, 1, 0, 7) == {2}
+        assert filtered(index, 1, 0, 3) == set()
 
 
 class TestRankOfTruth:

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from copygen.evaluation import build_filter
 from copygen.history import (
+    FactIndex,
     HistVocab,
     SequencingError,
     absorb_quads,
@@ -11,7 +15,11 @@ from copygen.history import (
     vocab_from_quads,
 )
 
-from oracles import vocab_oracle
+from oracles import filter_oracle, recurrence_oracle, vocab_oracle
+
+
+# every (subject, relation) pair random_quads can draw
+PAIRS = [(s, p) for s in range(8) for p in range(3)]
 
 
 def random_quads(rng, n_entities=8, n_relations=3, horizon=10, count=60):
@@ -54,9 +62,8 @@ class TestAbsorb:
             vocab = HistVocab()
             for k in range(10):
                 expected = vocab_oracle(quads, frontier=k)
-                for (s, p), objs in expected.items():
-                    assert set(vocab.lookup(s, p).tolist()) == objs
-                assert len(vocab) == len(expected)
+                for s, p in PAIRS:
+                    assert set(vocab.lookup(s, p).tolist()) == expected.get((s, p), set())
                 vocab.absorb_snapshot(quads[quads[:, 3] == k][:, :3], index=k)
 
     def test_monotone_lookup(self):
@@ -68,8 +75,7 @@ class TestAbsorb:
             vocab.absorb_snapshot(quads[quads[:, 3] == k][:, :3], index=k)
             for (s, p), objs in previous.items():
                 assert objs <= set(vocab.lookup(s, p).tolist())
-            previous = {key: set(vocab.lookup(*key).tolist())
-                        for key in vocab._entries}
+            previous = {key: set(vocab.lookup(*key).tolist()) for key in PAIRS}
 
 
 class TestLookup:
@@ -180,3 +186,64 @@ class TestRecurrenceStats:
     def test_empty_probe_rejected(self):
         with pytest.raises(ValueError, match="probe"):
             recurrence_stats([(1, 0, 2, 0)], np.empty((0, 4), np.int64))
+
+
+# Small id ranges so that pairs, objects and times collide often.
+N_IDS, N_RELS, HORIZON = 5, 3, 6
+GRID = [(s, p) for s in range(N_IDS) for p in range(N_RELS)]
+facts = st.lists(st.tuples(st.integers(0, N_IDS - 1), st.integers(0, N_RELS - 1),
+                           st.integers(0, N_IDS - 1), st.integers(0, HORIZON - 1)),
+                 max_size=40).map(lambda rows: np.asarray(rows, np.int64).reshape(-1, 4))
+
+
+def row_sets(rows, objects, count):
+    """Per query row, the set of selected objects."""
+    sets = [set() for _ in range(count)]
+    for row, obj in zip(rows.tolist(), objects.tolist()):
+        sets[row].add(obj)
+    return sets
+
+
+class TestIndexAgainstOracles:
+    """The one sorted index against dict-of-sets oracles on random facts."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(facts)
+    def test_history_and_masks(self, quads):
+        index = FactIndex(quads)
+        subjects, relations = np.array(GRID).T
+        incremental = HistVocab()
+        for frontier in range(HORIZON + 1):
+            expected = [vocab_oracle(quads, frontier).get(pair, set()) for pair in GRID]
+            for vocab in (HistVocab(index, frontier), incremental):
+                assert [set(vocab.lookup(s, p).tolist()) for s, p in GRID] == expected
+                masks = masks_for(vocab, subjects, relations, N_IDS, 7.0)
+                inverted = masks_for(vocab, subjects, relations, N_IDS, 7.0, invert=True)
+                for objs, mask, inv in zip(expected, masks, inverted):
+                    assert mask.tolist() == [0.0 if e in objs else -7.0 for e in range(N_IDS)]
+                    assert inv.tolist() == [-7.0 if e in objs else 0.0 for e in range(N_IDS)]
+            if frontier < HORIZON:
+                incremental.absorb_snapshot(quads[quads[:, 3] == frontier][:, :3],
+                                            index=frontier)
+        assert [set(vocab_from_quads(quads).lookup(s, p).tolist()) for s, p in GRID] \
+            == [vocab_oracle(quads, HORIZON).get(pair, set()) for pair in GRID]
+
+    @settings(max_examples=60, deadline=None)
+    @given(facts, facts)
+    def test_filters(self, first, second):
+        index = build_filter(first, second)
+        static, timed = filter_oracle(first, second)
+        assert index.num_triples == sum(len(objs) for objs in static.values())
+        subjects, relations = np.array(GRID).T
+        got = row_sets(*index.select(subjects, relations), len(GRID))
+        assert got == [static.get(pair, set()) for pair in GRID]
+        queries = np.array([(s, p, t) for s, p in GRID for t in range(HORIZON)])
+        got = row_sets(*index.select(queries[:, 0], queries[:, 1], at=queries[:, 2]),
+                       len(queries))
+        assert got == [timed.get(tuple(query), set()) for query in queries.tolist()]
+
+    @settings(max_examples=60, deadline=None)
+    @given(facts, facts.filter(len))
+    def test_recurrence_stats(self, history, probe):
+        probe = probe + np.array([0, 0, 0, HORIZON])  # strictly after the history
+        assert recurrence_stats(history, probe) == recurrence_oracle(history, probe)

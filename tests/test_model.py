@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -274,6 +275,58 @@ class TestCheckpoint:
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.cyg"
+        save_checkpoint(self._params(), path)
+        path.write_bytes(path.read_bytes() + b"junk")
+        for read in (load_checkpoint, model.checkpoint_config_text):
+            with pytest.raises(ValueError, match=r"m\.cyg: 4 unexpected bytes after the tensors"):
+                read(path)
+
+    @pytest.mark.parametrize("field, offset, value",
+                             [("N", 4, 0), ("R_aug", 8, -2), ("T", 12, -1), ("d", 16, 0)])
+    def test_bad_header_counts_rejected(self, tmp_path, field, offset, value):
+        path = tmp_path / "m.cyg"
+        save_checkpoint(self._params(), path)
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + 4] = struct.pack("<i", value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match=rf"m\.cyg: header field {field} is {value}"):
+            load_checkpoint(path)
+
+    # N=6, R_aug=4, d=3: the tensors end at byte 100, 148, 160, 376, 400, 616, 640
+    @pytest.mark.parametrize("size, where", [(20, "header"), (28, "tensor entity_emb"),
+                                             (150, "tensor time_unit"),
+                                             (639, "tensor b_gen")])
+    def test_truncated_rejected(self, tmp_path, size, where):
+        path = tmp_path / "m.cyg"
+        save_checkpoint(self._params(), path, config_text="seed = 1\n")
+        path.write_bytes(path.read_bytes()[:size])
+        for read in (load_checkpoint, model.checkpoint_config_text):
+            with pytest.raises(ValueError, match=rf"m\.cyg: truncated (in )?{where}"):
+                read(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "m.cyg"
+        save_checkpoint(self._params(), path, config_text="seed = 1\n")
+        before = path.read_bytes()
+        real = np.ascontiguousarray
+        written = []
+
+        def fail_after_two_tensors(*args, **kwargs):
+            written.append(1)
+            if len(written) > 2:
+                raise OSError("disk full")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(model.np, "ascontiguousarray", fail_after_two_tensors)
+        params = self._params()
+        params.alpha = 0.75
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(params, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.cyg"]
 
     def test_validate_catches_bad_shapes(self):
         params = self._params()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from copygen import training
 from copygen.data import group_snapshots
 from copygen.history import HistVocab, vocab_from_quads
 from copygen.synth import SynthConfig, generate
@@ -210,6 +211,27 @@ def two_snapshot_quads():
 
 
 class TestFit:
+    def test_history_built_once(self, monkeypatch):
+        """One fact index per call, read at each snapshot's frontier: no
+        per-epoch rebuild and no snapshot absorbed."""
+        calls = {"index": 0, "absorb": 0}
+        real_index, real_absorb = training.FactIndex, HistVocab.absorb_snapshot
+
+        def counting_index(*args):
+            calls["index"] += 1
+            return real_index(*args)
+
+        def counting_absorb(self, *args, **kwargs):
+            calls["absorb"] += 1
+            return real_absorb(self, *args, **kwargs)
+
+        monkeypatch.setattr(training, "FactIndex", counting_index)
+        monkeypatch.setattr(HistVocab, "absorb_snapshot", counting_absorb)
+        config = TrainConfig(alpha=0.5, dim=3, batch_size=2, epochs=3, seed=0)
+        _, log = fit(two_snapshot_quads(), 4, 1, 2, config)
+        assert len(log.epochs) == 3
+        assert calls == {"index": 1, "absorb": 0}
+
     def test_step_count(self):
         quads = two_snapshot_quads()
         sizes = [len(s) for s in group_snapshots(quads)]
