@@ -620,19 +620,19 @@ def _cmd_predict(run: RunConfig) -> int:
     vocab = _build_vocab(run, train, valid)
 
     alpha = run.alpha if run.alpha is not None else params.alpha
-    probs, copy_probs = model.score_batch(
-        params, [run.subject], [run.relation], [run.time], vocab,
-        alpha=alpha, mode=run.mode, return_copy=True)
-    probs = probs[0]
+    heads = model.score_heads(params, [run.subject], [run.relation], [run.time], vocab,
+                              (run.mode,))
+    probs = model.mix(heads, run.mode, alpha)[0]
+    pc = heads.get("pc")
     order = np.argsort(-probs, kind="stable")[:max(run.topk, 0)]
     for rank, entity in enumerate(order.tolist(), start=1):
         p = probs[entity]
         if run.mode == "copy-only":
             share = 1.0
-        elif run.mode == "gen-only" or copy_probs is None or p <= 0.0:
+        elif run.mode == "gen-only" or p <= 0.0:
             share = 0.0
         else:
-            share = alpha * copy_probs[0][entity] / p
+            share = alpha * pc[0][entity] / p
         print(f"{rank},{entity},{p:.6g},{share:.6g}")
     return 0
 

@@ -127,20 +127,13 @@ def masks_for(vocab: HistVocab, subjects, relations, num_entities: int,
     ``invert=True`` suppresses the candidates instead (used by the
     generation-new ablation).
     """
-    if magnitude <= 0:
-        raise ValueError("mask magnitude must be positive")
+    if not 0 < magnitude < np.inf:
+        raise ValueError(f"mask magnitude must be finite and positive, got {magnitude}")
     rows, objects = vocab.facts.select(subjects, relations, before=vocab.frontier)
     out = np.full((len(subjects), num_entities), 0.0 if invert else -magnitude,
                   dtype=np.float64)
     out[rows, objects] = -magnitude if invert else 0.0
     return out
-
-
-def copy_mask(vocab: HistVocab, subject: int, relation: int, num_entities: int,
-              magnitude: float = 100.0, *, invert: bool = False) -> np.ndarray:
-    """The copy mask of one (subject, relation) pair; see ``masks_for``."""
-    return masks_for(vocab, [subject], [relation], num_entities, magnitude,
-                     invert=invert)[0]
 
 
 def recurrence_stats(history, probe) -> dict[str, float]:

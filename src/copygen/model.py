@@ -21,12 +21,11 @@ import numpy as np
 # module namespace, where the benchmark's tracer (bench/spans.py) wraps them.
 from .history import HistVocab, masks_for
 
-MODES = ("full", "copy-only", "gen-only", "gen-new")
-
 CHECKPOINT_MAGIC = b"CYG1"
 _CONFIG_MAGIC = b"CFG1"
 # magic, N, R_aug, T, d, mask magnitude, alpha
 _HEADER = struct.Struct("<4siiiiff")
+_F32 = np.finfo(np.float32)
 # The learnable tensors, in checkpoint order.
 TENSOR_NAMES = ("entity_emb", "relation_emb", "time_unit", "w_copy", "b_copy", "w_gen", "b_gen")
 
@@ -36,11 +35,16 @@ def _tensor_shapes(n: int, r_aug: int, d: int) -> dict[str, tuple]:
     return dict(zip(TENSOR_NAMES, [(n, d), (r_aug, d), (d,), (n, 3 * d), (n,), (n, 3 * d), (n,)]))
 
 
-@dataclasses.dataclass
-class Query:
-    subject: int
-    relation: int
-    time: int  # 0-based snapshot index
+def hyperparameter_problem(mask_magnitude: float, alpha: float) -> str | None:
+    """What is wrong with the hyperparameters a checkpoint header stores, or
+    None: the mask magnitude must be finite and positive as a float32 (a
+    larger value does not fit the header, a smaller one rounds to 0), alpha
+    in [0, 1]."""
+    if not _F32.smallest_subnormal <= mask_magnitude <= _F32.max:
+        return f"mask_magnitude is {mask_magnitude}, expected a finite float32 > 0"
+    if not 0.0 <= alpha <= 1.0:
+        return f"alpha is {alpha}, expected in [0, 1]"
+    return None
 
 
 @dataclasses.dataclass
@@ -89,6 +93,9 @@ class ModelParams:
                 raise ValueError(f"{name}: shape {arr.shape}, expected {expected[name]}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name}: non-finite entries")
+        problem = hyperparameter_problem(self.mask_magnitude, self.alpha)
+        if problem:
+            raise ValueError(problem)
 
     def astype(self, dtype) -> "ModelParams":
         return dataclasses.replace(
@@ -109,18 +116,10 @@ def stable_softmax(logits: np.ndarray) -> np.ndarray:
     return z
 
 
-def time_embedding(params: ModelParams, k: int) -> np.ndarray:
-    """Embedding of snapshot k: (k + 1) steps of the unit time vector.
-
-    Defined for any k >= 0, including indices beyond the training horizon.
-    """
-    if k < 0:
-        raise ValueError("snapshot index must be non-negative")
-    return (k + 1) * params.time_unit
-
-
 def query_inputs(params: ModelParams, subjects, relations, times) -> np.ndarray:
-    """Concatenated [subject; relation; time] rows, shape (B, 3d)."""
+    """Concatenated [subject; relation; time] rows, shape (B, 3d). Snapshot
+    k embeds as (k + 1) steps of the unit time vector, for any k >= 0,
+    including indices beyond the training horizon."""
     subjects = np.asarray(subjects, dtype=np.int64)
     relations = np.asarray(relations, dtype=np.int64)
     steps = np.asarray(times, dtype=np.int64) + 1
@@ -139,32 +138,13 @@ def generation_logits_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarr
     return inputs @ params.w_gen.T + params.b_gen
 
 
-def copy_probs(params: ModelParams, query: Query, mask: np.ndarray) -> np.ndarray:
-    """Copy-mode distribution: softmax(tanh(W_c [s; p; t_k] + b_c) + mask)."""
-    inputs = query_inputs(params, [query.subject], [query.relation], [query.time])
-    index = copy_index_batch(params, inputs)
-    return stable_softmax(index.astype(np.float64)
-                          + np.asarray(mask, dtype=np.float64)[None, :])[0]
-
-
-def generation_probs(params: ModelParams, query: Query) -> np.ndarray:
-    """Generation-mode distribution over the whole entity vocabulary (no mask,
-    no tanh)."""
-    inputs = query_inputs(params, [query.subject], [query.relation], [query.time])
-    return stable_softmax(generation_logits_batch(params, inputs))[0]
-
-
-def combine(pc: np.ndarray, pg: np.ndarray, alpha: float) -> np.ndarray:
-    """Convex mixture alpha * p(copy) + (1 - alpha) * p(generation)."""
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha * np.asarray(pc) + (1.0 - alpha) * np.asarray(pg)
-
-
-# The softmax heads each mode mixes: pc is the copy head, pg the generation
-# head, pg_new the generation head restricted to entities outside the history.
+# The softmax heads each mode mixes, over inputs x = [s; p; t_k]: pc is the
+# copy head softmax(tanh(W_c x + b_c) + copy mask), pg the generation head
+# softmax(W_g x + b_g), pg_new the generation head restricted to entities
+# outside the history.
 MODE_HEADS = {"full": ("pc", "pg"), "copy-only": ("pc",), "gen-only": ("pg",),
               "gen-new": ("pc", "pg_new")}
+MODES = tuple(MODE_HEADS)
 
 
 def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVocab,
@@ -205,38 +185,25 @@ def mix(heads: dict[str, np.ndarray], mode: str, alpha: float) -> np.ndarray:
     """Probability rows of one mode from ``score_heads`` output.
 
     ``copy-only`` / ``gen-only`` return one head unchanged (identical to
-    ``full`` at alpha 1 / 0); ``full`` and ``gen-new`` combine the copy head
-    with ``pg`` / ``pg_new``.
+    ``full`` at alpha 1 / 0); ``full`` and ``gen-new`` take the convex
+    mixture ``alpha * pc + (1 - alpha) * pg`` of the copy head with ``pg`` /
+    ``pg_new``.
     """
     if mode == "copy-only":
         return heads["pc"]
     if mode == "gen-only":
         return heads["pg"]
-    return combine(heads["pc"], heads["pg_new" if mode == "gen-new" else "pg"], alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return alpha * heads["pc"] + (1.0 - alpha) * heads["pg_new" if mode == "gen-new" else "pg"]
 
 
 def score_batch(params: ModelParams, subjects, relations, times, vocab: HistVocab,
-                *, alpha: float | None = None, mode: str = "full",
-                return_copy: bool = False):
-    """Per-mode probability rows for a batch of queries, shape (B, N).
-
-    Modes: ``full`` mixes both heads; ``copy-only`` / ``gen-only`` use one
-    head (identical to full at alpha 1 / 0); ``gen-new`` mixes the copy head
-    with a generation head restricted to entities *outside* the historical
-    vocabulary. With ``return_copy`` the copy-mode rows are returned too
-    (None when the mode has no copy share).
-    """
+                *, alpha: float | None = None, mode: str = "full") -> np.ndarray:
+    """Probability rows of one mode for a batch of queries, shape (B, N):
+    ``score_heads`` and one ``mix`` (alpha None means the checkpoint's)."""
     heads = score_heads(params, subjects, relations, times, vocab, (mode,))
-    probs = mix(heads, mode, params.alpha if alpha is None else alpha)
-    return (probs, heads.get("pc")) if return_copy else probs
-
-
-def predict(params: ModelParams, query: Query, vocab: HistVocab, *,
-            alpha: float | None = None, mode: str = "full") -> np.ndarray:
-    """Entity ids ranked by descending probability, ties broken by ascending id."""
-    probs = score_batch(params, [query.subject], [query.relation], [query.time],
-                        vocab, alpha=alpha, mode=mode)[0]
-    return np.argsort(-probs, kind="stable")
+    return mix(heads, mode, params.alpha if alpha is None else alpha)
 
 
 def save_checkpoint(params: ModelParams, path, config_text: str | None = None) -> None:
@@ -282,6 +249,9 @@ def _checkpoint_layout(path, blob: bytes) -> tuple[tuple, dict[str, tuple], int]
     for field, value, least in (("N", n, 1), ("R_aug", r_aug, 1), ("T", horizon, 0), ("d", d, 1)):
         if value < least:
             raise ValueError(f"{path}: header field {field} is {value}, expected >= {least}")
+    problem = hyperparameter_problem(mag, alpha)
+    if problem:
+        raise ValueError(f"{path}: header field {problem}")
     tensors, end = {}, _HEADER.size
     for name, shape in _tensor_shapes(n, r_aug, d).items():
         tensors[name] = (end, shape)

@@ -23,6 +23,7 @@ from .model import (
     ModelParams,
     copy_index_batch,
     generation_logits_batch,
+    hyperparameter_problem,
     query_inputs,
     stable_softmax,
 )
@@ -48,11 +49,14 @@ class TrainConfig:
     dtype: type = np.float32
 
     def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        for name in ("dim", "learning_rate", "batch_size", "epochs", "mask_magnitude"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        # the values the trained checkpoint's header will store
+        problem = hyperparameter_problem(self.mask_magnitude, self.alpha)
+        if problem:
+            raise ValueError(problem)
+        for name in ("dim", "learning_rate", "batch_size", "epochs"):
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.patience is not None and self.patience <= 0:
             raise ValueError("patience must be positive when set")
 

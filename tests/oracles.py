@@ -73,6 +73,12 @@ def scalar_generation_probs(params, s, p, k):
     return _scalar_softmax(logits)
 
 
+def scalar_mask(history, s, p, num_entities, magnitude=100.0):
+    """Copy mask of one (s, p) pair from a ``vocab_oracle`` table."""
+    seen = history.get((s, p), set())
+    return [0.0 if e in seen else -magnitude for e in range(num_entities)]
+
+
 def scalar_batch_loss(params, batch, vocab, alpha, floor=1e-30):
     """Summed cross-entropy of the mixture, fact by fact."""
     total = 0.0

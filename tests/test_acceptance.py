@@ -15,8 +15,8 @@ import pytest
 from conftest import record_criterion
 from copygen.data import augment_reciprocal, chronological_split, DatasetMeta
 from copygen.evaluation import build_filter, evaluate, rank_of_truth
-from copygen.history import HistVocab, copy_mask, vocab_from_quads
-from copygen.model import Query, copy_probs, generation_probs, score_batch
+from copygen.history import HistVocab, vocab_from_quads
+from copygen.model import score_batch, score_heads
 from copygen.synth import SynthConfig, generate
 from copygen.training import TrainConfig, batch_gradients, fit
 
@@ -27,19 +27,23 @@ from oracles import (
     rel_err,
     scalar_copy_probs,
     scalar_generation_probs,
+    scalar_mask,
     vocab_oracle,
 )
 
 
+def random_history(rng, n_entities, n_relations, snapshots=3, per_snapshot=6):
+    """``per_snapshot`` random (s, p, o) draws in each of ``snapshots`` snapshots."""
+    return np.concatenate([np.column_stack([
+        rng.integers(0, n_entities, per_snapshot),
+        rng.integers(0, n_relations, per_snapshot),
+        rng.integers(0, n_entities, per_snapshot),
+        np.full(per_snapshot, k)]) for k in range(snapshots)])
+
+
 def random_vocab(rng, n_entities, n_relations, snapshots=3, per_snapshot=6):
-    vocab = HistVocab()
-    for k in range(snapshots):
-        facts = np.column_stack([
-            rng.integers(0, n_entities, per_snapshot),
-            rng.integers(0, n_relations, per_snapshot),
-            rng.integers(0, n_entities, per_snapshot)])
-        vocab.absorb_snapshot(facts, index=k)
-    return vocab
+    return vocab_from_quads(random_history(rng, n_entities, n_relations, snapshots,
+                                           per_snapshot))
 
 
 def test_criterion_1_gradient_correctness():
@@ -96,20 +100,22 @@ def test_criterion_3_mask_dominance():
     checked = 0
     while checked < 100:
         params = random_params(rng, n, r, d, scale=1.0)
-        vocab = random_vocab(rng, n, r, snapshots=2, per_snapshot=4)
-        s, p = int(rng.integers(n)), int(rng.integers(r))
-        mask = copy_mask(vocab, s, p, n, 100.0)
-        present = mask == 0.0
-        if not present.any() or present.all():
-            continue
-        probs = copy_probs(params, Query(s, p, int(rng.integers(8))), mask)
-        worst_ratio = max(worst_ratio,
-                          float(probs[~present].max() / probs[present].min()))
-        checked += 1
+        quads = random_history(rng, n, r, snapshots=2, per_snapshot=4)
+        history = vocab_oracle(quads, 2)
+        # one query per pair with history, at random times, in one batch
+        pairs = sorted(history)
+        subjects, relations = np.array(pairs).T
+        times = rng.integers(0, 8, len(pairs))
+        probs = score_heads(params, subjects, relations, times, vocab_from_quads(quads),
+                            ("copy-only",))["pc"]
+        for pair, row in zip(pairs, probs):
+            present = np.isin(np.arange(n), list(history[pair]))
+            worst_ratio = max(worst_ratio, float(row[~present].max() / row[present].min()))
+            checked += 1
     passed = worst_ratio <= bound * (1 + 1e-9)
     record_criterion("criterion 3: masked entities suppressed by e^-98",
                      passed, f"worst absent/present ratio {worst_ratio:.2e} "
-                             f"<= {bound:.2e}")
+                             f"<= {bound:.2e} over {checked} batched queries")
     assert passed, worst_ratio
 
 
@@ -174,18 +180,20 @@ def test_criterion_6_forward_oracle():
         r = int(rng.integers(2, 5))
         d = int(rng.integers(2, 6))
         params = random_params(rng, n, r, d)
-        vocab = random_vocab(rng, n, r, snapshots=2, per_snapshot=3)
-        s, p, k = int(rng.integers(n)), int(rng.integers(r)), int(rng.integers(15))
-        mask = copy_mask(vocab, s, p, n, 100.0)
-        got_c = copy_probs(params, Query(s, p, k), mask)
-        ref_c = scalar_copy_probs(params, s, p, k, mask)
-        got_g = generation_probs(params, Query(s, p, k))
-        ref_g = scalar_generation_probs(params, s, p, k)
-        worst = max(worst, rel_err(got_c, ref_c, floor=1e-300),
-                    rel_err(got_g, ref_g, floor=1e-300))
+        quads = random_history(rng, n, r, snapshots=2, per_snapshot=3)
+        history = vocab_oracle(quads, 2)
+        subjects, relations, times = (rng.integers(0, m, 6) for m in (n, r, 15))
+        heads = score_heads(params, subjects, relations, times, vocab_from_quads(quads),
+                            ("full",))
+        for i, (s, p, k) in enumerate(zip(subjects.tolist(), relations.tolist(),
+                                          times.tolist())):
+            ref_c = scalar_copy_probs(params, s, p, k, scalar_mask(history, s, p, n))
+            ref_g = scalar_generation_probs(params, s, p, k)
+            worst = max(worst, rel_err(heads["pc"][i], ref_c, floor=1e-300),
+                        rel_err(heads["pg"][i], ref_g, floor=1e-300))
     passed = worst <= 1e-12
-    record_criterion("criterion 6: vectorized forward == scalar loops (1e-12)",
-                     passed, f"max rel err {worst:.2e}")
+    record_criterion("criterion 6: batched score_heads == scalar loops (1e-12)",
+                     passed, f"max rel err {worst:.2e} over 10 batches x 6 queries")
     assert passed, worst
 
 

@@ -1,10 +1,17 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copygen import cli
-from copygen.data import write_quadruple_file
+from copygen.data import augment_reciprocal, load_dataset, write_quadruple_file
+from copygen.evaluation import rank_of_truth
+from copygen.history import vocab_from_quads
+from copygen.model import ModelParams, load_checkpoint, save_checkpoint, score_batch
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +37,22 @@ def checkpoint(synth_dir, tmp_path_factory):
 
 def lines_of(capsys):
     return capsys.readouterr().out.strip().splitlines()
+
+
+def predict_rows(capsys, checkpoint, data, s, p, t, *flags):
+    """``copygen predict`` lines as (position, entity, probability, share),
+    the last two as printed."""
+    assert cli.main(["predict", "--checkpoint", str(checkpoint), "--data", str(data),
+                     "--subject", str(s), "--relation", str(p), "--time", str(t),
+                     *flags]) == 0
+    rows = [line.split(",") for line in lines_of(capsys)]
+    return [(int(position), int(entity), prob, share) for position, entity, prob, share in rows]
+
+
+def train_vocab(data):
+    """The history vocabulary ``predict`` builds: the reciprocal training facts."""
+    ds = load_dataset(data)
+    return vocab_from_quads(augment_reciprocal(ds.train, ds.meta)[0])
 
 
 class TestSynthAndStats:
@@ -140,12 +163,59 @@ class TestAblateSweepPredict:
             assert int(fields[0]) == rank
             assert 0.0 <= float(fields[3]) <= 1.0 + 1e-9
 
+    @pytest.mark.parametrize("mode", ["full", "copy-only", "gen-only", "gen-new"])
+    def test_predict_matches_score_rows(self, synth_dir, checkpoint, mode, capsys):
+        s, p, t, alpha = 3, 1, 7, 0.6
+        rows = predict_rows(capsys, checkpoint, synth_dir, s, p, t, "--mode", mode,
+                            "--alpha", str(alpha), "--topk", "25")
+        params = load_checkpoint(checkpoint)
+        vocab = train_vocab(synth_dir)
+        probs = score_batch(params, [s], [p], [t], vocab, alpha=alpha, mode=mode)[0]
+        pc = score_batch(params, [s], [p], [t], vocab, mode="copy-only")[0]
+        assert [position for position, *_ in rows] == list(range(1, 26))
+        for position, entity, prob, share in rows:
+            assert prob == f"{probs[entity]:.6g}"
+            expected = {"copy-only": 1.0, "gen-only": 0.0}.get(
+                mode, alpha * pc[entity] / probs[entity])
+            assert share == f"{expected:.6g}"
+            assert position == rank_of_truth(probs, entity, regime="raw")
+
+    @pytest.mark.parametrize("mode", ["full", "gen-only"])
+    def test_predict_ties_print_ascending_ids(self, synth_dir, tmp_path, mode, capsys):
+        ds = load_dataset(synth_dir)
+        n, r_aug, d = ds.meta.num_entities, 2 * ds.meta.num_relations, 2
+        path = tmp_path / "zero.cyg"
+        save_checkpoint(ModelParams(
+            entity_emb=np.zeros((n, d)), relation_emb=np.zeros((r_aug, d)),
+            time_unit=np.zeros(d), w_copy=np.zeros((n, 3 * d)), b_copy=np.zeros(n),
+            w_gen=np.zeros((n, 3 * d)), b_gen=np.zeros(n),
+            num_snapshots=ds.meta.num_snapshots), path)
+        vocab = train_vocab(synth_dir)
+        # the pair with the most historical objects, so several of them tie
+        s, p = max(((s, p) for s in range(n) for p in range(r_aug)),
+                   key=lambda pair: len(vocab.lookup(*pair)))
+        history = vocab.lookup(s, p).tolist()
+        assert len(history) >= 2
+        rows = predict_rows(capsys, path, synth_dir, s, p, 7, "--mode", mode,
+                            "--topk", str(n))
+        entities = [entity for _, entity, *_ in rows]
+        if mode == "gen-only":  # every row ties
+            assert entities == list(range(n))
+        else:  # the history ties above the rest, each block in ascending ids
+            assert entities == history + sorted(set(range(n)) - set(history))
+        probs = score_batch(load_checkpoint(path), [s], [p], [7], vocab, mode=mode)[0]
+        for position, entity, _, _ in rows:
+            assert position == rank_of_truth(probs, entity, regime="raw")
+
     def test_predict_rejects_bad_ids(self, synth_dir, checkpoint, capsys):
-        code = cli.main(["predict", "--checkpoint", str(checkpoint),
-                         "--data", str(synth_dir), "--subject", "999",
-                         "--relation", "0", "--time", "0"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        for (s, p, t), fragment in (((999, 0, 0), "subject id"), ((0, 6, 0), "relation id"),
+                                    ((0, 0, -1), "non-negative snapshot index")):
+            code = cli.main(["predict", "--checkpoint", str(checkpoint),
+                             "--data", str(synth_dir), "--subject", str(s),
+                             "--relation", str(p), "--time", str(t)])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and fragment in err
 
 
 class TestUsageAndErrors:
@@ -162,12 +232,25 @@ class TestUsageAndErrors:
     def test_no_subcommand_prints_usage(self, capsys):
         assert cli.main([]) == 2
 
+    def test_train_rejects_non_finite_mask_magnitude(self, synth_dir, tmp_path, capsys):
+        for value in ("inf", "nan"):
+            code = cli.main(["train", "--data", str(synth_dir), "--out",
+                             str(tmp_path / "m.cyg"), "--mask-magnitude", value])
+            assert code == 1
+            assert f"mask_magnitude is {value}, expected" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_checkpoint_file_is_runtime_error(self, synth_dir, capsys):
         code = cli.main(["eval", "--checkpoint", "/nonexistent.cyg",
                          "--data", str(synth_dir)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+# Strings a ``key = value`` line carries unchanged.
+LINE_TEXT = st.text(st.characters(blacklist_characters="#",
+                                  blacklist_categories=("Cc", "Cs", "Zl", "Zp"))).map(str.strip)
 
 
 class TestConfigFile:
@@ -184,6 +267,35 @@ class TestConfigFile:
         text = checkpoint_config_text(out)
         assert "dim = 4" in text and "epochs = 1" in text
         assert load_checkpoint(out).dim == 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_echo_reads_back(self, example):
+        """``parse_config_file`` reads a ``RunConfig.text()`` echo back to
+        the same values. The line format cannot carry a string with '#' (a
+        comment), a line break or edge whitespace (stripped), so strings here
+        have none; the writer does not reject them either."""
+        command = example.draw(st.sampled_from(sorted(cli.COMMANDS)))
+        run = cli.RunConfig(command)
+        for opt in cli.COMMANDS[command]:
+            if opt.choices:
+                values = st.sampled_from(opt.choices)
+            else:
+                values = {int: st.integers(), float: st.floats(), str: LINE_TEXT,
+                          cli._parse_bool: st.booleans(), None: st.just(True)}[opt.type]
+            run.set(opt.key, example.draw(st.none() | values), "flag")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.cfg"
+            path.write_text(run.text(), encoding="utf-8")
+            entries = cli.parse_config_file(path)
+        assert entries.pop("command") == command
+        assert entries.pop("version") == cli.__version__
+        assert entries == {key: str(value) for key, value in run.values.items()
+                           if value is not None}
+        for opt in cli.COMMANDS[command]:
+            if opt.key in entries:
+                caster = cli._parse_bool if opt.flag else opt.type
+                assert str(caster(entries[opt.key])) == str(run.values[opt.key])
 
     def test_malformed_config_file(self, synth_dir, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copygen import data
 from copygen.data import (
@@ -60,6 +62,21 @@ class TestParse:
         normalized = dedupe(normalize_timestamps(facts, 1))
         reparsed = parse_quadruple_file(serialize_quadruples(normalized).splitlines(), META)
         assert np.array_equal(dedupe(reparsed), normalized)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_round_trip_any_in_range(self, example):
+        """Any in-range (n, 4) array, in any order and with repeats, reads
+        back exactly."""
+        meta = DatasetMeta(num_entities=example.draw(st.integers(1, 2**31 - 1)),
+                           num_relations=example.draw(st.integers(1, 2**31 - 1)))
+        entity = st.integers(0, meta.num_entities - 1)
+        rows = example.draw(st.lists(st.tuples(entity, st.integers(0, meta.num_relations - 1),
+                                            entity, st.integers(0, 2**63 - 1)),
+                                  max_size=30))
+        q = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+        reparsed = parse_quadruple_file(serialize_quadruples(q).splitlines(), meta)
+        assert reparsed.dtype == np.int64 and np.array_equal(reparsed, q)
 
 
 class TestNormalize:

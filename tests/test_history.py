@@ -9,7 +9,6 @@ from copygen.history import (
     HistVocab,
     SequencingError,
     absorb_quads,
-    copy_mask,
     masks_for,
     recurrence_stats,
     vocab_from_quads,
@@ -100,43 +99,44 @@ class TestCopyMask:
     def test_definition(self):
         vocab = HistVocab()
         vocab.absorb_snapshot([(1, 0, 2), (1, 0, 5)])
-        mask = copy_mask(vocab, 1, 0, num_entities=6, magnitude=100.0)
+        mask = masks_for(vocab, [1], [0], num_entities=6, magnitude=100.0)[0]
         assert mask.tolist() == [-100, -100, 0, -100, -100, 0]
 
     def test_empty_lookup_all_suppressed(self):
-        mask = copy_mask(HistVocab(), 0, 0, num_entities=3)
+        mask = masks_for(HistVocab(), [0], [0], num_entities=3)[0]
         assert mask.tolist() == [-100, -100, -100]
 
     def test_full_lookup_all_zero(self):
         vocab = HistVocab()
         vocab.absorb_snapshot([(0, 0, o) for o in range(4)])
-        assert copy_mask(vocab, 0, 0, num_entities=4).tolist() == [0, 0, 0, 0]
+        assert masks_for(vocab, [0], [0], num_entities=4)[0].tolist() == [0, 0, 0, 0]
 
     def test_zero_positions_equal_lookup(self):
         rng = np.random.default_rng(2)
         vocab = vocab_from_quads(random_quads(rng))
-        for s in range(8):
-            for p in range(3):
-                mask = copy_mask(vocab, s, p, num_entities=8)
-                assert np.flatnonzero(mask == 0).tolist() == vocab.lookup(s, p).tolist()
+        subjects, relations = np.array(PAIRS).T
+        masks = masks_for(vocab, subjects, relations, num_entities=8)
+        for (s, p), mask in zip(PAIRS, masks):
+            assert np.flatnonzero(mask == 0).tolist() == vocab.lookup(s, p).tolist()
 
     def test_invert_suppresses_candidates(self):
         vocab = HistVocab()
         vocab.absorb_snapshot([(1, 0, 2)])
-        mask = copy_mask(vocab, 1, 0, num_entities=4, invert=True)
+        mask = masks_for(vocab, [1], [0], num_entities=4, invert=True)[0]
         assert mask.tolist() == [0, 0, -100, 0]
 
     def test_bad_magnitude(self):
-        with pytest.raises(ValueError):
-            copy_mask(HistVocab(), 0, 0, num_entities=3, magnitude=0.0)
+        for magnitude in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                masks_for(HistVocab(), [0], [0], num_entities=3, magnitude=magnitude)
 
     def test_batch_stack(self):
         vocab = HistVocab()
         vocab.absorb_snapshot([(1, 0, 2), (3, 1, 0)])
         stack = masks_for(vocab, [1, 3], [0, 1], num_entities=4)
         assert stack.shape == (2, 4)
-        assert stack[0].tolist() == copy_mask(vocab, 1, 0, 4).tolist()
-        assert stack[1].tolist() == copy_mask(vocab, 3, 1, 4).tolist()
+        assert stack[0].tolist() == masks_for(vocab, [1], [0], 4)[0].tolist()
+        assert stack[1].tolist() == masks_for(vocab, [3], [1], 4)[0].tolist()
 
 
 class TestAbsorbQuads:

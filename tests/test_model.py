@@ -1,23 +1,26 @@
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from copygen import model
-from copygen.history import HistVocab, copy_mask, vocab_from_quads
+from copygen.evaluation import rank_of_truth
+from copygen.history import HistVocab, masks_for, vocab_from_quads
 from copygen.model import (
     ModelParams,
-    Query,
-    combine,
-    copy_probs,
-    generation_probs,
     load_checkpoint,
-    predict,
+    mix,
+    query_inputs,
     save_checkpoint,
     score_batch,
+    score_heads,
     stable_softmax,
-    time_embedding,
 )
 
 from oracles import random_params, rel_err, scalar_copy_probs, scalar_generation_probs
@@ -31,42 +34,57 @@ def zero_params(n=4, d=3, r=2, **kw):
         num_snapshots=5, **kw)
 
 
+def head(params, vocab, name, s=0, p=0, k=0):
+    """One query's row of one ``score_heads`` head."""
+    mode = {"pc": "copy-only", "pg": "gen-only"}[name]
+    return score_heads(params, [s], [p], [k], vocab, (mode,))[name][0]
+
+
+def ranking(probs):
+    """Entity ids in the order the evaluator ranks them (raw regime)."""
+    return sorted(range(len(probs)), key=lambda e: rank_of_truth(probs, e, regime="raw"))
+
+
 class TestTimeEmbedding:
+    """The time block of ``query_inputs``: snapshot k embeds as (k + 1)
+    steps of the unit time vector."""
+
+    def time_block(self, params, times):
+        return query_inputs(params, np.zeros(len(times), int), np.zeros(len(times), int),
+                            times)[:, 2 * params.dim:]
+
     def test_base_case(self):
         params = zero_params()
         params.time_unit = np.array([1.0, -2.0, 0.5])
-        assert time_embedding(params, 0).tolist() == [1.0, -2.0, 0.5]
+        assert self.time_block(params, [0]).tolist() == [[1.0, -2.0, 0.5]]
 
     def test_unrolled_recurrence(self):
         params = zero_params()
         params.time_unit = np.array([1.0, -2.0, 0.5])
-        assert time_embedding(params, 2).tolist() == [3.0, -6.0, 1.5]
+        assert self.time_block(params, [2]).tolist() == [[3.0, -6.0, 1.5]]
 
     def test_zero_unit(self):
-        assert time_embedding(zero_params(), 7).tolist() == [0.0, 0.0, 0.0]
+        assert self.time_block(zero_params(), [7]).tolist() == [[0.0, 0.0, 0.0]]
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
         params = random_params(rng, 5, 3, 4)
-        for k in (0, 1, 5, 40):
-            assert np.allclose(time_embedding(params, k),
-                               (k + 1) * time_embedding(params, 0))
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            time_embedding(zero_params(), -1)
+        times = [0, 1, 5, 40]
+        blocks = self.time_block(params, times)
+        for k, block in zip(times, blocks):
+            assert np.allclose(block, (k + 1) * params.time_unit)
+            assert np.allclose(block, (k + 1) * blocks[0])
 
 
 class TestCopyProbs:
     def test_uniform_with_full_vocabulary(self):
         params = zero_params(n=4)
-        probs = copy_probs(params, Query(0, 0, 0), np.zeros(4))
-        assert np.allclose(probs, 0.25, atol=1e-15)
+        vocab = vocab_from_quads([(0, 0, o, 0) for o in range(4)])
+        assert np.allclose(head(params, vocab, "pc"), 0.25, atol=1e-15)
 
     def test_masked_softmax_arithmetic(self):
         params = zero_params(n=4)
-        mask = np.array([0.0, 0.0, -100.0, -100.0])
-        probs = copy_probs(params, Query(0, 0, 0), mask)
+        probs = head(params, vocab_from_quads([(0, 0, 0, 0), (0, 0, 1, 0)]), "pc")
         assert probs[0] == pytest.approx(0.5, abs=1e-12)
         assert probs[1] == pytest.approx(0.5, abs=1e-12)
         assert probs[2] <= math.exp(-100) / 2
@@ -78,23 +96,22 @@ class TestCopyProbs:
             params = random_params(rng, 7, 4, 4)
             vocab = HistVocab()
             vocab.absorb_snapshot([(0, 1, 3), (0, 1, 5), (2, 0, 6)])
-            s, p, k = 0, 1, int(rng.integers(0, 12))
-            mask = copy_mask(vocab, s, p, 7)
-            got = copy_probs(params, Query(s, p, k), mask)
-            ref = scalar_copy_probs(params, s, p, k, mask)
-            assert rel_err(got, ref, floor=1e-300) < 1e-12
+            subjects, relations = [0, 2, 1], [1, 0, 3]
+            times = rng.integers(0, 12, 3)
+            masks = masks_for(vocab, subjects, relations, 7)
+            got = score_heads(params, subjects, relations, times, vocab, ("copy-only",))["pc"]
+            for row, s, p, k, mask in zip(got, subjects, relations, times.tolist(), masks):
+                assert rel_err(row, scalar_copy_probs(params, s, p, k, mask), floor=1e-300) < 1e-12
 
 
 class TestGenerationProbs:
     def test_uniform(self):
-        params = zero_params(n=5)
-        probs = generation_probs(params, Query(0, 0, 0))
-        assert np.allclose(probs, 0.2, atol=1e-15)
+        assert np.allclose(head(zero_params(n=5), HistVocab(), "pg"), 0.2, atol=1e-15)
 
     def test_known_logits(self):
         params = zero_params(n=2)
         params.b_gen = np.array([math.log(2.0), 0.0])
-        probs = generation_probs(params, Query(0, 0, 0))
+        probs = head(params, HistVocab(), "pg")
         assert probs[0] == pytest.approx(2 / 3, abs=1e-12)
         assert probs[1] == pytest.approx(1 / 3, abs=1e-12)
 
@@ -102,34 +119,43 @@ class TestGenerationProbs:
         rng = np.random.default_rng(2)
         for _ in range(5):
             params = random_params(rng, 6, 3, 5)
-            s, p, k = int(rng.integers(6)), int(rng.integers(3)), int(rng.integers(9))
-            got = generation_probs(params, Query(s, p, k))
-            ref = scalar_generation_probs(params, s, p, k)
-            assert rel_err(got, ref, floor=1e-300) < 1e-12
+            subjects, relations, times = (rng.integers(0, m, 4) for m in (6, 3, 9))
+            got = score_heads(params, subjects, relations, times, HistVocab(),
+                              ("gen-only",))["pg"]
+            for row, s, p, k in zip(got, subjects.tolist(), relations.tolist(),
+                                    times.tolist()):
+                assert rel_err(row, scalar_generation_probs(params, s, p, k),
+                               floor=1e-300) < 1e-12
 
 
 class TestCombine:
+    """``mix`` of two heads: alpha * pc + (1 - alpha) * pg."""
+
     def test_definition(self):
-        out = combine(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), 0.8)
-        assert np.allclose(out, [0.8, 0.2, 0.0], atol=1e-15)
+        heads = {"pc": np.array([[1.0, 0, 0]]), "pg": np.array([[0, 1.0, 0]])}
+        assert np.allclose(mix(heads, "full", 0.8), [[0.8, 0.2, 0.0]], atol=1e-15)
+        heads = {"pc": heads["pc"], "pg_new": heads["pg"]}
+        assert np.allclose(mix(heads, "gen-new", 0.8), [[0.8, 0.2, 0.0]], atol=1e-15)
 
     def test_endpoints_exact(self):
         rng = np.random.default_rng(3)
-        pc = stable_softmax(rng.normal(size=6))
-        pg = stable_softmax(rng.normal(size=6))
-        assert np.array_equal(combine(pc, pg, 1.0), pc)
-        assert np.array_equal(combine(pc, pg, 0.0), pg)
+        heads = {"pc": stable_softmax(rng.normal(size=(2, 6))),
+                 "pg": stable_softmax(rng.normal(size=(2, 6)))}
+        assert np.array_equal(mix(heads, "full", 1.0), heads["pc"])
+        assert np.array_equal(mix(heads, "full", 0.0), heads["pg"])
+        assert mix(heads, "copy-only", 0.3) is heads["pc"]
+        assert mix(heads, "gen-only", 0.3) is heads["pg"]
 
     def test_fixed_point(self):
         v = stable_softmax(np.arange(4.0))
         for alpha in (0.0, 0.3, 1.0):
-            assert np.allclose(combine(v, v, alpha), v, atol=1e-15)
+            assert np.allclose(mix({"pc": v, "pg": v}, "full", alpha), v, atol=1e-15)
 
     def test_alpha_bounds(self):
         v = np.array([1.0])
-        for alpha in (-0.1, 1.1):
-            with pytest.raises(ValueError):
-                combine(v, v, alpha)
+        for alpha in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                mix({"pc": v, "pg": v}, "full", alpha)
 
 
 class TestNormalization:
@@ -154,6 +180,7 @@ class TestScoreHeads:
         rng = np.random.default_rng(8)
         params = random_params(rng, 6, 2, 3)
         vocab = vocab_from_quads([(0, 0, 1, 0)])
+        assert model.MODES == ("full", "copy-only", "gen-only", "gen-new")
         for modes, keys in ((("copy-only",), {"pc"}), (("gen-only",), {"pg"}),
                             (("full",), {"pc", "pg"}), (("gen-new",), {"pc", "pg_new"}),
                             (model.MODES, {"pc", "pg", "pg_new"})):
@@ -180,28 +207,28 @@ class TestMaskDominance:
             vocab = HistVocab()
             objs = rng.choice(8, size=int(rng.integers(1, 7)), replace=False)
             vocab.absorb_snapshot([(1, 0, int(o)) for o in objs])
-            mask = copy_mask(vocab, 1, 0, 8)
-            probs = copy_probs(params, Query(1, 0, int(rng.integers(5))), mask)
-            present = mask == 0
+            probs = head(params, vocab, "pc", 1, 0, int(rng.integers(5)))
+            present = np.isin(np.arange(8), objs)
             assert probs[~present].max() <= bound * probs[present].min() * (1 + 1e-9)
 
 
 class TestPredict:
+    """Prediction order is the evaluator's rank order: descending
+    probability, ties broken by ascending id."""
+
     def test_ranking_by_probability(self):
         params = zero_params(n=3)
         params.b_gen = np.log(np.array([0.1, 0.7, 0.2]))
-        ranking = predict(params, Query(0, 0, 0), HistVocab(), alpha=0.0)
-        assert ranking.tolist() == [1, 2, 0]
+        probs = score_batch(params, [0], [0], [0], HistVocab(), alpha=0.0)[0]
+        assert ranking(probs) == [1, 2, 0]
 
     def test_exact_tie_breaks_by_id(self):
-        params = zero_params(n=2)
-        ranking = predict(params, Query(0, 0, 0), HistVocab(), alpha=0.0)
-        assert ranking.tolist() == [0, 1]
+        probs = score_batch(zero_params(n=2), [0], [0], [0], HistVocab(), alpha=0.0)[0]
+        assert ranking(probs) == [0, 1]
 
     def test_copy_only_empty_vocab_is_uniform(self):
-        params = zero_params(n=5)
-        ranking = predict(params, Query(0, 0, 0), HistVocab(), mode="copy-only")
-        assert ranking.tolist() == [0, 1, 2, 3, 4]
+        probs = score_batch(zero_params(n=5), [0], [0], [0], HistVocab(), mode="copy-only")[0]
+        assert ranking(probs) == [0, 1, 2, 3, 4]
 
     def test_argmax_invariant_to_logit_shift(self):
         rng = np.random.default_rng(6)
@@ -215,9 +242,8 @@ class TestPredict:
         params = random_params(rng, 6, 2, 3, alpha=0.5)
         vocab = HistVocab()
         vocab.absorb_snapshot([(0, 0, 1), (0, 0, 4)])
-        probs, pc = score_batch(params, [0], [0], [2], vocab, alpha=0.5,
-                                mode="gen-new", return_copy=True)
-        gen_share = probs[0] - 0.5 * pc[0]
+        heads = score_heads(params, [0], [0], [2], vocab, ("gen-new",))
+        gen_share = mix(heads, "gen-new", 0.5)[0] - 0.5 * heads["pc"][0]
         assert gen_share[[1, 4]].max() < 1e-30  # historical ids suppressed
         assert gen_share.sum() == pytest.approx(0.5, abs=1e-9)
 
@@ -295,6 +321,35 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=rf"m\.cyg: header field {field} is {value}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("field, offset, value",
+                             [("mask_magnitude", 20, math.inf), ("mask_magnitude", 20, math.nan),
+                              ("mask_magnitude", 20, -1.0), ("mask_magnitude", 20, 0.0),
+                              ("alpha", 24, 2.0), ("alpha", 24, -0.5), ("alpha", 24, math.nan)])
+    def test_bad_header_scalars_rejected(self, tmp_path, field, offset, value):
+        path = tmp_path / "m.cyg"
+        save_checkpoint(self._params(), path)
+        blob = bytearray(path.read_bytes())
+        blob[offset:offset + 4] = struct.pack("<f", value)
+        path.write_bytes(bytes(blob))
+        for read in (load_checkpoint, model.checkpoint_config_text):
+            with pytest.raises(ValueError, match=rf"m\.cyg: header field {field} is "):
+                read(path)
+
+    @pytest.mark.parametrize("field, value", [("mask_magnitude", math.inf),
+                                              ("mask_magnitude", math.nan),
+                                              ("mask_magnitude", -1.0),
+                                              ("mask_magnitude", 1e-50),  # float32 0
+                                              ("mask_magnitude", 1e39),  # over float32
+                                              ("alpha", 2.0), ("alpha", math.nan)])
+    def test_bad_scalars_never_saved(self, tmp_path, field, value):
+        params = self._params()
+        setattr(params, field, value)
+        with pytest.raises(ValueError, match=rf"^{field} is "):
+            params.validate()
+        with pytest.raises(ValueError, match=field):
+            save_checkpoint(params, tmp_path / "m.cyg")
+        assert list(tmp_path.iterdir()) == []
+
     # N=6, R_aug=4, d=3: the tensors end at byte 100, 148, 160, 376, 400, 616, 640
     @pytest.mark.parametrize("size, where", [(20, "header"), (28, "tensor entity_emb"),
                                              (150, "tensor time_unit"),
@@ -327,6 +382,37 @@ class TestCheckpoint:
             save_checkpoint(params, path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.cyg"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_round_trip_and_truncation_any_shape(self, example):
+        """Any finite float32 model saves and loads bit-exact, and cutting the
+        file anywhere before its tensors end raises a ValueError naming it."""
+        n, r_aug, d = (example.draw(st.integers(1, 6)) for _ in range(3))
+        finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
+        tensors = {name: example.draw(arrays(np.float32, shape, elements=finite))
+                   for name, shape in model._tensor_shapes(n, r_aug, d).items()}
+        params = ModelParams(
+            **tensors, num_snapshots=example.draw(st.integers(0, 2**31 - 1)),
+            mask_magnitude=example.draw(finite.filter(lambda x: x > 0)),
+            alpha=example.draw(st.floats(0.0, 1.0, width=32)))
+        config_text = example.draw(st.none() | st.text(min_size=1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.cyg"
+            save_checkpoint(params, path, config_text=config_text)
+            loaded = load_checkpoint(path)
+            for name, arr in params.tensors().items():
+                assert loaded.tensors()[name].tobytes() == arr.tobytes(), name
+            assert (loaded.num_snapshots, loaded.mask_magnitude, loaded.alpha) \
+                == (params.num_snapshots, params.mask_magnitude, params.alpha)
+            assert model.checkpoint_config_text(path) == config_text
+
+            tensors_end = 28 + 4 * sum(arr.size for arr in tensors.values())
+            cut = example.draw(st.integers(0, tensors_end - 1))
+            path.write_bytes(path.read_bytes()[:cut])
+            for read in (load_checkpoint, model.checkpoint_config_text):
+                with pytest.raises(ValueError, match=r"m\.cyg: "):
+                    read(path)
 
     def test_validate_catches_bad_shapes(self):
         params = self._params()

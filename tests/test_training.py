@@ -290,7 +290,9 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 1.5}, {"dim": 0}, {"learning_rate": -1.0},
         {"batch_size": 0}, {"epochs": 0}, {"mask_magnitude": 0.0},
-        {"patience": 0},
+        {"patience": 0}, {"mask_magnitude": math.inf}, {"mask_magnitude": math.nan},
+        {"learning_rate": math.inf}, {"learning_rate": math.nan}, {"alpha": math.nan},
+        {"mask_magnitude": 1e39}, {"mask_magnitude": 1e-50},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
