@@ -23,6 +23,11 @@ _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 SPLIT_RATIOS = {"80/10/10": (0.8, 0.1, 0.1), "80/20": (0.8, 0.2)}
 
+# literal copies of model.MODES and evaluation.REGIMES: importing either
+# module would load numpy before --threads is applied
+MODE_CHOICES = ("full", "copy-only", "gen-only", "gen-new")
+REGIME_CHOICES = ("raw", "static", "time-aware")
+
 # per-dataset mixture weights from the benchmark tuning
 DATASET_ALPHA = (("icews", 0.8), ("gdelt", 0.7), ("wiki", 0.5), ("yago", 0.5))
 
@@ -83,7 +88,7 @@ _EVAL_COMMON = [
     Opt("checkpoint", str, required=True, help="trained checkpoint"),
     Opt("data", str, required=True, help="dataset directory"),
     Opt("split", str, "test", "evaluation split", choices=("test", "valid")),
-    Opt("filter", str, "static", "ranking regime", choices=("raw", "static", "time-aware")),
+    Opt("filter", str, "static", "ranking regime", choices=REGIME_CHOICES),
     Opt("filter_from", str, "all", "splits feeding the filter", choices=("all", "train")),
     Opt("alpha", float, None, "override the checkpoint's mixture weight"),
     Opt("granularity", int, 1, "raw time units per snapshot"),
@@ -98,7 +103,6 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("data", str, required=True, help="input directory"),
         Opt("out", str, required=True, help="output directory"),
         Opt("granularity", int, 1, "raw time units per snapshot"),
-        Opt("reciprocal", _parse_bool, True, "recorded for downstream tools"),
         Opt("split", str, None, "re-split ratios (omit to keep existing files)",
             choices=tuple(SPLIT_RATIOS)),
     ],
@@ -124,8 +128,7 @@ COMMANDS: dict[str, list[Opt]] = {
     ],
     "train": _TRAIN_OPTS,
     "eval": _EVAL_COMMON + [
-        Opt("mode", str, "full", "inference mode",
-            choices=("full", "copy-only", "gen-only", "gen-new")),
+        Opt("mode", str, "full", "inference mode", choices=MODE_CHOICES),
         Opt("per_snapshot_csv", str, None, "write a per-snapshot breakdown here"),
     ],
     "ablate": _EVAL_COMMON + [
@@ -133,15 +136,10 @@ COMMANDS: dict[str, list[Opt]] = {
     ],
     "sweep-alpha": _EVAL_COMMON + [
         Opt("out", str, None, "sweep CSV path (stdout when omitted)"),
-        Opt("retrain", None, False, "retrain per alpha instead of re-mixing",
-            flag=True),
-        Opt("dim", int, 200, "embedding dimension (retrain only)"),
-        Opt("lr", float, 0.001, "learning rate (retrain only)"),
-        Opt("batch_size", int, 1024, "batch size (retrain only)"),
-        Opt("epochs", int, 30, "epochs (retrain only)"),
-        Opt("seed", int, 0, "seed (retrain only)"),
-        Opt("mask_magnitude", float, 100.0, "mask magnitude (retrain only)"),
-    ],
+        Opt("retrain", None, False, "retrain per alpha instead of re-mixing (the "
+            "training options below apply only then)", flag=True),
+    ] + [opt for opt in _TRAIN_OPTS
+         if opt.key in ("dim", "lr", "batch_size", "epochs", "seed", "mask_magnitude")],
     "predict": [
         Opt("checkpoint", str, required=True, help="trained checkpoint"),
         Opt("data", str, required=True, help="dataset directory (historical vocabulary)"),
@@ -149,8 +147,7 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("relation", int, required=True, help="relation id (>= R queries subjects)"),
         Opt("time", int, required=True, help="snapshot index of the query"),
         Opt("topk", int, 5, "entities to print"),
-        Opt("mode", str, "full", "inference mode",
-            choices=("full", "copy-only", "gen-only", "gen-new")),
+        Opt("mode", str, "full", "inference mode", choices=MODE_CHOICES),
         Opt("alpha", float, None, "override the checkpoint's mixture weight"),
         Opt("granularity", int, 1, "raw time units per snapshot"),
         Opt("reciprocal", _parse_bool, True, "must match the training setting"),
@@ -195,6 +192,14 @@ class RunConfig:
                 continue
             out.append(f"{key} = {value}")
         return "\n".join(out) + "\n"
+
+
+def _echoable(text: str) -> bool:
+    """Whether :func:`parse_config_file` reads ``text`` back unchanged from
+    a ``key = text`` line: no '#', no line break, no edge whitespace, and no
+    lone surrogate (which UTF-8 cannot encode)."""
+    return ("#" not in text and text == text.strip() and len(text.splitlines()) <= 1
+            and not any("\ud800" <= c <= "\udfff" for c in text))
 
 
 def parse_config_file(path) -> dict[str, str]:
@@ -268,8 +273,13 @@ def resolve(command: str, args: argparse.Namespace,
             run.set(opt.key, value, "config-file")
         else:
             run.set(opt.key, opt.default, "default")
-        if opt.required and run.values[opt.key] is None:
+        value = run.values[opt.key]
+        if opt.required and value is None:
             parser.error(f"{command}: missing required option {opt.option}")
+        if opt.type is str and not opt.choices and value is not None and not _echoable(value):
+            parser.error(f"{command}: {opt.option} {value!r} cannot be echoed as a "
+                         "'key = value' line (no '#', line breaks, edge whitespace "
+                         "or non-UTF-8 text)")
     return run
 
 
@@ -375,28 +385,20 @@ def _cmd_prepare(run: RunConfig) -> int:
     from . import data
 
     src = Path(run.data)
-    out = Path(run.out)
-    out.mkdir(parents=True, exist_ok=True)
-    num_entities, num_relations = data.load_stat(src / "stat.txt")
-    meta = data.DatasetMeta(num_entities, num_relations, granularity=run.granularity)
-
-    present = {name: src / f"{name}.txt"
-               for name in ("all", "facts", "train", "valid", "test")
-               if (src / f"{name}.txt").exists()}
-    presplit = "train" in present
-    if run.split is None and presplit:
-        raw = {name: data.read_quadruple_file(present[name], meta)
-               for name in ("train", "valid", "test") if name in present}
-        origin = min(int(q[:, 3].min()) // run.granularity
-                     for q in raw.values() if len(q))
-        named = {name: data.dedupe(data.normalize_timestamps(q, run.granularity,
-                                                             origin=origin))
-                 for name, q in raw.items()}
+    present = [name for name in ("all", "facts", "train", "valid", "test")
+               if (src / f"{name}.txt").exists()]
+    if run.split is None and "train" in present:
+        ds = data.load_dataset(src, granularity=run.granularity)
+        meta = ds.meta
+        named = {name: ds.split(name) for name in ("train", "valid", "test")
+                 if name in present}
         boundaries = ()
     else:
+        num_entities, num_relations = data.load_stat(src / "stat.txt")
+        meta = data.DatasetMeta(num_entities, num_relations, granularity=run.granularity)
         if not present:
             raise FileNotFoundError(f"{src}: no fact files found")
-        chunks = [data.read_quadruple_file(path, meta) for path in present.values()]
+        chunks = [data.read_quadruple_file(src / f"{name}.txt", meta) for name in present]
         merged = data.dedupe(data.normalize_timestamps(np.concatenate(chunks),
                                                        run.granularity))
         ratios = SPLIT_RATIOS[run.split or "80/10/10"]
@@ -406,9 +408,12 @@ def _cmd_prepare(run: RunConfig) -> int:
             named["valid"] = split.valid
         boundaries = split.boundaries
 
+    out = Path(run.out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, quads in named.items():
         data.write_quadruple_file(out / f"{name}.txt", quads)
-    (out / "stat.txt").write_text(f"{num_entities} {num_relations}\n", encoding="utf-8")
+    (out / "stat.txt").write_text(f"{meta.num_entities} {meta.num_relations}\n",
+                                  encoding="utf-8")
     extra = f"boundaries = {','.join(map(str, boundaries))}\n" if boundaries else ""
     (out / "prepared.cfg").write_text(run.text() + extra, encoding="utf-8")
     for name, quads in sorted(named.items()):
@@ -457,8 +462,7 @@ def _cmd_synth(run: RunConfig) -> int:
         seed=run.seed,
         fixed_objects=bool(run.fixed_objects),
     )
-    sequence, rate = synth.generate(config)
-    quads = sequence.to_quadruples()
+    quads, rate = synth.generate(config)
     split = data.chronological_split(quads, SPLIT_RATIOS[run.split])
 
     out = Path(run.out)
@@ -478,12 +482,12 @@ def _cmd_synth(run: RunConfig) -> int:
     return 0
 
 
-def _cmd_train(run: RunConfig) -> int:
-    from . import model, training
+def _train_config(run: RunConfig, alpha: float):
+    """The ``TrainConfig`` of ``train``'s options; ``sweep-alpha --retrain``
+    has no ``--mean-loss`` or ``--patience`` and trains with their defaults."""
+    from . import training
 
-    ds, train, _, _, r_aug = _load_augmented(run)
-    alpha = run.alpha if run.alpha is not None else default_alpha_for(Path(run.data).name)
-    config = training.TrainConfig(
+    return training.TrainConfig(
         alpha=alpha,
         dim=run.dim,
         learning_rate=run.lr,
@@ -491,9 +495,17 @@ def _cmd_train(run: RunConfig) -> int:
         epochs=run.epochs,
         seed=run.seed,
         mask_magnitude=run.mask_magnitude,
-        mean_loss=bool(run.mean_loss),
-        patience=run.patience,
+        mean_loss=bool(run.values.get("mean_loss")),
+        patience=run.values.get("patience"),
     )
+
+
+def _cmd_train(run: RunConfig) -> int:
+    from . import model, training
+
+    ds, train, _, _, r_aug = _load_augmented(run)
+    alpha = run.alpha if run.alpha is not None else default_alpha_for(Path(run.data).name)
+    config = _train_config(run, alpha)
     run.set("alpha", alpha, run.sources.get("alpha", "default"))
 
     def progress(stats):
@@ -524,13 +536,13 @@ def _eval_inputs(run):
     else:
         filter_index = evaluation.build_filter(train, valid, test)
     quads = {"test": test, "valid": valid}[run.split]
-    return params, ds, quads, vocab, filter_index
+    return params, ds, train, quads, vocab, filter_index
 
 
 def _cmd_eval(run: RunConfig) -> int:
     from . import evaluation
 
-    params, ds, quads, vocab, filter_index = _eval_inputs(run)
+    params, ds, _, quads, vocab, filter_index = _eval_inputs(run)
     result = evaluation.evaluate(
         params, quads, vocab,
         num_relations=ds.meta.num_relations,
@@ -560,7 +572,7 @@ def _cmd_eval(run: RunConfig) -> int:
 def _cmd_ablate(run: RunConfig) -> int:
     from . import evaluation
 
-    params, ds, quads, vocab, filter_index = _eval_inputs(run)
+    params, ds, _, quads, vocab, filter_index = _eval_inputs(run)
     rows = evaluation.ablate(params, quads, vocab,
                              num_relations=ds.meta.num_relations,
                              alpha=run.alpha, filter_index=filter_index,
@@ -572,20 +584,16 @@ def _cmd_ablate(run: RunConfig) -> int:
 
 
 def _cmd_sweep_alpha(run: RunConfig) -> int:
-    from . import evaluation, model, training
+    from . import evaluation, training
 
-    params, ds, quads, vocab, filter_index = _eval_inputs(run)
+    params, ds, train, quads, vocab, filter_index = _eval_inputs(run)
     alphas = [round(0.1 * i, 1) for i in range(11)]
     if run.retrain:
-        _, train, _, _, r_aug = _load_augmented(run)
         rows = []
         for alpha in alphas:
-            config = training.TrainConfig(
-                alpha=alpha, dim=run.dim, learning_rate=run.lr,
-                batch_size=run.batch_size, epochs=run.epochs, seed=run.seed,
-                mask_magnitude=run.mask_magnitude)
-            retrained, _ = training.fit(train, ds.meta.num_entities, r_aug,
-                                        ds.meta.num_snapshots, config)
+            # _eval_inputs checked the checkpoint's relation count against the data's
+            retrained, _ = training.fit(train, ds.meta.num_entities, params.num_relations,
+                                        ds.meta.num_snapshots, _train_config(run, alpha))
             result = evaluation.evaluate(retrained, quads, vocab,
                                          num_relations=ds.meta.num_relations,
                                          alpha=alpha, mode="full",

@@ -225,61 +225,6 @@ def chronological_split(quads, ratios: tuple[float, ...] = (0.8, 0.1, 0.1)) -> S
     return Split(train, valid, test, (valid_start, test_start))
 
 
-class SnapshotSequence:
-    """Facts grouped by snapshot index.
-
-    Empty snapshots are kept so list position always equals the snapshot
-    index and time-embedding steps stay aligned with calendar steps. Each
-    snapshot is a unique, lexicographically sorted (m, 3) array of
-    (subject, relation, object) rows.
-    """
-
-    def __init__(self, snapshots: Iterable[np.ndarray]):
-        self.snapshots = [np.asarray(s, dtype=np.int64).reshape(-1, 3) for s in snapshots]
-
-    def __len__(self) -> int:
-        return len(self.snapshots)
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.snapshots[k]
-
-    def __iter__(self):
-        return iter(self.snapshots)
-
-    @property
-    def num_facts(self) -> int:
-        return sum(len(s) for s in self.snapshots)
-
-    def to_quadruples(self) -> np.ndarray:
-        """Flatten back to an (n, 4) array, position becoming the time column."""
-        if not self.snapshots:
-            return np.empty((0, 4), dtype=np.int64)
-        chunks = []
-        for k, facts in enumerate(self.snapshots):
-            if len(facts):
-                chunks.append(np.column_stack([facts, np.full(len(facts), k, dtype=np.int64)]))
-        if not chunks:
-            return np.empty((0, 4), dtype=np.int64)
-        return np.concatenate(chunks, axis=0)
-
-
-def group_snapshots(quads) -> SnapshotSequence:
-    """Partition normalized facts by snapshot index, deduplicating within each.
-
-    Gaps are preserved as empty snapshots; an empty input gives an empty
-    sequence.
-    """
-    q = as_quads(quads)
-    if len(q) == 0:
-        return SnapshotSequence([])
-    horizon = int(q[:, 3].max()) + 1
-    order = np.argsort(q[:, 3], kind="stable")
-    qs = q[order]
-    bounds = np.searchsorted(qs[:, 3], np.arange(horizon + 1))
-    snaps = [np.unique(qs[bounds[t]:bounds[t + 1], :3], axis=0) for t in range(horizon)]
-    return SnapshotSequence(snaps)
-
-
 @dataclasses.dataclass
 class Dataset:
     """Normalized splits of one benchmark plus its declared bounds."""
@@ -293,10 +238,6 @@ class Dataset:
         if name not in ("train", "valid", "test"):
             raise DataError(f"unknown split {name!r}")
         return getattr(self, name)
-
-    @property
-    def all_facts(self) -> np.ndarray:
-        return np.concatenate([self.train, self.valid, self.test], axis=0)
 
 
 def load_dataset(root, granularity: int = 1) -> Dataset:

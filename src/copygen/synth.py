@@ -7,8 +7,6 @@ import dataclasses
 
 import numpy as np
 
-from .data import SnapshotSequence
-
 
 class CapacityError(ValueError):
     """More distinct facts demanded per snapshot than the id space holds."""
@@ -38,8 +36,8 @@ class SynthConfig:
                 f"{capacity} distinct (s, p, o) combinations available")
 
 
-def generate(config: SynthConfig) -> tuple[SnapshotSequence, float]:
-    """Generate a snapshot sequence and report its realized fact repeat rate.
+def generate(config: SynthConfig) -> tuple[np.ndarray, float]:
+    """Generate (s, p, o, t) facts and report their realized fact repeat rate.
 
     The first snapshot is fully fresh. Afterwards each drawn fact copies,
     with probability ``recurrence``, a uniformly chosen historical (s, p)
@@ -47,8 +45,9 @@ def generate(config: SynthConfig) -> tuple[SnapshotSequence, float]:
     membership is binary, mirroring the vocabulary semantics); otherwise a
     fresh uniform (s, p, o) is drawn. ``fixed_objects`` pins every pair to
     the object of its first occurrence, making recurrence deterministic per
-    pair. Snapshots are deduplicated; the repeat rate is the fraction of
-    kept facts (after the first snapshot) whose triple already occurred.
+    pair. Snapshots are deduplicated, and the (n, 4) int64 rows come sorted
+    by time, then by triple. The repeat rate is the fraction of kept facts
+    (after the first snapshot) whose triple already occurred.
     """
     rng = np.random.default_rng(config.seed)
     n, r = config.num_entities, config.num_relations
@@ -58,7 +57,7 @@ def generate(config: SynthConfig) -> tuple[SnapshotSequence, float]:
     pinned: dict[tuple[int, int], int] = {}
     seen: set[tuple[int, int, int]] = set()
 
-    snapshots = []
+    rows: list[tuple[int, int, int, int]] = []
     repeats = 0
     probed = 0
     for k in range(config.num_snapshots):
@@ -76,12 +75,12 @@ def generate(config: SynthConfig) -> tuple[SnapshotSequence, float]:
                     obj = int(rng.integers(n))
                 fact = (*pair, obj)
             drawn.add(fact)
-        facts = np.array(sorted(drawn), dtype=np.int64).reshape(-1, 3)
-        snapshots.append(facts)
+        facts = sorted(drawn)
         if k > 0:
             probed += len(facts)
-            repeats += sum(tuple(row) in seen for row in facts.tolist())
-        for s, p, o in facts.tolist():
+            repeats += sum(fact in seen for fact in facts)
+        for s, p, o in facts:
+            rows.append((s, p, o, k))
             seen.add((s, p, o))
             bucket = pair_objects.get((s, p))
             if bucket is None:
@@ -90,4 +89,4 @@ def generate(config: SynthConfig) -> tuple[SnapshotSequence, float]:
             elif o not in bucket:
                 bucket.append(o)
     rate = repeats / probed if probed else 0.0
-    return SnapshotSequence(snapshots), rate
+    return np.array(rows, dtype=np.int64).reshape(-1, 4), rate

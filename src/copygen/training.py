@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import as_quads, group_snapshots
+from .data import as_quads
 from .history import FactIndex, HistVocab, masks_for
 from .model import (
     TENSOR_NAMES,
@@ -246,17 +246,22 @@ def fit(train_quads, num_entities: int, num_relations_aug: int, num_snapshots: i
         ) -> tuple[ModelParams, TrainLog]:
     """Train on the snapshot sequence of ``train_quads``.
 
-    Each epoch walks snapshots in ascending order: a snapshot's facts are
-    batched (shuffled by the seeded generator) and stepped against the
-    vocabulary of strictly earlier snapshots, so no fact ever sees itself or
-    its contemporaries as candidates. The facts are indexed once, and each
-    snapshot k reads that index at frontier k. Loss per epoch is the summed
-    cross-entropy over all training facts.
+    Each epoch walks snapshots 0 .. max time in ascending order (a gap is an
+    empty snapshot): a snapshot's distinct facts are batched (shuffled by
+    the seeded generator) and stepped against the vocabulary of strictly
+    earlier snapshots, so no fact ever sees itself or its contemporaries as
+    candidates. The facts are indexed once, and each snapshot k reads that
+    index at frontier k. Loss per epoch is the summed cross-entropy over all
+    training facts.
     """
     rng = np.random.default_rng(config.seed)
     params = init_params(num_entities, num_relations_aug, num_snapshots, config, rng)
     optimizer = AmsGrad(params, lr=config.learning_rate)
-    sequence = group_snapshots(as_quads(train_quads))
+    # distinct facts sorted by (t, s, p, o); snapshot k is facts[bounds[k]:bounds[k + 1]]
+    by_time = np.unique(as_quads(train_quads)[:, [3, 0, 1, 2]], axis=0)
+    horizon = int(by_time[-1, 0]) + 1 if len(by_time) else 0
+    bounds = np.searchsorted(by_time[:, 0], np.arange(horizon + 1))
+    facts = by_time[:, [1, 2, 3, 0]]
     facts_index = FactIndex(train_quads)
     reduction = "mean" if config.mean_loss else "sum"
     log = TrainLog()
@@ -268,15 +273,14 @@ def fit(train_quads, num_entities: int, num_relations_aug: int, num_snapshots: i
         epoch_loss = 0.0
         steps = 0
         snapshot_losses = []
-        for k, facts in enumerate(sequence):
+        for k in range(horizon):
             vocab = HistVocab(facts_index, frontier=k).freeze()
+            snapshot = facts[bounds[k]:bounds[k + 1]]
             snap_loss = 0.0
-            if len(facts):
-                shuffled = facts[rng.permutation(len(facts))]
-                times = np.full(len(facts), k, dtype=np.int64)
-                for start in range(0, len(facts), config.batch_size):
-                    stop = start + config.batch_size
-                    batch = np.column_stack([shuffled[start:stop], times[start:stop]])
+            if len(snapshot):
+                shuffled = snapshot[rng.permutation(len(snapshot))]
+                for start in range(0, len(shuffled), config.batch_size):
+                    batch = shuffled[start:start + config.batch_size]
                     loss, grads = _loss_and_grads(params, batch, vocab, config.alpha,
                                                   reduction=reduction)
                     optimizer.step(params, grads)

@@ -204,8 +204,8 @@ def desk_scale_run(recurrence, seed=13):
     config = SynthConfig(num_entities=100, num_relations=5, num_snapshots=20,
                          facts_per_snapshot=200, recurrence=recurrence,
                          seed=seed, fixed_objects=True)
-    sequence, _ = generate(config)
-    split = chronological_split(sequence.to_quadruples())
+    quads, _ = generate(config)
+    split = chronological_split(quads)
     train, r_aug = augment_reciprocal(split.train, SYNTH_META)
     valid, _ = augment_reciprocal(split.valid, SYNTH_META)
     test, _ = augment_reciprocal(split.test, SYNTH_META)

@@ -1,5 +1,12 @@
+import argparse
+import contextlib
+import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +147,25 @@ class TestAblateSweepPredict:
             "copy-only", "gen-only", "gen-new", "full"]
         assert len(rows) == 5
 
+    def test_sweep_alpha_retrain_rows_equal_train_then_eval(self, synth_dir, checkpoint,
+                                                           tmp_path, capsys):
+        """Each ``--retrain`` row scores the model that ``train --alpha a``
+        writes with the same training options, as ``eval`` reports it."""
+        flags = ["--dim", "4", "--epochs", "2", "--batch-size", "64", "--seed", "5"]
+        assert cli.main(["sweep-alpha", "--checkpoint", str(checkpoint),
+                         "--data", str(synth_dir), "--retrain", *flags]) == 0
+        rows = dict(line.split(",", 1) for line in lines_of(capsys)
+                    if not line.startswith("#"))
+        for alpha in ("0.0", "0.5", "1.0"):
+            path = tmp_path / f"alpha{alpha}.cyg"
+            assert cli.main(["train", "--data", str(synth_dir), "--out", str(path),
+                             "--alpha", alpha, *flags]) == 0
+            capsys.readouterr()
+            assert cli.main(["eval", "--checkpoint", str(path), "--data", str(synth_dir)]) == 0
+            out = dict(line.split("=", 1) for line in lines_of(capsys))
+            assert float(out["alpha"]) == float(alpha)  # read from the checkpoint
+            assert rows[alpha] == ",".join(out[k] for k in ("mrr", "hits1", "hits3", "hits10"))
+
     def test_sweep_alpha_csv(self, synth_dir, checkpoint, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert cli.main(["sweep-alpha", "--checkpoint", str(checkpoint),
@@ -240,6 +266,51 @@ class TestUsageAndErrors:
             assert f"mask_magnitude is {value}, expected" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_unreadable_echo_value_is_usage_error(self, synth_dir, tmp_path, capsys):
+        """A value the ``key = value`` echo would cut or change is refused
+        before anything runs."""
+        for out in (tmp_path / "run #3.cyg", tmp_path / "two\nlines.cyg",
+                    f"{tmp_path / 'm.cyg'} "):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["train", "--data", str(synth_dir), "--out", str(out)])
+            assert exc.value.code == 2
+            assert "train: --out " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_literal_choices_match_the_library(self):
+        from copygen import evaluation, model
+
+        expected = {"mode": model.MODES, "filter": evaluation.REGIMES}
+        seen = set()
+        for opts in cli.COMMANDS.values():
+            for opt in opts:
+                if opt.key in expected:
+                    assert opt.choices == expected[opt.key], opt.key
+                    seen.add(opt.key)
+        assert seen == set(expected)
+
+    def test_resolving_leaves_numpy_unloaded(self):
+        """``--threads`` caps the BLAS pools before numpy loads, so importing
+        the CLI and resolving any command must not import numpy."""
+        script = textwrap.dedent("""
+            import sys
+            from copygen import cli
+            parser = cli.build_parser()
+            for command, opts in cli.COMMANDS.items():
+                argv = [command]
+                for opt in opts:
+                    if opt.required:
+                        argv += [opt.option, "1"]
+                cli.resolve(command, parser.parse_args(argv), parser)
+                assert "numpy" not in sys.modules, command
+        """)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+
     def test_missing_checkpoint_file_is_runtime_error(self, synth_dir, capsys):
         code = cli.main(["eval", "--checkpoint", "/nonexistent.cyg",
                          "--data", str(synth_dir)])
@@ -248,9 +319,28 @@ class TestUsageAndErrors:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-# Strings a ``key = value`` line carries unchanged.
+# Strings a ``key = value`` line carries unchanged; such strings with one
+# character the line cannot carry where it stands; and any text at all (lone
+# surrogates included: an undecodable command-line byte arrives as one).
 LINE_TEXT = st.text(st.characters(blacklist_characters="#",
                                   blacklist_categories=("Cc", "Cs", "Zl", "Zp"))).map(str.strip)
+PLANTED_TEXT = st.builds(lambda head, char, tail: head + char + tail, LINE_TEXT,
+                         st.sampled_from("#\n\r\x0b\x1c\x85\u2028 \t\udcff"), LINE_TEXT)
+ANY_TEXT = st.text(st.characters(exclude_categories=()))
+
+
+def reads_back(value: str) -> bool:
+    """Whether a one-entry echo written by ``RunConfig.text()`` reads back
+    as ``value``."""
+    run = cli.RunConfig("probe")
+    run.set("key", value, "flag")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "probe.cfg"
+        try:
+            path.write_text(run.text(), encoding="utf-8")
+            return cli.parse_config_file(path).get("key") == value
+        except ValueError:  # unencodable, or a line split off without '='
+            return False
 
 
 class TestConfigFile:
@@ -268,22 +358,36 @@ class TestConfigFile:
         assert "dim = 4" in text and "epochs = 1" in text
         assert load_checkpoint(out).dim == 4
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_echo_reads_back(self, example):
-        """``parse_config_file`` reads a ``RunConfig.text()`` echo back to
-        the same values. The line format cannot carry a string with '#' (a
-        comment), a line break or edge whitespace (stripped), so strings here
-        have none; the writer does not reject them either."""
+        """Resolving flag values either fails with a usage error naming a
+        string option whose ``key = value`` line would not read back (a '#'
+        starts a comment, line breaks split, edge whitespace is stripped,
+        the file is UTF-8), or ``parse_config_file`` reads the
+        ``RunConfig.text()`` echo back to the same values."""
         command = example.draw(st.sampled_from(sorted(cli.COMMANDS)))
-        run = cli.RunConfig(command)
+        args = argparse.Namespace(config=None)
         for opt in cli.COMMANDS[command]:
             if opt.choices:
                 values = st.sampled_from(opt.choices)
             else:
-                values = {int: st.integers(), float: st.floats(), str: LINE_TEXT,
+                values = {int: st.integers(), float: st.floats(),
+                          str: LINE_TEXT | PLANTED_TEXT | ANY_TEXT,
                           cli._parse_bool: st.booleans(), None: st.just(True)}[opt.type]
-            run.set(opt.key, example.draw(st.none() | values), "flag")
+            setattr(args, opt.key, example.draw(values if opt.required else st.none() | values))
+        unreadable = [opt.option for opt in cli.COMMANDS[command]
+                      if opt.type is str and isinstance(getattr(args, opt.key), str)
+                      and not opt.choices and not reads_back(getattr(args, opt.key))]
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                run = cli.resolve(command, args, cli.build_parser())
+        except SystemExit as exc:
+            assert exc.code == 2 and unreadable
+            assert f"{command}: {unreadable[0]} " in err.getvalue()
+            return
+        assert not unreadable
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "run.cfg"
             path.write_text(run.text(), encoding="utf-8")
@@ -398,6 +502,24 @@ class TestPrepare:
         assert "boundaries=8,9" in stdout
         for name in ("train.txt", "valid.txt", "test.txt"):
             assert (out / name).exists()
+
+    def test_empty_train_names_the_directory(self, tmp_path, capsys):
+        src = tmp_path / "raw"
+        src.mkdir()
+        (src / "stat.txt").write_text("10 2\n")
+        (src / "train.txt").write_text("")
+        write_quadruple_file(src / "test.txt", np.asarray([(2, 0, 3, 72)], np.int64))
+        out = tmp_path / "prepared"
+        assert cli.main(["prepare", "--data", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {src}: train.txt missing or empty\n"
+        assert not out.exists()
+
+    def test_has_no_reciprocal_option(self, tmp_path, capsys):
+        """``prepare`` never augments, so it takes no ``--reciprocal``."""
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["prepare", "--data", str(tmp_path), "--out", str(tmp_path / "o"),
+                      "--reciprocal", "false"])
+        assert exc.value.code == 2
 
     def test_two_way_resplit(self, tmp_path, capsys):
         src = tmp_path / "raw"

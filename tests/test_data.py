@@ -10,7 +10,6 @@ from copygen.data import (
     augment_reciprocal,
     chronological_split,
     dedupe,
-    group_snapshots,
     load_dataset,
     normalize_timestamps,
     parse_quadruple_file,
@@ -199,30 +198,6 @@ class TestSplit:
         q = quads(*rows)
         split = chronological_split(q)
         assert len(split.train) + len(split.valid) + len(split.test) == len(q)
-
-
-class TestGroup:
-    def test_dedup_and_grouping(self):
-        seq = group_snapshots(quads((1, 0, 2, 0), (1, 0, 2, 0), (3, 1, 4, 1)))
-        assert len(seq) == 2
-        assert seq[0].tolist() == [[1, 0, 2]]
-        assert seq[1].tolist() == [[3, 1, 4]]
-
-    def test_empty(self):
-        seq = group_snapshots(np.empty((0, 4), np.int64))
-        assert len(seq) == 0 and seq.num_facts == 0
-
-    def test_gaps_preserved(self):
-        seq = group_snapshots(quads((1, 0, 2, 0), (3, 0, 4, 2), (5, 0, 6, 2)))
-        assert len(seq) == 3
-        assert len(seq[1]) == 0
-
-    def test_union_is_deduped_input(self):
-        rng = np.random.default_rng(5)
-        facts = np.column_stack([rng.integers(0, 5, 40), rng.integers(0, 3, 40),
-                                 rng.integers(0, 5, 40), rng.integers(0, 4, 40)])
-        seq = group_snapshots(facts)
-        assert np.array_equal(dedupe(seq.to_quadruples()), dedupe(facts))
 
 
 class TestLoadDataset:

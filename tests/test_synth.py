@@ -14,16 +14,29 @@ class TestGenerate:
     def test_full_recurrence_two_snapshots(self):
         config = SynthConfig(num_entities=20, num_relations=2, num_snapshots=2,
                              facts_per_snapshot=30, recurrence=1.0, seed=0)
-        sequence, rate = generate(config)
-        first = set(map(tuple, sequence[0].tolist()))
-        assert all(tuple(row) in first for row in sequence[1].tolist())
+        quads, rate = generate(config)
+        first = set(map(tuple, quads[quads[:, 3] == 0, :3].tolist()))
+        assert all(tuple(row) in first for row in quads[quads[:, 3] == 1, :3].tolist())
         assert rate == 1.0
+
+    @pytest.mark.parametrize("recurrence", [0.0, 0.9])
+    def test_rows_distinct_and_sorted_by_time_then_triple(self, recurrence):
+        """Repeated draws within a snapshot are kept once, every snapshot
+        holds facts, and the rows come sorted by (t, s, p, o)."""
+        config = SynthConfig(num_entities=6, num_relations=2, num_snapshots=7,
+                             facts_per_snapshot=30, recurrence=recurrence, seed=8)
+        quads, _ = generate(config)
+        assert quads.dtype == np.int64 and quads.shape[1] == 4
+        assert len(quads) < config.num_snapshots * config.facts_per_snapshot
+        by_time = np.unique(quads[:, [3, 0, 1, 2]], axis=0)
+        assert np.array_equal(quads, by_time[:, [1, 2, 3, 0]])
+        assert np.array_equal(np.unique(quads[:, 3]), np.arange(config.num_snapshots))
 
     def test_deterministic_bytes(self):
         config = SynthConfig(num_entities=15, num_relations=3, num_snapshots=5,
                              facts_per_snapshot=25, recurrence=0.6, seed=9)
-        a = serialize_quadruples(generate(config)[0].to_quadruples())
-        b = serialize_quadruples(generate(config)[0].to_quadruples())
+        a = serialize_quadruples(generate(config)[0])
+        b = serialize_quadruples(generate(config)[0])
         assert a == b
 
     def test_zero_recurrence_near_collision_baseline(self):
@@ -38,7 +51,7 @@ class TestGenerate:
         for r in (0.0, 0.5, 0.9, 1.0):
             config = SynthConfig(num_entities=30, num_relations=3, num_snapshots=10,
                                  facts_per_snapshot=60, recurrence=r, seed=5)
-            quads = generate(config)[0].to_quadruples()
+            quads = generate(config)[0]
             history, probe = split_quads(quads, at=8)
             rates.append(recurrence_stats(history, probe)["fact_repeat_rate"])
         assert all(rates[i] <= rates[i + 1] for i in range(len(rates) - 1))
@@ -52,7 +65,7 @@ class TestGenerate:
     def test_ids_respect_bounds_and_round_trip(self):
         config = SynthConfig(num_entities=12, num_relations=4, num_snapshots=6,
                              facts_per_snapshot=30, recurrence=0.5, seed=1)
-        quads = generate(config)[0].to_quadruples()
+        quads = generate(config)[0]
         assert quads[:, [0, 2]].max() < 12
         assert quads[:, 1].max() < 4
         assert quads[:, 3].max() < 6
@@ -64,7 +77,7 @@ class TestGenerate:
         config = SynthConfig(num_entities=25, num_relations=3, num_snapshots=8,
                              facts_per_snapshot=50, recurrence=0.7, seed=4,
                              fixed_objects=True)
-        quads = generate(config)[0].to_quadruples()
+        quads = generate(config)[0]
         seen = {}
         for s, p, o, _ in quads.tolist():
             assert seen.setdefault((s, p), o) == o

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from copygen import training
-from copygen.data import group_snapshots
+from copygen.data import dedupe
 from copygen.history import HistVocab, vocab_from_quads
 from copygen.synth import SynthConfig, generate
 from copygen.training import (
@@ -234,10 +234,45 @@ class TestFit:
 
     def test_step_count(self):
         quads = two_snapshot_quads()
-        sizes = [len(s) for s in group_snapshots(quads)]
+        sizes = np.bincount(dedupe(quads)[:, 3])  # distinct facts per snapshot
         config = TrainConfig(alpha=0.5, dim=3, batch_size=2, epochs=1, seed=0)
         _, log = fit(quads, 4, 1, 2, config)
         assert log.epochs[0].steps == sum(math.ceil(m / 2) for m in sizes)
+
+    def test_duplicates_train_once(self):
+        """A fact repeated within a snapshot is one training fact: the fit is
+        bitwise the fit of the deduplicated input, whatever its row order."""
+        quads = two_snapshot_quads()  # (0, 0, 1, 0) occurs twice
+        assert len(dedupe(quads)) == len(quads) - 1
+        for dtype, mean_loss in ((np.float32, False), (np.float64, True)):
+            config = TrainConfig(alpha=0.5, dim=3, batch_size=2, epochs=2, seed=3,
+                                 dtype=dtype, mean_loss=mean_loss)
+            params_a, log_a = fit(quads, 4, 1, 2, config)
+            params_b, log_b = fit(dedupe(quads)[::-1], 4, 1, 2, config)
+            assert ([(e.loss, e.steps, e.snapshot_losses) for e in log_a.epochs]
+                    == [(e.loss, e.steps, e.snapshot_losses) for e in log_b.epochs])
+            tensors_b = params_b.tensors()
+            for name, tensor in params_a.tensors().items():
+                assert tensor.tobytes() == tensors_b[name].tobytes(), name
+
+    def test_gap_snapshot_trains_nothing(self):
+        """A time without facts stays in the sequence as an empty snapshot:
+        it adds a 0.0 loss and takes no step, and later snapshots keep their
+        index."""
+        quads = np.asarray([(0, 0, 1, 0), (1, 0, 2, 0), (2, 0, 3, 2)], dtype=np.int64)
+        config = TrainConfig(alpha=0.5, dim=3, batch_size=1, epochs=1, seed=0)
+        _, log = fit(quads, 4, 1, 3, config)
+        epoch = log.epochs[0]
+        assert len(epoch.snapshot_losses) == 3
+        assert epoch.snapshot_losses[1] == 0.0
+        assert epoch.snapshot_losses[0] > 0.0 and epoch.snapshot_losses[2] > 0.0
+        assert epoch.steps == 3
+
+    def test_empty_input_has_no_snapshots(self):
+        config = TrainConfig(alpha=0.5, dim=3, batch_size=2, epochs=2, seed=0)
+        params, log = fit(np.empty((0, 4), np.int64), 4, 1, 2, config)
+        assert [(e.loss, e.steps, e.snapshot_losses) for e in log.epochs] == [(0.0, 0, [])] * 2
+        assert params.num_entities == 4
 
     def test_deterministic_loss_curve(self):
         quads = two_snapshot_quads()
@@ -263,8 +298,7 @@ class TestFit:
         config_data = SynthConfig(num_entities=100, num_relations=5,
                                   num_snapshots=20, facts_per_snapshot=60,
                                   recurrence=1.0, seed=3, fixed_objects=True)
-        sequence, _ = generate(config_data)
-        quads = sequence.to_quadruples()
+        quads, _ = generate(config_data)
         config = TrainConfig(alpha=0.8, dim=16, batch_size=256, epochs=5, seed=0)
         _, log = fit(quads, 100, 5, 20, config)
         losses = log.losses
