@@ -92,7 +92,6 @@ _EVAL_COMMON = [
     Opt("filter_from", str, "all", "splits feeding the filter", choices=("all", "train")),
     Opt("alpha", float, None, "override the checkpoint's mixture weight"),
     Opt("granularity", int, 1, "raw time units per snapshot"),
-    Opt("reciprocal", _parse_bool, True, "must match the training setting"),
     Opt("absorb_valid", None, False, "extend the vocabulary with validation facts",
         flag=True),
     Opt("threads", int, None, "cap BLAS thread pools"),
@@ -134,12 +133,13 @@ COMMANDS: dict[str, list[Opt]] = {
     "ablate": _EVAL_COMMON + [
         Opt("out", str, None, "ablation CSV path (stdout when omitted)"),
     ],
-    "sweep-alpha": _EVAL_COMMON + [
+    "sweep-alpha": [Opt("checkpoint", str, None, "trained checkpoint (unless --retrain)")]
+    + [opt for opt in _EVAL_COMMON if opt.key not in ("checkpoint", "alpha")] + [
         Opt("out", str, None, "sweep CSV path (stdout when omitted)"),
         Opt("retrain", None, False, "retrain per alpha instead of re-mixing (the "
             "training options below apply only then)", flag=True),
-    ] + [opt for opt in _TRAIN_OPTS
-         if opt.key in ("dim", "lr", "batch_size", "epochs", "seed", "mask_magnitude")],
+    ] + [opt for opt in _TRAIN_OPTS if opt.key in (
+        "dim", "lr", "batch_size", "epochs", "seed", "mask_magnitude", "reciprocal")],
     "predict": [
         Opt("checkpoint", str, required=True, help="trained checkpoint"),
         Opt("data", str, required=True, help="dataset directory (historical vocabulary)"),
@@ -150,7 +150,6 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("mode", str, "full", "inference mode", choices=MODE_CHOICES),
         Opt("alpha", float, None, "override the checkpoint's mixture weight"),
         Opt("granularity", int, 1, "raw time units per snapshot"),
-        Opt("reciprocal", _parse_bool, True, "must match the training setting"),
         Opt("absorb_valid", None, False, "extend the vocabulary with validation facts",
             flag=True),
         Opt("threads", int, None, "cap BLAS thread pools"),
@@ -255,6 +254,12 @@ def resolve(command: str, args: argparse.Namespace,
     file_values: dict[str, str] = {}
     if args.config:
         file_values = parse_config_file(args.config)
+        # any command's options, and the other keys the CLI's own echoes hold
+        known = {"version", "command", "boundaries", "realized_fact_repeat_rate"}.union(
+            opt.key for opts in COMMANDS.values() for opt in opts)
+        for key in file_values:
+            if key not in known:
+                parser.error(f"config file {args.config}: unknown key {key!r}")
     run = RunConfig(command)
     run.set("config", args.config, "flag" if args.config else "default")
     for opt in COMMANDS[command]:
@@ -317,35 +322,42 @@ def dispatch(argv) -> int:
 # shared helpers (import numpy lazily)
 
 
-def _load_augmented(run):
+def _augmented(ds, reciprocal: bool):
+    """``ds``'s train, valid and test facts and relation count, with the
+    inverse facts added when ``reciprocal`` is set."""
     from . import data
 
+    if not reciprocal:
+        return ds.train, ds.valid, ds.test, ds.meta.num_relations
+    train, r_aug = data.augment_reciprocal(ds.train, ds.meta)
+    valid, _ = data.augment_reciprocal(ds.valid, ds.meta)
+    test, _ = data.augment_reciprocal(ds.test, ds.meta)
+    return train, valid, test, r_aug
+
+
+def _load_inputs(run):
+    """Checkpoint, dataset, train/valid/test facts, relation count and history
+    vocabulary. The facts get their inverses exactly when the checkpoint has twice
+    the dataset's relations, or, under ``--retrain`` (no checkpoint), ``--reciprocal``."""
+    from . import data, history, model
+
+    params = None if run.values.get("retrain") else model.load_checkpoint(run.checkpoint)
     ds = data.load_dataset(run.data, granularity=run.granularity)
-    if run.values.get("reciprocal", True):
-        train, r_aug = data.augment_reciprocal(ds.train, ds.meta)
-        valid, _ = data.augment_reciprocal(ds.valid, ds.meta)
-        test, _ = data.augment_reciprocal(ds.test, ds.meta)
+    n, r = ds.meta.num_entities, ds.meta.num_relations
+    if params is None:
+        reciprocal = run.reciprocal
+    elif params.num_entities == n and params.num_relations in (r, 2 * r):
+        reciprocal = params.num_relations == 2 * r
     else:
-        train, valid, test = ds.train, ds.valid, ds.test
-        r_aug = ds.meta.num_relations
-    return ds, train, valid, test, r_aug
-
-
-def _build_vocab(run, train, valid):
-    from . import history
-
-    vocab = history.vocab_from_quads(train)
-    if run.values.get("absorb_valid") and run.values.get("split", "test") == "test":
-        history.absorb_quads(vocab, valid)
-    return vocab.freeze()
-
-
-def _check_params(params, num_entities: int, r_aug: int) -> None:
-    if params.num_entities != num_entities or params.num_relations != r_aug:
         raise ValueError(
             f"checkpoint shape ({params.num_entities} entities, "
             f"{params.num_relations} relations) does not match the dataset "
-            f"({num_entities}, {r_aug}); check --data and --reciprocal")
+            f"({n} entities, {r} relations or {2 * r} with inverses); check --data")
+    train, valid, test, r_aug = _augmented(ds, reciprocal)
+    vocab = history.vocab_from_quads(train)
+    if run.absorb_valid:
+        history.absorb_quads(vocab, valid)
+    return params, ds, train, valid, test, r_aug, vocab.freeze()
 
 
 def _percent(x: float) -> str:
@@ -501,9 +513,10 @@ def _train_config(run: RunConfig, alpha: float):
 
 
 def _cmd_train(run: RunConfig) -> int:
-    from . import model, training
+    from . import data, model, training
 
-    ds, train, _, _, r_aug = _load_augmented(run)
+    ds = data.load_dataset(run.data, granularity=run.granularity)
+    train, _, _, r_aug = _augmented(ds, run.reciprocal)
     alpha = run.alpha if run.alpha is not None else default_alpha_for(Path(run.data).name)
     config = _train_config(run, alpha)
     run.set("alpha", alpha, run.sources.get("alpha", "default"))
@@ -523,12 +536,11 @@ def _cmd_train(run: RunConfig) -> int:
 
 
 def _eval_inputs(run):
-    from . import evaluation, model
+    from . import evaluation
 
-    params = model.load_checkpoint(run.checkpoint)
-    ds, train, valid, test, r_aug = _load_augmented(run)
-    _check_params(params, ds.meta.num_entities, r_aug)
-    vocab = _build_vocab(run, train, valid)
+    if run.absorb_valid and run.split == "valid":
+        raise ValueError(f"{run.command}: --absorb-valid cannot be used with --split valid")
+    params, ds, train, valid, test, r_aug, vocab = _load_inputs(run)
     if run.filter == "raw":
         filter_index = None
     elif run.filter_from == "train":
@@ -536,13 +548,13 @@ def _eval_inputs(run):
     else:
         filter_index = evaluation.build_filter(train, valid, test)
     quads = {"test": test, "valid": valid}[run.split]
-    return params, ds, train, quads, vocab, filter_index
+    return params, ds, train, r_aug, quads, vocab, filter_index
 
 
 def _cmd_eval(run: RunConfig) -> int:
     from . import evaluation
 
-    params, ds, _, quads, vocab, filter_index = _eval_inputs(run)
+    params, ds, _, _, quads, vocab, filter_index = _eval_inputs(run)
     result = evaluation.evaluate(
         params, quads, vocab,
         num_relations=ds.meta.num_relations,
@@ -572,7 +584,7 @@ def _cmd_eval(run: RunConfig) -> int:
 def _cmd_ablate(run: RunConfig) -> int:
     from . import evaluation
 
-    params, ds, _, quads, vocab, filter_index = _eval_inputs(run)
+    params, ds, _, _, quads, vocab, filter_index = _eval_inputs(run)
     rows = evaluation.ablate(params, quads, vocab,
                              num_relations=ds.meta.num_relations,
                              alpha=run.alpha, filter_index=filter_index,
@@ -586,13 +598,14 @@ def _cmd_ablate(run: RunConfig) -> int:
 def _cmd_sweep_alpha(run: RunConfig) -> int:
     from . import evaluation, training
 
-    params, ds, train, quads, vocab, filter_index = _eval_inputs(run)
+    if not run.retrain and run.checkpoint is None:
+        raise ValueError("sweep-alpha: --checkpoint is required without --retrain")
+    params, ds, train, r_aug, quads, vocab, filter_index = _eval_inputs(run)
     alphas = [round(0.1 * i, 1) for i in range(11)]
     if run.retrain:
         rows = []
         for alpha in alphas:
-            # _eval_inputs checked the checkpoint's relation count against the data's
-            retrained, _ = training.fit(train, ds.meta.num_entities, params.num_relations,
+            retrained, _ = training.fit(train, ds.meta.num_entities, r_aug,
                                         ds.meta.num_snapshots, _train_config(run, alpha))
             result = evaluation.evaluate(retrained, quads, vocab,
                                          num_relations=ds.meta.num_relations,
@@ -616,16 +629,13 @@ def _cmd_predict(run: RunConfig) -> int:
 
     from . import model
 
-    params = model.load_checkpoint(run.checkpoint)
-    ds, train, valid, _, r_aug = _load_augmented(run)
-    _check_params(params, ds.meta.num_entities, r_aug)
+    params, *_, vocab = _load_inputs(run)
     if not 0 <= run.subject < params.num_entities:
         raise ValueError(f"subject id outside [0, {params.num_entities})")
     if not 0 <= run.relation < params.num_relations:
         raise ValueError(f"relation id outside [0, {params.num_relations})")
     if run.time < 0:
         raise ValueError("time must be a non-negative snapshot index")
-    vocab = _build_vocab(run, train, valid)
 
     alpha = run.alpha if run.alpha is not None else params.alpha
     heads = model.score_heads(params, [run.subject], [run.relation], [run.time], vocab,

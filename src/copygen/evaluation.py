@@ -21,9 +21,6 @@ REGIMES = ("raw", "static", "time-aware")
 HITS_AT = (1, 3, 10)
 
 
-FilterIndex = FactIndex  # the name bench/workloads.py annotates the filter with
-
-
 def build_filter(*splits) -> FactIndex:
     """Index of the known-true facts of the given splits (usually all three)."""
     return FactIndex(np.concatenate([as_quads(()), *map(as_quads, splits)]))

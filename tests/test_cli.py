@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from copygen import cli
 from copygen.data import augment_reciprocal, load_dataset, write_quadruple_file
-from copygen.evaluation import rank_of_truth
+from copygen.evaluation import ablate, build_filter, evaluate, rank_of_truth, sweep_alpha
 from copygen.history import vocab_from_quads
 from copygen.model import ModelParams, load_checkpoint, save_checkpoint, score_batch
 
@@ -42,6 +42,17 @@ def checkpoint(synth_dir, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def plain_checkpoint(synth_dir, tmp_path_factory):
+    """A checkpoint trained without inverse facts: R relations, not 2R."""
+    path = tmp_path_factory.mktemp("plain") / "m.cyg"
+    code = cli.main(["train", "--data", str(synth_dir), "--out", str(path),
+                     "--alpha", "0.7", "--dim", "8", "--epochs", "3",
+                     "--batch-size", "128", "--seed", "1", "--reciprocal", "false"])
+    assert code == 0
+    return path
+
+
 def lines_of(capsys):
     return capsys.readouterr().out.strip().splitlines()
 
@@ -56,10 +67,11 @@ def predict_rows(capsys, checkpoint, data, s, p, t, *flags):
     return [(int(position), int(entity), prob, share) for position, entity, prob, share in rows]
 
 
-def train_vocab(data):
-    """The history vocabulary ``predict`` builds: the reciprocal training facts."""
+def train_vocab(data, reciprocal=True):
+    """The history vocabulary ``predict`` builds: the training facts, with
+    their inverses for a checkpoint trained on them."""
     ds = load_dataset(data)
-    return vocab_from_quads(augment_reciprocal(ds.train, ds.meta)[0])
+    return vocab_from_quads(augment_reciprocal(ds.train, ds.meta)[0] if reciprocal else ds.train)
 
 
 class TestSynthAndStats:
@@ -147,13 +159,22 @@ class TestAblateSweepPredict:
             "copy-only", "gen-only", "gen-new", "full"]
         assert len(rows) == 5
 
+    @pytest.mark.parametrize("case", ["with-checkpoint", "without-checkpoint",
+                                      "missing-checkpoint-file", "reciprocal-false"])
     def test_sweep_alpha_retrain_rows_equal_train_then_eval(self, synth_dir, checkpoint,
-                                                           tmp_path, capsys):
+                                                           case, tmp_path, capsys):
         """Each ``--retrain`` row scores the model that ``train --alpha a``
-        writes with the same training options, as ``eval`` reports it."""
+        writes with the same training options (``--reciprocal`` among them),
+        as ``eval`` reports it. A ``--checkpoint``, when given, is not read:
+        this one has dimension 8 and 2R relations, and the file may not exist."""
         flags = ["--dim", "4", "--epochs", "2", "--batch-size", "64", "--seed", "5"]
-        assert cli.main(["sweep-alpha", "--checkpoint", str(checkpoint),
-                         "--data", str(synth_dir), "--retrain", *flags]) == 0
+        if case == "reciprocal-false":
+            flags += ["--reciprocal", "false"]
+        given = {"with-checkpoint": ["--checkpoint", str(checkpoint)],
+                 "missing-checkpoint-file": ["--checkpoint", str(tmp_path / "none.cyg")]
+                 }.get(case, [])
+        assert cli.main(["sweep-alpha", *given, "--data", str(synth_dir), "--retrain",
+                         *flags]) == 0
         rows = dict(line.split(",", 1) for line in lines_of(capsys)
                     if not line.startswith("#"))
         for alpha in ("0.0", "0.5", "1.0"):
@@ -244,11 +265,121 @@ class TestAblateSweepPredict:
             assert err.startswith("error:") and fragment in err
 
 
+class TestUnaugmentedCheckpoint:
+    """A checkpoint with the dataset's R relations is scored on the splits
+    without inverse facts; no option says so."""
+
+    @pytest.fixture
+    def library(self, synth_dir, plain_checkpoint):
+        ds = load_dataset(synth_dir)
+        params = load_checkpoint(plain_checkpoint)
+        assert params.num_relations == ds.meta.num_relations
+        kwargs = {"num_relations": ds.meta.num_relations, "regime": "static",
+                  "filter_index": build_filter(ds.train, ds.valid, ds.test)}
+        return params, ds.test, train_vocab(synth_dir, reciprocal=False), kwargs
+
+    def test_eval(self, synth_dir, plain_checkpoint, library, tmp_path, capsys):
+        params, test, vocab, kwargs = library
+        csv = tmp_path / "snap.csv"
+        assert cli.main(["eval", "--checkpoint", str(plain_checkpoint), "--data",
+                         str(synth_dir), "--per-snapshot-csv", str(csv)]) == 0
+        result = evaluate(params, test, vocab, per_snapshot=True, **kwargs)
+        expected = ["split=test", "mode=full", "filter=static", f"alpha={params.alpha:g}"]
+        for prefix, report in (("", result.overall), ("object_", result.objects),
+                               ("subject_", result.subjects)):
+            expected += cli._report_lines(prefix, report)
+        out = lines_of(capsys)
+        assert out == expected and "subject_count=0" in out
+        rows = [l for l in csv.read_text().splitlines() if not l.startswith("#")]
+        assert rows[1:] == [
+            ",".join([str(r.snapshot), str(r.count)]
+                     + [cli._percent(x) for x in (r.mrr, r.hits1, r.hits3, r.hits10)])
+            for r in result.per_snapshot]
+
+    @pytest.mark.parametrize("command", ["ablate", "sweep-alpha"])
+    def test_ablate_and_sweep_alpha(self, synth_dir, plain_checkpoint, library, command,
+                                    capsys):
+        params, test, vocab, kwargs = library
+        assert cli.main([command, "--checkpoint", str(plain_checkpoint),
+                         "--data", str(synth_dir)]) == 0
+        if command == "ablate":
+            rows = ablate(params, test, vocab, **kwargs)
+        else:
+            rows = [(f"{alpha:.1f}", report) for alpha, report in sweep_alpha(
+                params, test, vocab, alphas=[round(0.1 * i, 1) for i in range(11)], **kwargs)]
+        assert [l for l in lines_of(capsys) if not l.startswith("#")][1:] == [
+            ",".join([key] + [cli._percent(x) for x in (r.mrr, r.hits1, r.hits3, r.hits10)])
+            for key, r in rows]
+
+    def test_predict(self, synth_dir, plain_checkpoint, library, capsys):
+        params, _, vocab, _ = library
+        s, p, t = 3, 1, 7
+        rows = predict_rows(capsys, plain_checkpoint, synth_dir, s, p, t, "--topk", "25")
+        probs = score_batch(params, [s], [p], [t], vocab, alpha=params.alpha)[0]
+        assert [entity for _, entity, *_ in rows] == np.argsort(-probs, kind="stable").tolist()
+        assert [prob for *_, prob, _ in rows] == [f"{probs[e]:.6g}" for _, e, *_ in rows]
+        r = params.num_relations  # no inverse relations to query
+        assert cli.main(["predict", "--checkpoint", str(plain_checkpoint), "--data",
+                         str(synth_dir), "--subject", "0", "--relation", str(r),
+                         "--time", "0"]) == 1
+        assert f"relation id outside [0, {r})" in capsys.readouterr().err
+
+
 class TestUsageAndErrors:
     def test_eval_without_checkpoint_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["eval", "--data", "somewhere"])
         assert exc.value.code == 2
+
+    def test_sweep_alpha_without_checkpoint_needs_retrain(self, tmp_path, capsys):
+        """Raised before the (missing) dataset is read."""
+        assert cli.main(["sweep-alpha", "--data", str(tmp_path / "missing")]) == 1
+        assert capsys.readouterr().err == (
+            "error: sweep-alpha: --checkpoint is required without --retrain\n")
+
+    @pytest.mark.parametrize("command", ["eval", "ablate", "sweep-alpha"])
+    def test_absorb_valid_with_split_valid_is_error(self, synth_dir, checkpoint, command,
+                                                   capsys):
+        """Validation facts cannot be both the history and the queries."""
+        assert cli.main([command, "--checkpoint", str(checkpoint), "--data", str(synth_dir),
+                         "--split", "valid", "--absorb-valid"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {command}: --absorb-valid cannot be used with --split valid\n")
+
+    def test_checkpoint_relation_count_is_r_or_2r(self, synth_dir, tmp_path, capsys):
+        ds = load_dataset(synth_dir)
+        n, r, d = ds.meta.num_entities, ds.meta.num_relations, 2
+        path = tmp_path / "odd.cyg"
+        save_checkpoint(ModelParams(
+            entity_emb=np.zeros((n, d)), relation_emb=np.zeros((r + 1, d)),
+            time_unit=np.zeros(d), w_copy=np.zeros((n, 3 * d)), b_copy=np.zeros(n),
+            w_gen=np.zeros((n, 3 * d)), b_gen=np.zeros(n),
+            num_snapshots=ds.meta.num_snapshots), path)
+        assert cli.main(["eval", "--checkpoint", str(path), "--data", str(synth_dir)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: checkpoint shape ({n} entities, {r + 1} relations) does not match the "
+            f"dataset ({n} entities, {r} relations or {2 * r} with inverses); check --data\n")
+
+    @pytest.mark.parametrize("command, option", [
+        ("prepare", "--reciprocal"), ("eval", "--reciprocal"), ("ablate", "--reciprocal"),
+        ("predict", "--reciprocal"), ("sweep-alpha", "--alpha"),
+    ], ids=["prepare-reciprocal", "eval-reciprocal", "ablate-reciprocal",
+            "predict-reciprocal", "sweep-alpha-alpha"])
+    def test_unread_option_is_usage_error(self, synth_dir, checkpoint, tmp_path, command,
+                                          option, capsys):
+        """Options a command would never read: ``prepare`` never adds inverse
+        facts, the checkpoint fixes whether the others do, and a sweep sets
+        its own alphas."""
+        argv = {"prepare": ["--data", str(synth_dir), "--out", str(tmp_path / "o")],
+                "predict": ["--checkpoint", str(checkpoint), "--data", str(synth_dir),
+                            "--subject", "0", "--relation", "0", "--time", "0"]}.get(
+            command, ["--checkpoint", str(checkpoint), "--data", str(synth_dir)])
+        value = "0.5" if option == "--alpha" else "false"
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *argv, option, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option} {value}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -408,6 +539,49 @@ class TestConfigFile:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unknown_config_key_is_usage_error(self, synth_dir, tmp_path, capsys):
+        """A misspelt key is refused; a key another command reads is not, so
+        one file can serve several commands."""
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("dim = 4\nepochs = 1\nmask-magnitud = 5\n")
+        out = tmp_path / "m.cyg"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["train", "--data", str(synth_dir), "--out", str(out), "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert f"config file {cfg}: unknown key 'mask_magnitud'" in capsys.readouterr().err
+        assert not out.exists()
+        cfg.write_text("dim = 4\nepochs = 1\nprobe = valid\ntopk = 3\n")
+        assert cli.main(["train", "--data", str(synth_dir), "--out", str(out),
+                         "--config", str(cfg)]) == 0
+
+    def test_echoes_configure_the_command_that_wrote_them(self, tmp_path, capsys):
+        """``synth.cfg``, ``prepared.cfg`` and a checkpoint's config block,
+        read back as ``--config`` of their command, reproduce the run: the
+        re-run's echo differs only in its ``out`` line."""
+        from copygen.model import checkpoint_config_text
+
+        def same_echo(command, cfg, echo):
+            out = tmp_path / f"{command}-again"
+            assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
+            lines = [[line for line in text.splitlines() if not line.startswith("out = ")]
+                     for text in (cfg.read_text(), echo(out))]
+            assert lines[0] == lines[1]
+
+        data = tmp_path / "synth"
+        assert cli.main(["synth", "--out", str(data), "--entities", "15", "--relations", "2",
+                         "--snapshots", "6", "--facts-per-snapshot", "20", "--seed", "1"]) == 0
+        same_echo("synth", data / "synth.cfg", lambda out: (out / "synth.cfg").read_text())
+        prepared = tmp_path / "prepared"
+        assert cli.main(["prepare", "--data", str(data), "--out", str(prepared),
+                         "--split", "80/20"]) == 0
+        same_echo("prepare", prepared / "prepared.cfg",
+                  lambda out: (out / "prepared.cfg").read_text())
+        ckpt = tmp_path / "m.cyg"
+        assert cli.main(["train", "--data", str(data), "--out", str(ckpt), "--dim", "4",
+                         "--epochs", "1"]) == 0
+        (tmp_path / "train.cfg").write_text(checkpoint_config_text(ckpt))
+        same_echo("train", tmp_path / "train.cfg", checkpoint_config_text)
+
     def test_bad_config_value_is_usage_error(self, synth_dir, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("epochs = soon\n")
@@ -513,13 +687,6 @@ class TestPrepare:
         assert cli.main(["prepare", "--data", str(src), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {src}: train.txt missing or empty\n"
         assert not out.exists()
-
-    def test_has_no_reciprocal_option(self, tmp_path, capsys):
-        """``prepare`` never augments, so it takes no ``--reciprocal``."""
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["prepare", "--data", str(tmp_path), "--out", str(tmp_path / "o"),
-                      "--reciprocal", "false"])
-        assert exc.value.code == 2
 
     def test_two_way_resplit(self, tmp_path, capsys):
         src = tmp_path / "raw"
