@@ -600,6 +600,8 @@ def _cmd_sweep_alpha(run: RunConfig) -> int:
 
     if not run.retrain and run.checkpoint is None:
         raise ValueError("sweep-alpha: --checkpoint is required without --retrain")
+    if run.retrain:
+        run.values["checkpoint"] = None  # never read, so not echoed as the rows' source
     params, ds, train, r_aug, quads, vocab, filter_index = _eval_inputs(run)
     alphas = [round(0.1 * i, 1) for i in range(11)]
     if run.retrain:

@@ -3,9 +3,12 @@
 Backpropagation is closed-form (the model is two affine maps, a tanh, two
 softmaxes and a convex mixture), so there is no autodiff dependency; the
 analytic gradients are checked against central finite differences in the
-test suite. Parameters are float32 by default; probabilities and gradient
-deltas are computed in float64 before being accumulated at parameter
-precision.
+test suite. Parameters are float32 by default. The softmax heads, the loss,
+the truth probabilities and the gradient deltas are computed in float64;
+each delta is then cast once to the parameters' dtype, its entries below
+that dtype's smallest normal flushed to exactly zero first, and the four
+backward GEMMs run at parameter precision. Float64 parameters thus take an
+all-float64 path.
 """
 
 from __future__ import annotations
@@ -53,6 +56,12 @@ class TrainConfig:
         problem = hyperparameter_problem(self.mask_magnitude, self.alpha)
         if problem:
             raise ValueError(problem)
+        for name in ("dim", "batch_size", "epochs", "patience"):
+            value = getattr(self, name)
+            if name == "patience" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("dim", "learning_rate", "batch_size", "epochs"):
             value = getattr(self, name)
             if not 0 < value < np.inf:
@@ -112,6 +121,27 @@ class Gradients:
         return {name: getattr(self, name) for name in TENSOR_NAMES}
 
 
+def _flush_cast(delta: np.ndarray, dtype) -> np.ndarray:
+    """``delta`` (float64) at ``dtype`` for the backward GEMMs, with every
+    entry below the dtype's smallest normal set to exactly +0.0; float64
+    comes back as it is.
+
+    Masked copy probabilities sit near e^-magnitude (4e-44 at the default
+    100), below float32's smallest normal (1.2e-38), so without the flush
+    most of the copy delta reaches the GEMMs as float32 subnormals, which
+    slow them several-fold. The gradients would differ only below float32's
+    normal range, so the time alone shows a missing flush.
+    """
+    if delta.dtype == dtype:
+        return delta
+    tiny = np.finfo(dtype).tiny
+    small = delta < tiny
+    small &= delta > -tiny
+    out = delta.astype(dtype)
+    np.copyto(out, 0.0, where=small)
+    return out
+
+
 def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
                     *, reduction: str = "sum", need_grads: bool = True):
     """Shared forward/backward pass over a batch of (s, p, truth, k) rows."""
@@ -129,9 +159,12 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
     rows = np.arange(m)
 
     inputs = query_inputs(params, subjects, relations, steps)  # (m, 3d)
-    masks = masks_for(vocab, subjects, relations, n, params.mask_magnitude)
     index = copy_index_batch(params, inputs)  # tanh output, (m, N)
-    pc = stable_softmax(index.astype(np.float64) + masks)
+    # The mask is added in place and dropped at once, as in score_heads.
+    logits = index.astype(np.float64)
+    logits += masks_for(vocab, subjects, relations, n, params.mask_magnitude)
+    pc = stable_softmax(logits)
+    del logits
     pg = stable_softmax(generation_logits_batch(params, inputs).astype(np.float64))
 
     truth_prob = alpha * pc[rows, truths] + (1.0 - alpha) * pg[rows, truths]
@@ -143,33 +176,40 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
 
     # d(loss)/d(copy logits): -(alpha / P) * a_y * (onehot - a); same shape for
     # the generation logits with the (1 - alpha) weight. The mask is constant.
+    # Neither head is read again, so each delta is built in place over it.
     coef_c = -(alpha * pc[rows, truths] / floored)
     coef_g = -((1.0 - alpha) * pg[rows, truths] / floored)
-    d_copy = coef_c[:, None] * -pc
+    d_copy = np.multiply(pc, -coef_c[:, None], out=pc)
     d_copy[rows, truths] += coef_c
-    d_gen = coef_g[:, None] * -pg
+    d_gen = np.multiply(pg, -coef_g[:, None], out=pg)
     d_gen[rows, truths] += coef_g
     # through the tanh of the copy index
-    d_copy *= 1.0 - index.astype(np.float64) ** 2
+    tanh_grad = np.square(index, dtype=np.float64)
+    np.subtract(1.0, tanh_grad, out=tanh_grad)
+    d_copy *= tanh_grad
+    del tanh_grad
     if reduction == "mean":
         d_copy /= m
         d_gen /= m
 
-    inputs64 = inputs.astype(np.float64)
+    # The bias gradients sum the float64 deltas; only the GEMMs run at dt.
     dt = params.entity_emb.dtype
+    b_copy = d_copy.sum(axis=0).astype(dt)
+    b_gen = d_gen.sum(axis=0).astype(dt)
+    d_copy = _flush_cast(d_copy, dt)
+    d_gen = _flush_cast(d_gen, dt)
     grads = Gradients(
         entity_emb=np.zeros((n, d), dtype=dt),
         relation_emb=np.zeros((params.num_relations, d), dtype=dt),
         time_unit=np.zeros(d, dtype=dt),
-        w_copy=(d_copy.T @ inputs64).astype(dt),
-        b_copy=d_copy.sum(axis=0).astype(dt),
-        w_gen=(d_gen.T @ inputs64).astype(dt),
-        b_gen=d_gen.sum(axis=0).astype(dt),
+        w_copy=d_copy.T @ inputs,
+        b_copy=b_copy,
+        w_gen=d_gen.T @ inputs,
+        b_gen=b_gen,
     )
-    d_inputs = d_copy @ params.w_copy.astype(np.float64) \
-        + d_gen @ params.w_gen.astype(np.float64)  # (m, 3d)
-    np.add.at(grads.entity_emb, subjects, d_inputs[:, :d].astype(dt))
-    np.add.at(grads.relation_emb, relations, d_inputs[:, d:2 * d].astype(dt))
+    d_inputs = d_copy @ params.w_copy + d_gen @ params.w_gen  # (m, 3d)
+    np.add.at(grads.entity_emb, subjects, d_inputs[:, :d])
+    np.add.at(grads.relation_emb, relations, d_inputs[:, d:2 * d])
     grads.time_unit += ((steps + 1)[:, None] * d_inputs[:, 2 * d:]).sum(axis=0).astype(dt)
 
     for name, g in grads.tensors().items():

@@ -166,7 +166,8 @@ class TestAblateSweepPredict:
         """Each ``--retrain`` row scores the model that ``train --alpha a``
         writes with the same training options (``--reciprocal`` among them),
         as ``eval`` reports it. A ``--checkpoint``, when given, is not read:
-        this one has dimension 8 and 2R relations, and the file may not exist."""
+        this one has dimension 8 and 2R relations, and the file may not exist.
+        So the CSV header does not echo it either."""
         flags = ["--dim", "4", "--epochs", "2", "--batch-size", "64", "--seed", "5"]
         if case == "reciprocal-false":
             flags += ["--reciprocal", "false"]
@@ -175,8 +176,9 @@ class TestAblateSweepPredict:
                  }.get(case, [])
         assert cli.main(["sweep-alpha", *given, "--data", str(synth_dir), "--retrain",
                          *flags]) == 0
-        rows = dict(line.split(",", 1) for line in lines_of(capsys)
-                    if not line.startswith("#"))
+        printed = lines_of(capsys)
+        assert not any(line.startswith("# checkpoint=") for line in printed)
+        rows = dict(line.split(",", 1) for line in printed if not line.startswith("#"))
         for alpha in ("0.0", "0.5", "1.0"):
             path = tmp_path / f"alpha{alpha}.cyg"
             assert cli.main(["train", "--data", str(synth_dir), "--out", str(path),

@@ -5,7 +5,9 @@ import pytest
 
 from copygen import training
 from copygen.data import dedupe
-from copygen.history import HistVocab, vocab_from_quads
+from copygen.history import HistVocab, masks_for, vocab_from_quads
+from copygen.model import (copy_index_batch, generation_logits_batch, query_inputs,
+                           stable_softmax)
 from copygen.synth import SynthConfig, generate
 from copygen.training import (
     AmsGrad,
@@ -69,6 +71,49 @@ def small_vocab():
 
 
 BATCH = np.array([[0, 0, 1, 2], [3, 2, 4, 2], [2, 3, 0, 3]])
+# Adds a second truth from the (0, 0) history, so two rows share a pair and
+# both copy candidates.
+COPY_BATCH = np.vstack([BATCH, [0, 0, 3, 2]])
+
+
+def float64_reference(params, batch, vocab, alpha, reduction="sum"):
+    """Loss and gradients by the all-float64 backward pass, written out of
+    place: the same operations in the same order as ``_loss_and_grads`` on
+    float64 parameters."""
+    q = np.asarray(batch, dtype=np.int64)
+    subjects, relations, truths, steps = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    n, d, m = params.num_entities, params.dim, len(q)
+    rows = np.arange(m)
+    inputs = query_inputs(params, subjects, relations, steps)
+    masks = masks_for(vocab, subjects, relations, n, params.mask_magnitude)
+    index = copy_index_batch(params, inputs)
+    pc = stable_softmax(index + masks)
+    pg = stable_softmax(generation_logits_batch(params, inputs))
+    floored = np.maximum(alpha * pc[rows, truths] + (1.0 - alpha) * pg[rows, truths],
+                         training.LOSS_FLOOR)
+    losses = -np.log(floored)
+    loss = float(losses.mean() if reduction == "mean" else losses.sum())
+    coef_c = -(alpha * pc[rows, truths] / floored)
+    coef_g = -((1.0 - alpha) * pg[rows, truths] / floored)
+    d_copy = coef_c[:, None] * -pc
+    d_copy[rows, truths] += coef_c
+    d_gen = coef_g[:, None] * -pg
+    d_gen[rows, truths] += coef_g
+    d_copy *= 1.0 - index ** 2
+    if reduction == "mean":
+        d_copy /= m
+        d_gen /= m
+    d_inputs = d_copy @ params.w_copy + d_gen @ params.w_gen
+    entity_emb = np.zeros((n, d))
+    relation_emb = np.zeros((params.num_relations, d))
+    np.add.at(entity_emb, subjects, d_inputs[:, :d])
+    np.add.at(relation_emb, relations, d_inputs[:, d:2 * d])
+    return loss, {
+        "entity_emb": entity_emb, "relation_emb": relation_emb,
+        "time_unit": ((steps + 1)[:, None] * d_inputs[:, 2 * d:]).sum(axis=0),
+        "w_copy": d_copy.T @ inputs, "b_copy": d_copy.sum(axis=0),
+        "w_gen": d_gen.T @ inputs, "b_gen": d_gen.sum(axis=0),
+    }
 
 
 class TestBatchLoss:
@@ -153,12 +198,70 @@ class TestBatchGradients:
         for name, g in grads.tensors().items():
             assert rel_err(g, fd[name]) < 1e-5, name
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_float32_matches_float64(self, alpha):
+        """Float32 parameters run the forward GEMMs and the backward GEMMs in
+        float32, so each gradient carries absolute errors of a few float32
+        ulps (6e-8) of its tensor's largest terms; entries that cancel down
+        to far below that scale have no relative accuracy. Hence the error is
+        relative to each tensor's largest magnitude: 1e-4 leaves a wide
+        margin over the ~4e-6 seen across 200 seeds."""
+        for seed in range(10):
+            params = random_params(np.random.default_rng(seed), 7, 4, 3, dtype=np.float32)
+            got = batch_gradients(params, COPY_BATCH, small_vocab(), alpha)
+            want = batch_gradients(params.astype(np.float64), COPY_BATCH, small_vocab(), alpha)
+            for name, g in got.tensors().items():
+                assert g.dtype == np.float32, name
+                w = getattr(want, name)
+                assert rel_err(g, w, floor=max(np.abs(w).max(), 1e-3)) < 1e-4, (seed, name)
+
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_float64_is_the_all_float64_backward(self, alpha, reduction):
+        # bitwise, so the finite-difference check above tests this path
+        for seed in range(5):
+            params = random_params(np.random.default_rng(seed), 7, 4, 3)
+            loss, grads = training._loss_and_grads(params, COPY_BATCH, small_vocab(), alpha,
+                                                   reduction=reduction)
+            ref_loss, ref = float64_reference(params, COPY_BATCH, small_vocab(), alpha,
+                                              reduction)
+            assert loss == ref_loss
+            for name, g in grads.tensors().items():
+                assert g.dtype == np.float64 and g.tobytes() == ref[name].tobytes(), name
+
     def test_non_finite_raises(self):
         params = random_params(np.random.default_rng(10), 5, 2, 3)
         params.w_gen[:] = 1e308
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(GradientError, match="w_gen|entity_emb"):
                 batch_gradients(params, [[0, 0, 1, 0]], HistVocab(), alpha=0.0)
+
+
+class TestFlushCast:
+    def test_float32_flushes_subnormals_to_positive_zero(self):
+        """No tier-1 test can time the float32-subnormal slowdown of the
+        backward GEMMs, so this test is what stops a refactor from dropping
+        the flush."""
+        tiny = float(np.finfo(np.float32).tiny)
+        rng = np.random.default_rng(0)
+        edges = [0.0, -0.0, tiny, -tiny, tiny * (1 - 2.0 ** -30), -tiny * (1 - 2.0 ** -30),
+                 tiny / 2, -tiny / 2, 4e-44, -4e-44, 5e-324, -5e-324, 1e-40, 1.0, -3.5,
+                 1e-30, 3e38]
+        x = np.concatenate([edges, rng.standard_normal(2000) * 10.0 ** rng.integers(-50, 10, 2000)])
+        x = x.reshape(-1, 1)
+        before = x.copy()
+        out = training._flush_cast(x, np.float32)
+        assert out.dtype == np.float32 and out.shape == x.shape
+        assert x.tobytes() == before.tobytes()
+        small = np.abs(x) < tiny
+        assert small.sum() > 10 and (~small).sum() > 10
+        assert not out.view(np.uint32)[small].any()  # exactly +0.0
+        assert out[~small].tobytes() == x[~small].astype(np.float32).tobytes()
+
+    def test_float64_comes_back_unchanged(self):
+        x = np.array([[0.0, -0.0, 5e-324, -4e-44, 1e-300, 1.0, -2.5]])
+        out = training._flush_cast(x, np.float64)
+        assert out.dtype == np.float64 and out.tobytes() == x.tobytes()
 
 
 class TestAmsGrad:
@@ -330,4 +433,13 @@ class TestTrainConfig:
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
+            TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"epochs": 2.5}, {"dim": 8.5}, {"dim": 8.0}, {"batch_size": True},
+        {"epochs": True}, {"patience": 1.5}, {"patience": "2"},
+    ])
+    def test_counts_must_be_integers(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
             TrainConfig(**kwargs)
