@@ -118,22 +118,27 @@ def vocab_from_quads(quads) -> HistVocab:
     return absorb_quads(HistVocab(), quads)
 
 
-def masks_for(vocab: HistVocab, subjects, relations, num_entities: int,
-              magnitude: float = 100.0, *, invert: bool = False) -> np.ndarray:
-    """Dense additive copy masks of a batch of (subject, relation) pairs,
-    shape (B, N): 0 at each pair's historical candidates, ``-magnitude``
-    everywhere else, so they only suppress.
+def masks_for(vocab: HistVocab, subjects, relations, logits: np.ndarray,
+              magnitude: float = 100.0, *, invert: bool = False) -> None:
+    """Apply the copy masks of a batch of (subject, relation) pairs in place
+    to float64 ``logits`` of shape (B, N): subtract ``magnitude`` from every
+    entry outside each pair's historical candidates, so the masks only
+    suppress. On zeros this writes the dense additive masks.
 
     ``invert=True`` suppresses the candidates instead (used by the
     generation-new ablation).
     """
     if not 0 < magnitude < np.inf:
         raise ValueError(f"mask magnitude must be finite and positive, got {magnitude}")
+    # A (row, object) pair repeats once per time its fact was seen; the
+    # buffered fancy-index read and write below touch it once however often.
     rows, objects = vocab.facts.select(subjects, relations, before=vocab.frontier)
-    out = np.full((len(subjects), num_entities), 0.0 if invert else -magnitude,
-                  dtype=np.float64)
-    out[rows, objects] = -magnitude if invert else 0.0
-    return out
+    if invert:
+        logits[rows, objects] -= magnitude
+    else:
+        candidates = logits[rows, objects]
+        logits -= magnitude
+        logits[rows, objects] = candidates
 
 
 def recurrence_stats(history, probe) -> dict[str, float]:

@@ -103,14 +103,16 @@ class ModelParams:
         )
 
 
-def stable_softmax(logits: np.ndarray) -> np.ndarray:
+def stable_softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Max-shifted softmax over the last axis, computed in float64.
 
-    The shifted copy is the only temporary: exp and the division run in
-    place on it, which keeps the same IEEE operations as out-of-place ones.
+    The max-shift casts the logits once into the result, a new array or
+    the float64 ``out`` (which may be ``logits`` itself), and the exp and
+    division run in place on it; the IEEE operations are those of the
+    out-of-place formula.
     """
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
+    logits = np.asarray(logits)
+    z = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out, dtype=np.float64)
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
@@ -130,12 +132,19 @@ def query_inputs(params: ModelParams, subjects, relations, times) -> np.ndarray:
 
 
 def copy_index_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    """tanh-bounded copy index vectors, shape (B, N)."""
-    return np.tanh(inputs @ params.w_copy.T + params.b_copy)
+    """tanh-bounded copy index vectors, shape (B, N); the bias and the tanh
+    are applied in place on the GEMM output."""
+    index = inputs @ params.w_copy.T
+    index += params.b_copy
+    return np.tanh(index, out=index)
 
 
 def generation_logits_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
-    return inputs @ params.w_gen.T + params.b_gen
+    """Generation head logits, shape (B, N); the bias is added in place on
+    the GEMM output."""
+    logits = inputs @ params.w_gen.T
+    logits += params.b_gen
+    return logits
 
 
 # The softmax heads each mode mixes, over inputs x = [s; p; t_k]: pc is the
@@ -147,55 +156,69 @@ MODE_HEADS = {"full": ("pc", "pg"), "copy-only": ("pc",), "gen-only": ("pg",),
 MODES = tuple(MODE_HEADS)
 
 
+def check_mix(mode: str, alpha: float = 0.0) -> None:
+    """Reject an unknown mode, or an alpha outside [0, 1] in a mode that
+    mixes two heads (``copy-only`` and ``gen-only`` ignore alpha)."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if len(MODE_HEADS[mode]) == 2 and not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+
+
 def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVocab,
-                modes) -> dict[str, np.ndarray]:
+                modes, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """The float64 softmax heads that ``modes`` mix, keyed as in
     ``MODE_HEADS``, each of shape (B, N).
 
     The query inputs are built once and each head is computed once, however
-    many modes (or alphas) are later mixed from them with ``mix``.
+    many modes (or alphas) are later mixed from them with ``mix``. Each
+    head's logits are cast into the head's own array, masked and softmaxed
+    there in place, so next to the heads only one head GEMM output is
+    alive. ``out``, an earlier result for the same modes with at least B
+    rows, is overwritten and its first B rows returned, so a chunk loop
+    reuses one set of head arrays.
     """
     for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+        check_mix(mode)
     need = {head for mode in modes for head in MODE_HEADS[mode]}
-    n = params.num_entities
     mag = params.mask_magnitude
     inputs = query_inputs(params, subjects, relations, times)
+    shape = (len(inputs), params.num_entities)
+    heads = {name: np.empty(shape) if out is None else out[name][:shape[0]] for name in need}
 
-    # Each mask is added in place and dropped at once, so at most one
-    # (B, N) mask is alive next to the logits.
-    heads = {}
     if "pc" in need:
-        logits = copy_index_batch(params, inputs).astype(np.float64)
-        logits += masks_for(vocab, subjects, relations, n, mag)
-        heads["pc"] = stable_softmax(logits)
-        del logits
+        np.copyto(heads["pc"], copy_index_batch(params, inputs))
+        masks_for(vocab, subjects, relations, heads["pc"], mag)
     if "pg" in need or "pg_new" in need:
-        logits = generation_logits_batch(params, inputs).astype(np.float64)
-        if "pg" in need:
-            heads["pg"] = stable_softmax(logits)
+        logits = generation_logits_batch(params, inputs)
+        for name in {"pg", "pg_new"} & need:
+            np.copyto(heads[name], logits)
+        del logits
         if "pg_new" in need:
-            logits += masks_for(vocab, subjects, relations, n, mag, invert=True)
-            heads["pg_new"] = stable_softmax(logits)
+            masks_for(vocab, subjects, relations, heads["pg_new"], mag, invert=True)
+    for head in heads.values():
+        stable_softmax(head, out=head)
     return heads
 
 
-def mix(heads: dict[str, np.ndarray], mode: str, alpha: float) -> np.ndarray:
-    """Probability rows of one mode from ``score_heads`` output.
+def mix(heads: dict[str, np.ndarray], mode: str, alpha: float,
+        out: np.ndarray | None = None) -> np.ndarray:
+    """Probability rows of one mode from ``score_heads`` output (or from
+    row slices of it).
 
     ``copy-only`` / ``gen-only`` return one head unchanged (identical to
     ``full`` at alpha 1 / 0); ``full`` and ``gen-new`` take the convex
     mixture ``alpha * pc + (1 - alpha) * pg`` of the copy head with ``pg`` /
-    ``pg_new``.
+    ``pg_new``, written into ``out`` when it is given.
     """
+    check_mix(mode, alpha)
     if mode == "copy-only":
         return heads["pc"]
     if mode == "gen-only":
         return heads["pg"]
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha * heads["pc"] + (1.0 - alpha) * heads["pg_new" if mode == "gen-new" else "pg"]
+    mixed = np.multiply(heads["pc"], alpha, out=out)
+    mixed += (1.0 - alpha) * heads["pg_new" if mode == "gen-new" else "pg"]
+    return mixed
 
 
 def score_batch(params: ModelParams, subjects, relations, times, vocab: HistVocab,

@@ -160,12 +160,13 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
 
     inputs = query_inputs(params, subjects, relations, steps)  # (m, 3d)
     index = copy_index_batch(params, inputs)  # tanh output, (m, N)
-    # The mask is added in place and dropped at once, as in score_heads.
-    logits = index.astype(np.float64)
-    logits += masks_for(vocab, subjects, relations, n, params.mask_magnitude)
-    pc = stable_softmax(logits)
-    del logits
-    pg = stable_softmax(generation_logits_batch(params, inputs).astype(np.float64))
+    # Each head is softmaxed in place on float64 logits; the copy head's are
+    # a copy, masked in place, since the tanh derivative reads index below.
+    pc = index.astype(np.float64)
+    masks_for(vocab, subjects, relations, pc, params.mask_magnitude)
+    pg = generation_logits_batch(params, inputs).astype(np.float64, copy=False)
+    for head in (pc, pg):
+        stable_softmax(head, out=head)
 
     truth_prob = alpha * pc[rows, truths] + (1.0 - alpha) * pg[rows, truths]
     floored = np.maximum(truth_prob, LOSS_FLOOR)

@@ -1,9 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from copygen import model
+from copygen import evaluation, model
 from copygen.evaluation import (
     build_filter,
     evaluate,
@@ -15,7 +18,7 @@ from copygen.evaluation import (
 from copygen.history import HistVocab, vocab_from_quads
 from copygen.model import ModelParams
 
-from oracles import random_params, rank_oracle
+from oracles import filter_oracle, random_params, rank_oracle
 
 
 def quads(*rows):
@@ -174,6 +177,15 @@ class TestEvaluate:
         large = evaluate(params, test, vocab, num_relations=r,
                          filter_index=index, chunk_size=1000)
         assert small.overall == large.overall
+        # Multi-mix calls, at chunk sizes that are not multiples of the
+        # ranking block, including chunks smaller than one block.
+        mixes = [(mode, None) for mode in model.MODES] + [("full", 0.3), ("gen-new", 0.9)]
+        results = [evaluation._evaluate_mixes(params, test, vocab, mixes, num_relations=r,
+                                              filter_index=index, regime="static",
+                                              chunk_size=size, per_snapshot=True)
+                   for size in (1, 5, 9, 256)]
+        assert len(test) > 9
+        assert all(result == results[0] for result in results)
 
     def test_nan_parameters_raise(self):
         params, _, test, vocab, index, r = eval_setup()
@@ -262,3 +274,128 @@ class TestScoreOnce:
         assert len(rows) == 11
         for alpha, report in rows:
             assert report == evaluate(params, test, vocab, alpha=alpha, **kwargs).overall
+
+
+class TestMixValidation:
+    """Every (mode, alpha) is checked before any head is scored."""
+
+    @pytest.mark.parametrize("count", [0, 2000])
+    def test_bad_mix_rejected_before_scoring(self, count, monkeypatch):
+        params, _, test, vocab, index, r = eval_setup(seed=11, count=count)
+        calls = TestScoreOnce.count_head_calls(monkeypatch)
+        kwargs = dict(num_relations=r, filter_index=index)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1.5$"):
+            sweep_alpha(params, test, vocab, alphas=[0.5, 1.5], **kwargs)
+        with pytest.raises(ValueError, match=r"^unknown mode 'bogus'; expected one of "):
+            evaluate(params, test, vocab, mode="bogus", **kwargs)
+        with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got -0.5$"):
+            ablate(params, test, vocab, alpha=-0.5, **kwargs)
+        assert calls == {"copy_index_batch": 0, "generation_logits_batch": 0}
+
+    def test_single_head_modes_ignore_alpha(self):
+        params, _, test, vocab, index, r = eval_setup(seed=12)
+        kwargs = dict(num_relations=r, filter_index=index)
+        for mode in ("copy-only", "gen-only"):
+            assert (evaluate(params, test, vocab, mode=mode, alpha=7.0, **kwargs).overall
+                    == evaluate(params, test, vocab, mode=mode, **kwargs).overall)
+
+
+class TestNonFiniteQuery:
+    def test_message_names_first_failing_query(self):
+        """A NaN embedding for a subject that first asks a query mid-split
+        stops every driver at that query, with the full message."""
+        params, _, test, vocab, index, r = eval_setup(seed=13)
+        # a subject whose first query lies past the first ranking block and
+        # before the last query
+        firsts = {}
+        for i, s in enumerate(test[:, 0].tolist()):
+            firsts.setdefault(s, i)
+        position = max(i for i in firsts.values() if evaluation.BLOCK_ROWS < i < len(test) - 1)
+        subject, relation, truth, time = test[position].tolist()
+        params.entity_emb[subject] = np.nan
+        message = (f"non-finite score vector for query ({subject}, {relation}, {time}) "
+                   f"(truth {truth})")
+        kwargs = dict(num_relations=r, filter_index=index)
+        for run in (lambda: evaluate(params, test, vocab, **kwargs),
+                    lambda: evaluate(params, test, vocab, chunk_size=5, **kwargs),
+                    lambda: ablate(params, test, vocab, **kwargs),
+                    lambda: sweep_alpha(params, test, vocab, **kwargs)):
+            with pytest.raises(ValueError) as raised:
+                run()
+            assert str(raised.value) == message
+
+
+# A coarse grid of parameter values: every head GEMM sums exactly, so a score
+# row does not depend on the chunk it is scored in, and entities whose weight
+# rows and biases coincide tie exactly.
+GRID = [-1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+def grid_params(rng, n, r_aug, d, alpha):
+    """Parameters on GRID whose affine rows repeat two prototypes, so each
+    score row takes only a few levels."""
+    def draw(*shape):
+        return rng.choice(GRID, size=shape)
+
+    return ModelParams(
+        entity_emb=draw(n, d), relation_emb=draw(r_aug, d), time_unit=draw(d),
+        w_copy=draw(2, 3 * d)[rng.integers(0, 2, n)], b_copy=rng.choice([0.0, 0.5], n),
+        w_gen=draw(2, 3 * d)[rng.integers(0, 2, n)], b_gen=rng.choice([0.0, 0.5], n),
+        num_snapshots=6, alpha=alpha)
+
+
+class TestRanksAgainstOracle:
+    """Every rank the drivers compute equals the brute-force sort of the
+    same score row, on rows with many exact ties."""
+
+    @staticmethod
+    def recorded_ranks(run):
+        """The rank vectors ``run`` hands to ``report_from_ranks`` for the
+        whole population, one per mix in order."""
+        with mock.patch.object(evaluation, "report_from_ranks",
+                               wraps=evaluation.report_from_ranks) as spy:
+            run()
+        return [list(call.args[0]) for call in spy.call_args_list if call.args[1] == "both"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), regime=st.sampled_from(evaluation.REGIMES),
+           chunk_size=st.sampled_from([1, 5, 9, 256]),
+           alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    def test_ranks_equal_sort_oracle(self, seed, regime, chunk_size, alpha):
+        rng = np.random.default_rng(seed)
+        n, r = 9, 2
+        facts = np.column_stack([rng.integers(0, n, 60), rng.integers(0, 2 * r, 60),
+                                 rng.integers(0, n, 60), rng.integers(0, 6, 60)])
+        train, test = facts[facts[:, 3] < 3], facts[facts[:, 3] >= 3]
+        params = grid_params(rng, n, 2 * r, 2, alpha)
+        vocab = vocab_from_quads(train).freeze()
+        index = build_filter(train, test)
+        static, timed = filter_oracle(train, test)
+        heads = model.score_heads(params, test[:, 0], test[:, 1], test[:, 3], vocab,
+                                  model.MODES)
+
+        removed = [{"raw": set(), "static": static.get((s, p), set()),
+                    "time-aware": timed.get((s, p, t), set())}[regime]
+                   for s, p, _, t in test.tolist()]
+
+        def oracle(mixes):
+            ranks = []
+            for mode, mix_alpha in mixes:
+                rows = model.mix(heads, mode, alpha if mix_alpha is None else mix_alpha)
+                ranks.append([rank_oracle(row, o, known)
+                              for row, o, known in zip(rows, test[:, 2], removed)])
+            return ranks
+
+        kwargs = dict(num_relations=r, filter_index=index, regime=regime)
+        alphas = [0.0, 0.25, alpha, 1.0]
+        checks = [
+            (lambda: ablate(params, test, vocab, **kwargs),
+             [(mode, None) for mode in evaluation.ABLATION_ORDER]),
+            (lambda: sweep_alpha(params, test, vocab, alphas=alphas, **kwargs),
+             [("full", a) for a in alphas]),
+            *[(lambda mode=mode: evaluate(params, test, vocab, mode=mode,
+                                          chunk_size=chunk_size, **kwargs), [(mode, None)])
+              for mode in model.MODES],
+        ]
+        for run, mixes in checks:
+            assert self.recorded_ranks(run) == oracle(mixes)

@@ -95,48 +95,67 @@ class TestLookup:
         assert vocab.lookup(0, 0).tolist() == list(range(1, 19))
 
 
+def dense_masks(vocab, subjects, relations, num_entities, magnitude=100.0, invert=False):
+    """The additive masks ``masks_for`` applies, written onto zeros."""
+    masks = np.zeros((len(subjects), num_entities))
+    masks_for(vocab, subjects, relations, masks, magnitude, invert=invert)
+    return masks
+
+
 class TestCopyMask:
     def test_definition(self):
         vocab = HistVocab()
         vocab.absorb_snapshot([(1, 0, 2), (1, 0, 5)])
-        mask = masks_for(vocab, [1], [0], num_entities=6, magnitude=100.0)[0]
+        mask = dense_masks(vocab, [1], [0], num_entities=6, magnitude=100.0)[0]
         assert mask.tolist() == [-100, -100, 0, -100, -100, 0]
 
     def test_empty_lookup_all_suppressed(self):
-        mask = masks_for(HistVocab(), [0], [0], num_entities=3)[0]
+        mask = dense_masks(HistVocab(), [0], [0], num_entities=3)[0]
         assert mask.tolist() == [-100, -100, -100]
 
     def test_full_lookup_all_zero(self):
         vocab = HistVocab()
         vocab.absorb_snapshot([(0, 0, o) for o in range(4)])
-        assert masks_for(vocab, [0], [0], num_entities=4)[0].tolist() == [0, 0, 0, 0]
+        assert dense_masks(vocab, [0], [0], num_entities=4)[0].tolist() == [0, 0, 0, 0]
 
     def test_zero_positions_equal_lookup(self):
         rng = np.random.default_rng(2)
         vocab = vocab_from_quads(random_quads(rng))
         subjects, relations = np.array(PAIRS).T
-        masks = masks_for(vocab, subjects, relations, num_entities=8)
+        masks = dense_masks(vocab, subjects, relations, num_entities=8)
         for (s, p), mask in zip(PAIRS, masks):
             assert np.flatnonzero(mask == 0).tolist() == vocab.lookup(s, p).tolist()
 
     def test_invert_suppresses_candidates(self):
         vocab = HistVocab()
         vocab.absorb_snapshot([(1, 0, 2)])
-        mask = masks_for(vocab, [1], [0], num_entities=4, invert=True)[0]
+        mask = dense_masks(vocab, [1], [0], num_entities=4, invert=True)[0]
         assert mask.tolist() == [0, 0, -100, 0]
 
     def test_bad_magnitude(self):
         for magnitude in (0.0, -1.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="finite and positive"):
-                masks_for(HistVocab(), [0], [0], num_entities=3, magnitude=magnitude)
+                dense_masks(HistVocab(), [0], [0], num_entities=3, magnitude=magnitude)
 
     def test_batch_stack(self):
         vocab = HistVocab()
         vocab.absorb_snapshot([(1, 0, 2), (3, 1, 0)])
-        stack = masks_for(vocab, [1, 3], [0, 1], num_entities=4)
+        stack = dense_masks(vocab, [1, 3], [0, 1], num_entities=4)
         assert stack.shape == (2, 4)
-        assert stack[0].tolist() == masks_for(vocab, [1], [0], 4)[0].tolist()
-        assert stack[1].tolist() == masks_for(vocab, [3], [1], 4)[0].tolist()
+        assert stack[0].tolist() == dense_masks(vocab, [1], [0], 4)[0].tolist()
+        assert stack[1].tolist() == dense_masks(vocab, [3], [1], 4)[0].tolist()
+
+    def test_repeated_fact_masked_once(self):
+        """A fact seen at several times selects its (row, object) pair once
+        per time; the mask still moves that entry by one magnitude."""
+        vocab = vocab_from_quads([(1, 0, 2, 0), (1, 0, 2, 1), (1, 0, 2, 3), (1, 0, 3, 2)])
+        assert len(vocab.facts.select([1], [0], before=vocab.frontier)[0]) == 4
+        logits = np.array([[0.5, -0.25, 2.0, -1.0, 0.0]])
+        masks_for(vocab, [1], [0], logits, 10.0)
+        assert logits.tolist() == [[0.5 - 10, -0.25 - 10, 2.0, -1.0, -10.0]]
+        logits = np.array([[0.5, -0.25, 2.0, -1.0, 0.0]])
+        masks_for(vocab, [1], [0], logits, 10.0, invert=True)
+        assert logits.tolist() == [[0.5, -0.25, 2.0 - 10, -1.0 - 10, 0.0]]
 
 
 class TestAbsorbQuads:
@@ -217,8 +236,8 @@ class TestIndexAgainstOracles:
             expected = [vocab_oracle(quads, frontier).get(pair, set()) for pair in GRID]
             for vocab in (HistVocab(index, frontier), incremental):
                 assert [set(vocab.lookup(s, p).tolist()) for s, p in GRID] == expected
-                masks = masks_for(vocab, subjects, relations, N_IDS, 7.0)
-                inverted = masks_for(vocab, subjects, relations, N_IDS, 7.0, invert=True)
+                masks = dense_masks(vocab, subjects, relations, N_IDS, 7.0)
+                inverted = dense_masks(vocab, subjects, relations, N_IDS, 7.0, invert=True)
                 for objs, mask, inv in zip(expected, masks, inverted):
                     assert mask.tolist() == [0.0 if e in objs else -7.0 for e in range(N_IDS)]
                     assert inv.tolist() == [-7.0 if e in objs else 0.0 for e in range(N_IDS)]

@@ -1,6 +1,7 @@
 import math
 import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +99,8 @@ class TestCopyProbs:
             vocab.absorb_snapshot([(0, 1, 3), (0, 1, 5), (2, 0, 6)])
             subjects, relations = [0, 2, 1], [1, 0, 3]
             times = rng.integers(0, 12, 3)
-            masks = masks_for(vocab, subjects, relations, 7)
+            masks = np.zeros((3, 7))
+            masks_for(vocab, subjects, relations, masks)
             got = score_heads(params, subjects, relations, times, vocab, ("copy-only",))["pc"]
             for row, s, p, k, mask in zip(got, subjects, relations, times.tolist(), masks):
                 assert rel_err(row, scalar_copy_probs(params, s, p, k, mask), floor=1e-300) < 1e-12
@@ -196,6 +198,100 @@ class TestScoreHeads:
         logits = np.arange(6.0).reshape(2, 3)
         stable_softmax(logits)
         assert logits.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
+
+
+def out_of_place_heads(params, subjects, relations, times, vocab):
+    """The three heads by the earlier out-of-place formula: dense additive
+    masks added to the float64 logits, then z - z.max, exp and a division."""
+    inputs = query_inputs(params, subjects, relations, times)
+    seen = np.zeros((len(subjects), params.num_entities), dtype=bool)
+    for row, (s, p) in zip(seen, zip(subjects, relations)):
+        row[vocab.lookup(s, p)] = True
+    mag = params.mask_magnitude
+
+    def softmax(z):
+        z = z - z.max(axis=-1, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=-1, keepdims=True)
+
+    copy = np.tanh(inputs @ params.w_copy.T + params.b_copy).astype(np.float64)
+    gen = (inputs @ params.w_gen.T + params.b_gen).astype(np.float64)
+    return {"pc": softmax(copy + np.where(seen, 0.0, -mag)), "pg": softmax(gen),
+            "pg_new": softmax(gen + np.where(seen, -mag, 0.0))}
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestInPlaceHeads:
+    """score_heads casts, masks and softmaxes in place; every head stays
+    bitwise that of the out-of-place formula."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_out_of_place_formula(self, dtype):
+        rng = np.random.default_rng(21)
+        n = 6
+        # (1, 0) has seen every object; (2, 1) saw object 3 at three times
+        vocab = vocab_from_quads([(1, 0, o, 0) for o in range(n)]
+                                 + [(2, 1, 3, t) for t in range(3)]
+                                 + [(2, 1, 5, 1), (3, 1, 0, 2)]).freeze()
+        # rows: empty history, full history, a repeated fact, a partial one
+        subjects, relations, times = [0, 1, 2, 3, 2], [0, 0, 1, 1, 1], [3, 3, 4, 5, 9]
+        for params in (random_params(rng, n, 2, 3, dtype=dtype),
+                       zero_params(n=n).astype(dtype)):
+            expected = out_of_place_heads(params, subjects, relations, times, vocab)
+            for modes in [(mode,) for mode in model.MODES] + [model.MODES]:
+                heads = score_heads(params, subjects, relations, times, vocab, modes)
+                for name, head in heads.items():
+                    assert np.array_equal(bits(head), bits(expected[name])), (name, modes)
+                again = score_heads(params, subjects[:3], relations[:3], times[:3], vocab,
+                                    modes, out=heads)
+                for name, head in again.items():
+                    assert np.shares_memory(head, heads[name])
+                    assert np.array_equal(bits(head), bits(expected[name][:3])), (name, modes)
+
+    def test_negative_zero_logit_changes_no_probability(self):
+        """Masked in place, a candidate logit of -0.0 (a tanh of -0.0) stays
+        -0.0, where adding the dense mask's 0.0 made it +0.0; the softmax
+        maps both to the same bits."""
+        vocab = vocab_from_quads([(0, 0, 1, 0), (0, 0, 2, 0)])
+        index = np.array([[0.3, -0.0, -0.0, 0.0], [-0.0, 0.25, -0.5, -0.0]])
+        subjects, relations = [0, 1], [0, 0]
+        in_place = index.copy()
+        masks_for(vocab, subjects, relations, in_place)
+        dense = np.zeros_like(index)
+        masks_for(vocab, subjects, relations, dense)
+        added = index + dense
+        assert np.signbit(in_place[0, 1]) and not np.signbit(added[0, 1])
+        assert np.array_equal(bits(stable_softmax(in_place)), bits(stable_softmax(added)))
+
+    def test_peak_allocation(self):
+        """The traced peak of score_heads, in units of one (B, N) float64
+        array at B=64, N=3000 with float32 parameters: the heads plus one
+        float32 GEMM output (2.5 for "full", 3.5 for all four modes), and
+        next to nothing when an earlier result is reused. No timing test can
+        catch a reintroduced (B, N) temporary, which costs a few percent of
+        a chunk, so this counts the bytes."""
+        rng = np.random.default_rng(3)
+        b, n = 64, 3000
+        params = random_params(rng, n, 4, 8, dtype=np.float32)
+        facts = np.column_stack([rng.integers(0, n, 3000), rng.integers(0, 4, 3000),
+                                 rng.integers(0, n, 3000), rng.integers(0, 5, 3000)])
+        vocab = vocab_from_quads(facts).freeze()
+        args = (params, facts[:b, 0], facts[:b, 1], facts[:b, 3] + 5, vocab)
+
+        def peak(modes, **kwargs):
+            tracemalloc.start()
+            try:
+                score_heads(*args, modes, **kwargs)
+                return tracemalloc.get_traced_memory()[1] / (b * n * 8)
+            finally:
+                tracemalloc.stop()
+
+        for modes, bound in ((("full",), 2.6), (model.MODES, 3.6)):
+            assert peak(modes) <= bound, modes
+            assert peak(modes, out=score_heads(*args, modes)) <= 0.6, modes
 
 
 class TestMaskDominance:

@@ -85,7 +85,8 @@ def float64_reference(params, batch, vocab, alpha, reduction="sum"):
     n, d, m = params.num_entities, params.dim, len(q)
     rows = np.arange(m)
     inputs = query_inputs(params, subjects, relations, steps)
-    masks = masks_for(vocab, subjects, relations, n, params.mask_magnitude)
+    masks = np.zeros((m, n))
+    masks_for(vocab, subjects, relations, masks, params.mask_magnitude)
     index = copy_index_batch(params, inputs)
     pc = stable_softmax(index + masks)
     pg = stable_softmax(generation_logits_batch(params, inputs))
