@@ -46,6 +46,23 @@ def as_quads(facts) -> np.ndarray:
     return arr
 
 
+def checked_quads(facts, num_entities: int, num_relations: int) -> np.ndarray:
+    """``as_quads(facts)`` with every id checked: subjects and objects in
+    [0, num_entities), relations in [0, num_relations), times >= 0. Numpy
+    indexing would answer a negative id as one counted from the end, so the
+    first row out of range is an error that names it."""
+    q = as_quads(facts)
+    s, p, o, t = q.T
+    bad = (s < 0) | (s >= num_entities) | (o < 0) | (o >= num_entities)
+    bad |= (p < 0) | (p >= num_relations) | (t < 0)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"fact row {i} {tuple(q[i].tolist())} is out of range: entity ids "
+                        f"must lie in [0, {num_entities}), relation ids in "
+                        f"[0, {num_relations}) and times must be >= 0")
+    return q
+
+
 def parse_quadruple_file(lines: Iterable[str], meta: DatasetMeta) -> np.ndarray:
     """Parse fact lines into an (n, 4) array with raw (unnormalized) times.
 

@@ -9,22 +9,16 @@ import math
 
 import numpy as np
 
-from .data import as_quads
+from .data import as_quads, checked_quads
 from .history import FactIndex, HistVocab
 # score_batch is unused here. It stays bound because the benchmark's tracer
 # (bench/spans.py) wraps evaluation.score_batch, like rank_of_truth and
 # evaluate, by looking the name up in this module's namespace.
-from .model import ModelParams, check_mix, mix, score_batch, score_heads  # noqa: F401
+from .model import BLOCK_ROWS, ModelParams, check_mix, mix, score_batch, score_heads  # noqa: F401
 
 REGIMES = ("raw", "static", "time-aware")
 
 HITS_AT = (1, 3, 10)
-
-# Query rows ranked together. At ~7k entities a block's rows of three heads,
-# its mix buffers and its masks take about 1 MB, so they stay in L2 cache
-# while every mix is ranked against them (on a 2-core VM with 2 MB of L2 per
-# core, 8-row blocks ran the remix 6% slower than 4-row ones).
-BLOCK_ROWS = 4
 
 
 def build_filter(*splits) -> FactIndex:
@@ -186,10 +180,13 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     if regime != "raw" and filter_index is None:
         raise ValueError(f"regime {regime!r} needs a filter index")
+    if (isinstance(chunk_size, bool) or not isinstance(chunk_size, (int, np.integer))
+            or chunk_size <= 0):
+        raise ValueError(f"chunk_size must be a positive integer, got {chunk_size!r}")
     mixes = [(mode, params.alpha if alpha is None else alpha) for mode, alpha in mixes]
     for mode, alpha in mixes:
         check_mix(mode, alpha)
-    q = as_quads(quads)
+    q = checked_quads(quads, params.num_entities, params.num_relations)
     modes = [mode for mode, _ in mixes]
     n = params.num_entities
     ranks = np.empty((len(mixes), len(q)), dtype=np.int64)

@@ -198,6 +198,27 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="filter"):
             evaluate(params, test, vocab, num_relations=r, regime="static")
 
+    @pytest.mark.parametrize("chunk_size", [0, -1, 2.5, True])
+    def test_bad_chunk_size(self, chunk_size):
+        # -1 used to report ranks never written, 0 and 2.5 died in range()
+        params, _, test, vocab, index, r = eval_setup()
+        with pytest.raises(ValueError, match=r"^chunk_size must be a positive integer, got "):
+            evaluate(params, test[:3], vocab, num_relations=r, filter_index=index,
+                     chunk_size=chunk_size)
+
+    @pytest.mark.parametrize("column, value", [(0, -1), (2, -1), (2, 12), (1, 6), (3, -1)])
+    def test_out_of_range_ids(self, column, value):
+        """A negative id used to be answered as one counted from the end,
+        and an id past the end failed with a bare IndexError."""
+        params, _, test, vocab, index, r = eval_setup()
+        test = test.copy()
+        test[2, column] = value
+        message = rf"^fact row 2 \({', '.join(map(str, test[2]))}\) is out of range"
+        for run in (lambda: evaluate(params, test, vocab, num_relations=r, filter_index=index),
+                    lambda: ablate(params, test, vocab, num_relations=r, filter_index=index)):
+            with pytest.raises(ValueError, match=message):
+                run()
+
 
 class TestAblationIdentities:
     def test_copy_only_equals_full_alpha_one(self):

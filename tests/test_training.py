@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,13 +78,27 @@ BATCH = np.array([[0, 0, 1, 2], [3, 2, 4, 2], [2, 3, 0, 3]])
 COPY_BATCH = np.vstack([BATCH, [0, 0, 3, 2]])
 
 
-def float64_reference(params, batch, vocab, alpha, reduction="sum"):
-    """Loss and gradients by the all-float64 backward pass, written out of
-    place: the same operations in the same order as ``_loss_and_grads`` on
-    float64 parameters."""
+def block_batch(rng, n):
+    """Rows for 2 * block_rows(n) + 3 queries, so the last of three blocks
+    is partial; the (0, 0) pair, which has history, asks in every block
+    (with truths 3 and 1 among its copy candidates, 6 outside them)."""
+    height = training.block_rows(n)
+    m = 2 * height + 3
+    batch = np.column_stack([rng.integers(0, 7, m), rng.integers(0, 4, m),
+                             rng.integers(0, n, m), rng.integers(2, 5, m)])
+    batch[::height + 1, :3] = [[0, 0, 3], [0, 0, 1], [0, 0, 6]]
+    return batch
+
+
+def whole_batch_reference(params, batch, vocab, alpha, reduction="sum"):
+    """Loss and gradients by the whole-batch backward pass, written out of
+    place: the float64 heads and deltas of the whole (m, N) batch, each
+    delta flush-cast once to the parameters' dtype for the GEMMs (float64
+    is not flushed), in the order of ``_loss_and_grads``."""
     q = np.asarray(batch, dtype=np.int64)
     subjects, relations, truths, steps = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
     n, d, m = params.num_entities, params.dim, len(q)
+    dt = params.entity_emb.dtype
     rows = np.arange(m)
     inputs = query_inputs(params, subjects, relations, steps)
     masks = np.zeros((m, n))
@@ -100,20 +116,24 @@ def float64_reference(params, batch, vocab, alpha, reduction="sum"):
     d_copy[rows, truths] += coef_c
     d_gen = coef_g[:, None] * -pg
     d_gen[rows, truths] += coef_g
-    d_copy *= 1.0 - index ** 2
+    d_copy *= 1.0 - index.astype(np.float64) ** 2
     if reduction == "mean":
         d_copy /= m
         d_gen /= m
+    b_copy, b_gen = d_copy.sum(axis=0).astype(dt), d_gen.sum(axis=0).astype(dt)
+    if dt != np.float64:
+        tiny = np.finfo(dt).tiny
+        d_copy, d_gen = (np.where(np.abs(x) < tiny, 0.0, x).astype(dt) for x in (d_copy, d_gen))
     d_inputs = d_copy @ params.w_copy + d_gen @ params.w_gen
-    entity_emb = np.zeros((n, d))
-    relation_emb = np.zeros((params.num_relations, d))
+    entity_emb = np.zeros((n, d), dtype=dt)
+    relation_emb = np.zeros((params.num_relations, d), dtype=dt)
     np.add.at(entity_emb, subjects, d_inputs[:, :d])
     np.add.at(relation_emb, relations, d_inputs[:, d:2 * d])
     return loss, {
         "entity_emb": entity_emb, "relation_emb": relation_emb,
-        "time_unit": ((steps + 1)[:, None] * d_inputs[:, 2 * d:]).sum(axis=0),
-        "w_copy": d_copy.T @ inputs, "b_copy": d_copy.sum(axis=0),
-        "w_gen": d_gen.T @ inputs, "b_gen": d_gen.sum(axis=0),
+        "time_unit": ((steps + 1)[:, None] * d_inputs[:, 2 * d:]).sum(axis=0).astype(dt),
+        "w_copy": d_copy.T @ inputs, "b_copy": b_copy,
+        "w_gen": d_gen.T @ inputs, "b_gen": b_gen,
     }
 
 
@@ -158,6 +178,19 @@ class TestBatchLoss:
         with pytest.raises(ValueError):
             batch_loss(random_params(np.random.default_rng(0), 4, 2, 2),
                        np.empty((0, 4), np.int64), HistVocab(), 0.5)
+
+    @pytest.mark.parametrize("column, value", [(0, -1), (2, -1), (2, 7), (1, 4), (1, -2),
+                                               (3, -1)])
+    def test_out_of_range_ids(self, column, value):
+        """A negative id used to be answered as one counted from the end,
+        and an id past the end failed with a bare IndexError."""
+        params = random_params(np.random.default_rng(0), 7, 4, 3)
+        batch = BATCH.copy()
+        batch[1, column] = value
+        message = rf"^fact row 1 \({', '.join(map(str, batch[1]))}\) is out of range"
+        for run in (batch_loss, batch_gradients):
+            with pytest.raises(ValueError, match=message):
+                run(params, batch, small_vocab(), 0.5)
 
 
 class TestBatchGradients:
@@ -219,16 +252,67 @@ class TestBatchGradients:
     @pytest.mark.parametrize("reduction", ["sum", "mean"])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_float64_is_the_all_float64_backward(self, alpha, reduction):
-        # bitwise, so the finite-difference check above tests this path
-        for seed in range(5):
-            params = random_params(np.random.default_rng(seed), 7, 4, 3)
-            loss, grads = training._loss_and_grads(params, COPY_BATCH, small_vocab(), alpha,
+        """Bitwise, so the finite-difference check above tests this path;
+        over three blocks of rows (one block at 7 entities)."""
+        for n, seed in itertools.product((7, 7001), range(5)):
+            rng = np.random.default_rng(seed)
+            params = random_params(rng, n, 4, 3)
+            batch = block_batch(rng, n)
+            loss, grads = training._loss_and_grads(params, batch, small_vocab(), alpha,
                                                    reduction=reduction)
-            ref_loss, ref = float64_reference(params, COPY_BATCH, small_vocab(), alpha,
-                                              reduction)
+            ref_loss, ref = whole_batch_reference(params, batch, small_vocab(), alpha,
+                                                  reduction)
             assert loss == ref_loss
             for name, g in grads.tensors().items():
                 assert g.dtype == np.float64 and g.tobytes() == ref[name].tobytes(), name
+
+    @pytest.mark.parametrize("reduction", ["sum", "mean"])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_float32_is_the_whole_batch_flushed_backward(self, alpha, reduction):
+        """The float32 step in blocks of rows is bitwise the whole-batch
+        float64 deltas, flushed and cast once, through float32 GEMMs. In the
+        second batch every row asks the (0, 0) pair, so the entities that
+        are neither in its history nor a truth get only flushed copy deltas:
+        their w_copy rows are exactly zero, where unflushed subnormal deltas
+        would leave subnormals."""
+        for n, seed in itertools.product((7, 7001), range(5)):
+            rng = np.random.default_rng(seed)
+            params = random_params(rng, n, 4, 3, dtype=np.float32)
+            one_pair = block_batch(rng, n)
+            one_pair[:, :2] = 0
+            one_pair[:, 2] %= 5
+            for batch in (block_batch(rng, n), one_pair):
+                loss, grads = training._loss_and_grads(params, batch, small_vocab(), alpha,
+                                                       reduction=reduction)
+                ref_loss, ref = whole_batch_reference(params, batch, small_vocab(), alpha,
+                                                      reduction)
+                assert loss == ref_loss
+                for name, g in grads.tensors().items():
+                    assert g.dtype == np.float32 and g.tobytes() == ref[name].tobytes(), name
+            assert not grads.w_copy[5:].any()  # truths are 0..4, the history 1..3
+
+    def test_peak_allocation(self):
+        """The traced peak of a float32 step at B=64, N=3000, d=32, less the
+        returned gradients, in units of one (B, N) float32 array: the two
+        head GEMM outputs, which end up holding the deltas, plus the block
+        buffers and smaller temporaries. No timing test can catch a
+        reintroduced (B, N) float64 temporary, which costs a few percent of
+        a step, so this counts the bytes (the whole-batch step read 7.45)."""
+        rng = np.random.default_rng(3)
+        b, n = 64, 3000
+        params = random_params(rng, n, 4, 32, dtype=np.float32)
+        facts = np.column_stack([rng.integers(0, n, 3000), rng.integers(0, 4, 3000),
+                                 rng.integers(0, n, 3000), rng.integers(0, 5, 3000)])
+        vocab = vocab_from_quads(facts).freeze()
+        batch = facts[:b] + [0, 0, 0, 5]
+        tracemalloc.start()
+        try:
+            _, grads = training._loss_and_grads(params, batch, vocab, 0.8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        gradient_bytes = sum(g.nbytes for g in grads.tensors().values())
+        assert (peak - gradient_bytes) / (b * n * 4) <= 4.0
 
     def test_non_finite_raises(self):
         params = random_params(np.random.default_rng(10), 5, 2, 3)
@@ -238,18 +322,24 @@ class TestBatchGradients:
                 batch_gradients(params, [[0, 0, 1, 0]], HistVocab(), alpha=0.0)
 
 
+def flush_edges() -> np.ndarray:
+    """float64 values at and around float32's normal range, as one column."""
+    tiny = float(np.finfo(np.float32).tiny)
+    rng = np.random.default_rng(0)
+    edges = [0.0, -0.0, tiny, -tiny, tiny * (1 - 2.0 ** -30), -tiny * (1 - 2.0 ** -30),
+             tiny / 2, -tiny / 2, 4e-44, -4e-44, 5e-324, -5e-324, 1e-40, 1.0, -3.5,
+             1e-30, 3e38]
+    x = np.concatenate([edges, rng.standard_normal(2000) * 10.0 ** rng.integers(-50, 10, 2000)])
+    return x.reshape(-1, 1)
+
+
 class TestFlushCast:
     def test_float32_flushes_subnormals_to_positive_zero(self):
         """No tier-1 test can time the float32-subnormal slowdown of the
         backward GEMMs, so this test is what stops a refactor from dropping
         the flush."""
         tiny = float(np.finfo(np.float32).tiny)
-        rng = np.random.default_rng(0)
-        edges = [0.0, -0.0, tiny, -tiny, tiny * (1 - 2.0 ** -30), -tiny * (1 - 2.0 ** -30),
-                 tiny / 2, -tiny / 2, 4e-44, -4e-44, 5e-324, -5e-324, 1e-40, 1.0, -3.5,
-                 1e-30, 3e38]
-        x = np.concatenate([edges, rng.standard_normal(2000) * 10.0 ** rng.integers(-50, 10, 2000)])
-        x = x.reshape(-1, 1)
+        x = flush_edges()
         before = x.copy()
         out = training._flush_cast(x, np.float32)
         assert out.dtype == np.float32 and out.shape == x.shape
@@ -264,8 +354,52 @@ class TestFlushCast:
         out = training._flush_cast(x, np.float64)
         assert out.dtype == np.float64 and out.tobytes() == x.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_rows_of_a_larger_array(self, dtype):
+        """With ``out=`` (here the middle rows of a larger array, as the
+        train step passes a block's rows) the result is written there, bit
+        for bit that of a new array, and nothing else is touched."""
+        x = flush_edges()
+        buffer = np.full((len(x) + 2, 1), np.nan, dtype=dtype)
+        out = training._flush_cast(x, dtype, out=buffer[1:-1])
+        assert np.shares_memory(out, buffer) and out.shape == x.shape
+        assert out.tobytes() == training._flush_cast(x, dtype).tobytes()
+        assert np.isnan(buffer[[0, -1]]).all()
+
 
 class TestAmsGrad:
+    def test_slices_equal_the_whole_tensor_update(self):
+        """Tensors of several slices, whose lengths are not multiples of a
+        slice, one of them Fortran-ordered: three steps equal the
+        whole-tensor formula bit for bit, in the caller's own arrays."""
+        rng = np.random.default_rng(14)
+        n = 40000
+        params = random_params(rng, n, 3, 1, dtype=np.float32)
+        params.w_gen = np.asfortranarray(params.w_gen)
+        for name in ("entity_emb", "w_copy", "b_copy", "w_gen"):
+            shape = getattr(params, name).shape
+            per_slice = training.CACHE_ELEMENTS // math.prod(shape[1:])
+            assert shape[0] > per_slice and shape[0] % per_slice, name
+        arrays = params.tensors()
+        expected = {k: v.copy() for k, v in arrays.items()}
+        m, v, vhat = ({k: np.zeros_like(a) for k, a in arrays.items()} for _ in range(3))
+        opt = AmsGrad(params, lr=0.01)
+        for _ in range(3):
+            grads = training.Gradients(**{k: rng.standard_normal(a.shape).astype(np.float32)
+                                          for k, a in arrays.items()})
+            opt.step(params, grads)
+            for name, g in grads.tensors().items():
+                m[name] *= opt.beta1
+                m[name] += (1.0 - opt.beta1) * g
+                v[name] *= opt.beta2
+                v[name] += (1.0 - opt.beta2) * g * g
+                np.maximum(vhat[name], v[name], out=vhat[name])
+                expected[name] -= opt.lr * m[name] / (np.sqrt(vhat[name]) + opt.eps)
+        assert params.w_gen.flags.f_contiguous and not params.w_gen.flags.c_contiguous
+        for name, arr in params.tensors().items():
+            assert arr is arrays[name], name
+            assert arr.tobytes() == expected[name].tobytes(), name
+
     def test_zero_gradient_is_fixed_point(self):
         params = random_params(np.random.default_rng(11), 5, 3, 3, dtype=np.float32)
         before = {k: v.copy() for k, v in params.tensors().items()}
@@ -371,6 +505,17 @@ class TestFit:
         assert epoch.snapshot_losses[1] == 0.0
         assert epoch.snapshot_losses[0] > 0.0 and epoch.snapshot_losses[2] > 0.0
         assert epoch.steps == 3
+
+    @pytest.mark.parametrize("column, value", [(3, -1), (0, -1), (2, 4), (1, 2)])
+    def test_out_of_range_ids(self, column, value):
+        """A fact at t < 0 used to be skipped silently, a negative entity
+        id trained the last entity, and an id past the end failed with a
+        bare IndexError."""
+        quads = two_snapshot_quads()
+        quads[6, column] = value
+        config = TrainConfig(alpha=0.5, dim=3, batch_size=2, epochs=1, seed=0)
+        with pytest.raises(ValueError, match=r"^fact row 6 \(.*\) is out of range"):
+            fit(quads, 4, 2, 2, config)
 
     def test_empty_input_has_no_snapshots(self):
         config = TrainConfig(alpha=0.5, dim=3, batch_size=2, epochs=2, seed=0)
