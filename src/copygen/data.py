@@ -46,21 +46,37 @@ def as_quads(facts) -> np.ndarray:
     return arr
 
 
-def checked_quads(facts, num_entities: int, num_relations: int) -> np.ndarray:
-    """``as_quads(facts)`` with every id checked: subjects and objects in
-    [0, num_entities), relations in [0, num_relations), times >= 0. Numpy
-    indexing would answer a negative id as one counted from the end, so the
-    first row out of range is an error that names it."""
-    q = as_quads(facts)
-    s, p, o, t = q.T
-    bad = (s < 0) | (s >= num_entities) | (o < 0) | (o >= num_entities)
-    bad |= (p < 0) | (p >= num_relations) | (t < 0)
+def _check_ids(rows: np.ndarray, fields: str, num_entities: int, num_relations: int,
+               what: str) -> np.ndarray:
+    """``rows``, whose columns hold the ids ``fields`` names (``s``, ``p``,
+    ``o``, ``t``), once every id is checked: entities in [0, num_entities),
+    relations in [0, num_relations), times >= 0. Numpy indexing would answer
+    a negative id as one counted from the end, so the first row out of range
+    is an error that names it."""
+    upper = {"s": num_entities, "p": num_relations, "o": num_entities, "t": np.inf}
+    bad = ((rows < 0) | (rows >= [upper[field] for field in fields])).any(axis=1)
     if bad.any():
         i = int(np.argmax(bad))
-        raise DataError(f"fact row {i} {tuple(q[i].tolist())} is out of range: entity ids "
-                        f"must lie in [0, {num_entities}), relation ids in "
+        raise DataError(f"{what} row {i} {tuple(rows[i].tolist())} is out of range: entity "
+                        f"ids must lie in [0, {num_entities}), relation ids in "
                         f"[0, {num_relations}) and times must be >= 0")
-    return q
+    return rows
+
+
+def checked_quads(facts, num_entities: int, num_relations: int) -> np.ndarray:
+    """``as_quads(facts)`` with every id checked: subjects and objects in
+    [0, num_entities), relations in [0, num_relations), times >= 0; the
+    first fact row out of range is an error that names it."""
+    return _check_ids(as_quads(facts), "spot", num_entities, num_relations, "fact")
+
+
+def checked_queries(subjects, relations, times, num_entities: int,
+                    num_relations: int) -> np.ndarray:
+    """The (B, 3) int64 (subject, relation, time) rows of a batch of
+    queries, their ids checked as ``checked_quads`` checks facts'."""
+    rows = np.column_stack([np.asarray(ids, dtype=np.int64)
+                            for ids in (subjects, relations, times)])
+    return _check_ids(rows, "spt", num_entities, num_relations, "query")
 
 
 def parse_quadruple_file(lines: Iterable[str], meta: DatasetMeta) -> np.ndarray:

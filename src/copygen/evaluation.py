@@ -9,12 +9,16 @@ import math
 
 import numpy as np
 
+# The forward stages are called as model.<name>, where the benchmark's tracer
+# (bench/spans.py) wraps them.
+from . import model
 from .data import as_quads, checked_quads
-from .history import FactIndex, HistVocab
+from .history import FactIndex, HistVocab, block_pairs
+from .model import MODE_HEADS, ModelParams, block_rows, build_heads, check_mix, mix
 # score_batch is unused here. It stays bound because the benchmark's tracer
-# (bench/spans.py) wraps evaluation.score_batch, like rank_of_truth and
-# evaluate, by looking the name up in this module's namespace.
-from .model import BLOCK_ROWS, ModelParams, check_mix, mix, score_batch, score_heads  # noqa: F401
+# wraps evaluation.score_batch, like rank_of_truth and evaluate, by looking
+# the name up in this module's namespace.
+from .model import score_batch  # noqa: F401
 
 REGIMES = ("raw", "static", "time-aware")
 
@@ -27,10 +31,12 @@ def build_filter(*splits) -> FactIndex:
 
 
 def _candidates(filter_index: FactIndex | None, regime: str, queries: np.ndarray,
-                num_entities: int) -> np.ndarray:
+                num_entities: int, out: np.ndarray | None = None) -> np.ndarray:
     """(B, N) keep-rows: the entities each (s, p, o, t) query ranks its truth
-    o against. Filtered regimes drop every known-true object but the truth."""
-    keep = np.ones((len(queries), num_entities), dtype=bool)
+    o against, written into ``out`` when it is given. Filtered regimes drop
+    every known-true object but the truth."""
+    keep = np.empty((len(queries), num_entities), dtype=bool) if out is None else out
+    keep.fill(True)
     if regime != "raw":
         at = queries[:, 3] if regime == "time-aware" else None
         rows, objects = filter_index.select(queries[:, 0], queries[:, 1], at=at)
@@ -67,15 +73,22 @@ def rank_of_truth(scores, truth: int, query=None, filter_index: FactIndex | None
     The filtered regimes remove every known-true entity other than the truth
     before ranking; ties are broken by ascending entity id, matching the
     model's prediction rule. ``query`` is the (subject, relation, time)
-    triple the scores answer (required for filtering). A score vector with a
-    NaN or infinite entry is rejected: it would rank the truth arbitrarily
-    (an all-NaN vector ranks it first).
+    triple the scores answer (required for filtering). Scores must be one
+    vector over the N entities and the truth an integer id in [0, N). A
+    score vector with a NaN or infinite entry is rejected: it would rank the
+    truth arbitrarily (an all-NaN vector ranks it first).
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    scores = np.asarray(scores, dtype=np.float64)[None]
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim != 1:
+        raise ValueError(f"scores must be a 1-D vector, got shape {scores.shape}")
+    n = len(scores)
+    if (isinstance(truth, bool) or not isinstance(truth, (int, np.integer))
+            or not 0 <= truth < n):
+        raise ValueError(f"truth must be an integer entity id in [0, {n}), got {truth!r}")
     truth = int(truth)
-    n = scores.shape[1]
+    scores = scores[None]
     if regime == "raw" or filter_index is None:
         keep = np.ones((1, n), dtype=bool)
     elif query is None:
@@ -167,14 +180,20 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
                     per_snapshot: bool = False) -> list[EvalResult]:
     """One ``EvalResult`` per ``(mode, alpha)`` mix (alpha None means the
     checkpoint's). Neither head nor the filter depends on alpha, so each
-    chunk's heads and keep-rows are built once and every mix is ranked
-    against them; only one chunk's heads are held at a time.
+    query's heads and keep-row are built once and every mix is ranked
+    against them.
 
-    Each chunk's heads overwrite the previous chunk's arrays. A convex mix
-    of finite heads is finite, so finiteness is checked once per head row.
-    The chunk is then ranked in blocks of ``BLOCK_ROWS`` rows, each mix
-    written into one reused buffer; the mix is elementwise, so its rows are
-    bitwise those of mixing the whole chunk.
+    Per chunk, the head GEMMs run on the whole chunk into two arrays at
+    parameter dtype, and its keep-rows into a third, which the first chunk
+    allocates and the rest reuse; the chunk's history pairs are selected
+    once. The chunk is then walked in blocks of ``block_rows(N)`` rows:
+    ``build_heads`` turns each block's GEMM rows into float64 heads in
+    reused block buffers, whose finiteness is checked (a convex mix of
+    finite heads is finite), and each mix is written from them into one
+    more buffer and ranked, all while the block is in cache. Every step is
+    row-wise, so the ranks are bitwise those of whole-chunk heads. A
+    non-finite head row raises, naming the first such query; ranks already
+    computed for earlier blocks of its chunk are discarded with the rest.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
@@ -188,33 +207,48 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
         check_mix(mode, alpha)
     q = checked_quads(quads, params.num_entities, params.num_relations)
     modes = [mode for mode, _ in mixes]
+    need = {head for mode in modes for head in MODE_HEADS[mode]}
     n = params.num_entities
     ranks = np.empty((len(mixes), len(q)), dtype=np.int64)
     ids = np.arange(n)
-    mixed = np.empty((BLOCK_ROWS, n))
-    beats = np.empty((BLOCK_ROWS, n), dtype=bool)
+    height = min(block_rows(n), chunk_size)
+    blocks = {name: np.empty((height, n)) for name in need}
+    mixed = np.empty((height, n))
+    beats = np.empty((height, n), dtype=bool)
     ties = np.empty_like(beats)
-    heads = None
+    index = logits = keep = None
     for start in range(0, len(q), chunk_size):
         chunk = q[start:start + chunk_size]
-        heads = score_heads(params, chunk[:, 0], chunk[:, 1], chunk[:, 3], vocab, modes,
-                            out=heads)
-        finite = np.ones(len(chunk), dtype=bool)
-        for head in heads.values():
-            finite &= np.isfinite(head).all(axis=1)
-        if not finite.all():
-            s, p, o, t = chunk[np.argmin(finite)].tolist()
-            raise _non_finite((s, p, t), o)
-        keep = _candidates(filter_index, regime, chunk, n)
-        for lo in range(0, len(chunk), BLOCK_ROWS):
-            block = slice(lo, lo + BLOCK_ROWS)
+        subjects, relations = chunk[:, 0], chunk[:, 1]
+        inputs = model.query_inputs(params, subjects, relations, chunk[:, 3])
+        # Only the last chunk is shorter than the first, whose arrays it reuses.
+        if "pc" in need:
+            index = model.copy_index_batch(
+                params, inputs, out=None if index is None else index[:len(chunk)])
+        if need & {"pg", "pg_new"}:
+            logits = model.generation_logits_batch(
+                params, inputs, out=None if logits is None else logits[:len(chunk)])
+        keep = _candidates(filter_index, regime, chunk, n,
+                           out=None if keep is None else keep[:len(chunk)])
+        for block, *pairs in block_pairs(vocab, subjects, relations, height):
             truths = chunk[block, 2]
             b = len(truths)
-            block_heads = {name: head[block] for name, head in heads.items()}
+            heads = {name: buffer[:b] for name, buffer in blocks.items()}
+            build_heads(heads, None if index is None else index[block],
+                        None if logits is None else logits[block], *pairs,
+                        params.mask_magnitude)
+            # a head row is finite or all NaN, so its first entry tells which
+            finite = np.ones(b, dtype=bool)
+            for head in heads.values():
+                finite &= np.isfinite(head[:, 0])
+            if not finite.all():
+                s, p, o, t = chunk[block][np.argmin(finite)].tolist()
+                raise _non_finite((s, p, t), o)
             masks = (keep[block], ids < truths[:, None], beats[:b], ties[:b])
+            done = start + block.start
             for j, (mode, alpha) in enumerate(mixes):
-                scores = mix(block_heads, mode, alpha, out=mixed[:b])
-                ranks[j, start + lo:start + lo + b] = _rank_block(scores, truths, *masks)
+                scores = mix(heads, mode, alpha, out=mixed[:b])
+                ranks[j, done:done + b] = _rank_block(scores, truths, *masks)
     return [_result(q, mode_ranks, mode, regime, num_relations, per_snapshot)
             for mode_ranks, mode in zip(ranks, modes)]
 

@@ -141,6 +141,18 @@ def masks_for(vocab: HistVocab, subjects, relations, logits: np.ndarray,
         logits[rows, objects] = candidates
 
 
+def block_pairs(vocab: HistVocab, subjects, relations, height: int):
+    """Yield each block of ``height`` queries of a batch as its row slice and
+    its history pairs, (row within the block, object) arrays as
+    ``masks_for`` applies them. The batch's pairs are selected once; they
+    come in row order, so each block's are one slice of them."""
+    rows, objects = vocab.facts.select(subjects, relations, before=vocab.frontier)
+    starts = np.arange(0, len(subjects), height)
+    edges = np.searchsorted(rows, [*starts, len(subjects)])
+    for lo, i, j in zip(starts.tolist(), edges[:-1], edges[1:]):
+        yield slice(lo, lo + height), rows[i:j] - lo, objects[i:j]
+
+
 def recurrence_stats(history, probe) -> dict[str, float]:
     """How much of ``probe`` repeats content already present in ``history``.
 

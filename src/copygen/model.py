@@ -17,9 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-# score_heads calls masks_for and this module's stage functions through the
-# module namespace, where the benchmark's tracer (bench/spans.py) wraps them.
-from .history import HistVocab, masks_for
+from .data import checked_queries
+# The forward stages are called through this module's namespace, where the
+# benchmark's tracer (bench/spans.py) wraps them; it also wraps masks_for
+# here, which this module does not call.
+from .history import HistVocab, masks_for  # noqa: F401
 
 CHECKPOINT_MAGIC = b"CYG1"
 _CONFIG_MAGIC = b"CFG1"
@@ -28,13 +30,28 @@ _HEADER = struct.Struct("<4siiiiff")
 _F32 = np.finfo(np.float32)
 # The learnable tensors, in checkpoint order.
 TENSOR_NAMES = ("entity_emb", "relation_emb", "time_unit", "w_copy", "b_copy", "w_gen", "b_gen")
-# Rows of (B, N) head arrays worked on together: the blocks evaluation
-# ranks, and the fewest a block of the train step's deltas holds. At ~7k
-# entities a block's float64 rows of three heads plus their scratch take
-# about 1 MB, so they stay in L2 cache while they are worked on (on a
-# 2-core VM with 2 MB of L2 per core, 8-row blocks ran the remix 6% slower
-# than 4-row ones; the train step ran 4- and 9-row blocks within noise).
+# The fewest rows of (B, N) head arrays worked on together, in the blocks
+# that evaluation scores and ranks and that the train step turns into
+# deltas. At ~7k entities a block's float64 rows of three heads plus their
+# scratch take about 1 MB, so they stay in L2 cache while they are worked on
+# (on a 2-core VM with 2 MB of L2 per core, 8-row blocks ran the remix 6%
+# slower than 4-row ones; the train step ran 4- and 9-row blocks within
+# noise).
 BLOCK_ROWS = 4
+# Elements worked on together by a block of float64 head rows and by the
+# AMSGrad update (rows of each tensor): 32k float64 elements are 256 KB, so
+# a block's buffers and temporaries stay in L2 cache, where whole-array ones
+# (4.3M elements for w_copy at the ICEWS14 shape) do not. At ~7k entities a
+# block is BLOCK_ROWS rows; at a few hundred entities, 4-row blocks spent
+# more time in their numpy calls than in arithmetic (a 100-entity fit ran
+# 4.4x slower, and ablate at 100 entities 1.6-2.2x slower).
+CACHE_ELEMENTS = 1 << 15
+
+
+def block_rows(num_entities: int) -> int:
+    """Rows of a block of (B, N) head arrays: about ``CACHE_ELEMENTS``
+    float64 entries, and at least ``BLOCK_ROWS``."""
+    return max(BLOCK_ROWS, CACHE_ELEMENTS // num_entities)
 
 
 def _tensor_shapes(n: int, r_aug: int, d: int) -> dict[str, tuple]:
@@ -113,13 +130,20 @@ class ModelParams:
 def stable_softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Max-shifted softmax over the last axis, computed in float64.
 
-    The max-shift casts the logits once into the result, a new array or
-    the float64 ``out`` (which may be ``logits`` itself), and the exp and
+    The logits are cast once into the result, a new array or the float64
+    ``out`` (which may be ``logits`` itself), and the max-shift, exp and
     division run in place on it; the IEEE operations are those of the
-    out-of-place formula.
+    out-of-place formula. (A cast inside the subtraction, through its
+    ``dtype``, took twice as long as the cast and the subtraction apart.)
+    Each result row is finite or entirely NaN: a NaN or +inf logit, or a
+    row of -inf logits, makes a shifted entry NaN and so the row's sum;
+    otherwise every entry lies in [0, 1].
     """
     logits = np.asarray(logits)
-    z = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out, dtype=np.float64)
+    shift = logits.max(axis=-1, keepdims=True)
+    z = np.empty(logits.shape) if out is None else out
+    np.copyto(z, logits)
+    z -= shift
     np.exp(z, out=z)
     z /= z.sum(axis=-1, keepdims=True)
     return z
@@ -138,18 +162,20 @@ def query_inputs(params: ModelParams, subjects, relations, times) -> np.ndarray:
     return np.concatenate([s_emb, p_emb, t_emb], axis=1)
 
 
-def copy_index_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+def copy_index_batch(params: ModelParams, inputs: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """tanh-bounded copy index vectors, shape (B, N); the bias and the tanh
-    are applied in place on the GEMM output."""
-    index = inputs @ params.w_copy.T
+    are applied in place on the GEMM output, a new array or ``out``."""
+    index = np.matmul(inputs, params.w_copy.T, out=out)
     index += params.b_copy
     return np.tanh(index, out=index)
 
 
-def generation_logits_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
+def generation_logits_batch(params: ModelParams, inputs: np.ndarray,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """Generation head logits, shape (B, N); the bias is added in place on
-    the GEMM output."""
-    logits = inputs @ params.w_gen.T
+    the GEMM output, a new array or ``out``."""
+    logits = np.matmul(inputs, params.w_gen.T, out=out)
     logits += params.b_gen
     return logits
 
@@ -172,39 +198,69 @@ def check_mix(mode: str, alpha: float = 0.0) -> None:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
 
 
+def build_heads(heads: dict[str, np.ndarray], index: np.ndarray | None,
+                logits: np.ndarray | None, rows: np.ndarray, objects: np.ndarray,
+                magnitude: float) -> None:
+    """Turn a block of queries' head GEMM rows into their float64 softmax
+    heads, written in place into ``heads`` (any of ``pc``, ``pg`` and
+    ``pg_new``, each a (b, N) float64 array).
+
+    ``index`` (the tanh copy index, for ``pc``) and ``logits`` (the
+    generation logits, for ``pg`` / ``pg_new``) are the block's (b, N) GEMM
+    rows at parameter dtype and are only read. ``rows`` and ``objects`` are
+    the block's history pairs, (row within the block, object), in which a
+    pair may repeat. ``pc`` is the index cast and lowered by ``magnitude``,
+    its candidates then restored from the index; ``pg`` is softmaxed
+    straight from the logits, which the softmax casts; ``pg_new`` is the
+    logits cast and lowered at the candidates. Each head row is finite or
+    entirely NaN (see ``stable_softmax``).
+    """
+    if not 0 < magnitude < np.inf:
+        raise ValueError(f"mask magnitude must be finite and positive, got {magnitude}")
+    if "pc" in heads:
+        pc = heads["pc"]
+        np.copyto(pc, index)
+        pc -= magnitude
+        pc[rows, objects] = index[rows, objects]
+        stable_softmax(pc, out=pc)
+    if "pg" in heads:
+        stable_softmax(logits, out=heads["pg"])
+    if "pg_new" in heads:
+        pg_new = heads["pg_new"]
+        np.copyto(pg_new, logits)
+        # buffered: a repeated pair is lowered once
+        pg_new[rows, objects] -= magnitude
+        stable_softmax(pg_new, out=pg_new)
+
+
 def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVocab,
                 modes, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """The float64 softmax heads that ``modes`` mix, keyed as in
     ``MODE_HEADS``, each of shape (B, N).
 
     The query inputs are built once and each head is computed once, however
-    many modes (or alphas) are later mixed from them with ``mix``. Each
-    head's logits are cast into the head's own array, masked and softmaxed
-    there in place, so next to the heads only one head GEMM output is
-    alive. ``out``, an earlier result for the same modes with at least B
-    rows, is overwritten and its first B rows returned, so a chunk loop
-    reuses one set of head arrays.
+    many modes (or alphas) are later mixed from them with ``mix``. Each head
+    GEMM is turned into its heads by ``build_heads`` before the next runs,
+    so next to the heads only one GEMM output is alive. ``out``, an earlier
+    result for the same modes with at least B rows, is overwritten and its
+    first B rows returned, so a chunk loop reuses one set of head arrays.
+    Ids out of range are rejected, naming the first such query row.
     """
     for mode in modes:
         check_mix(mode)
+    subjects, relations, times = checked_queries(
+        subjects, relations, times, params.num_entities, params.num_relations).T
     need = {head for mode in modes for head in MODE_HEADS[mode]}
-    mag = params.mask_magnitude
     inputs = query_inputs(params, subjects, relations, times)
     shape = (len(inputs), params.num_entities)
     heads = {name: np.empty(shape) if out is None else out[name][:shape[0]] for name in need}
-
+    pairs = vocab.facts.select(subjects, relations, before=vocab.frontier)
+    mag = params.mask_magnitude
     if "pc" in need:
-        np.copyto(heads["pc"], copy_index_batch(params, inputs))
-        masks_for(vocab, subjects, relations, heads["pc"], mag)
-    if "pg" in need or "pg_new" in need:
-        logits = generation_logits_batch(params, inputs)
-        for name in {"pg", "pg_new"} & need:
-            np.copyto(heads[name], logits)
-        del logits
-        if "pg_new" in need:
-            masks_for(vocab, subjects, relations, heads["pg_new"], mag, invert=True)
-    for head in heads.values():
-        stable_softmax(head, out=head)
+        build_heads({"pc": heads["pc"]}, copy_index_batch(params, inputs), None, *pairs, mag)
+    generation = {name: heads[name] for name in ("pg", "pg_new") if name in need}
+    if generation:
+        build_heads(generation, None, generation_logits_batch(params, inputs), *pairs, mag)
     return heads
 
 

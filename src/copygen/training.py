@@ -21,27 +21,24 @@ from typing import Callable
 import numpy as np
 
 from .data import checked_quads
-from .history import FactIndex, HistVocab, masks_for
+from .history import FactIndex, HistVocab, block_pairs
 from .model import (
-    BLOCK_ROWS,
+    CACHE_ELEMENTS,
     TENSOR_NAMES,
     ModelParams,
+    block_rows,
+    build_heads,
     copy_index_batch,
     generation_logits_batch,
     hyperparameter_problem,
     query_inputs,
-    stable_softmax,
 )
+# Unused here. They stay bound because the benchmark's tracer
+# (bench/spans.py) wraps them in this module's namespace.
+from .history import masks_for  # noqa: F401
+from .model import stable_softmax  # noqa: F401
 
 LOSS_FLOOR = 1e-30  # guards log() against truth-probability underflow
-# Elements worked on together by the train step's float64 deltas (rows of
-# the batch, at least BLOCK_ROWS) and by the AMSGrad update (rows of each
-# tensor): 32k float64 elements are 256 KB, so a block's buffers and
-# temporaries stay in L2 cache, where whole-tensor ones (4.3M elements for
-# w_copy at the ICEWS14 shape) do not. At ~7k entities a delta block is
-# BLOCK_ROWS rows; at a few hundred entities, 4-row blocks spent more time
-# in their numpy calls than in arithmetic (a 100-entity fit ran 4.4x slower).
-CACHE_ELEMENTS = 1 << 15
 
 
 class GradientError(RuntimeError):
@@ -158,11 +155,11 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
 
     The two head GEMMs and the four backward GEMMs run on the whole batch;
     the float64 work between them runs on blocks of rows, whose heads and
-    deltas stay in cache. Each block's rows are cast into reused float64
-    buffers (the copy head's masked there), softmaxed and turned into the
-    losses and both deltas, which are flush-cast back over the block's rows
-    of the GEMM outputs. Every operation is row-wise, so losses and
-    gradients are bitwise those of the whole-batch formulas.
+    deltas stay in cache. ``build_heads`` turns each block's GEMM rows into
+    both heads in reused float64 buffers, which then become the losses and
+    both deltas, flush-cast back over the block's rows of the GEMM outputs.
+    Every operation is row-wise, so losses and gradients are bitwise those
+    of the whole-batch formulas.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -186,18 +183,14 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
     # Row 0 of each head buffer carries the running bias gradient (below).
     pc, pg = np.empty((height + 1, n)), np.empty((height + 1, n))
     tanh_grad = np.empty((height, n))
-    for lo in range(0, m, height):
-        block = slice(lo, lo + height)
+    for block, *pairs in block_pairs(vocab, subjects, relations, height):
+        lo = block.start
         t = truths[block]
         b = len(t)
         rows = np.arange(b)
         c, g = pc[1:b + 1], pg[1:b + 1]
-        # the copy head is masked on a float64 copy, since the tanh
-        # derivative reads index below
-        np.copyto(c, index[block])
-        masks_for(vocab, subjects[block], relations[block], c, params.mask_magnitude)
-        stable_softmax(c, out=c)
-        stable_softmax(logits[block], out=g)
+        build_heads({"pc": c, "pg": g}, index[block], logits[block], *pairs,
+                    params.mask_magnitude)
         floored = np.maximum(alpha * c[rows, t] + (1.0 - alpha) * g[rows, t], LOSS_FLOOR)
         losses[block] = -np.log(floored)
         if not need_grads:
@@ -251,12 +244,6 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
         if not np.isfinite(g).all():
             raise GradientError(f"non-finite gradient in {name}")
     return loss, grads
-
-
-def block_rows(num_entities: int) -> int:
-    """Rows of a train step block: about ``CACHE_ELEMENTS`` float64
-    entries, and at least ``BLOCK_ROWS``."""
-    return max(BLOCK_ROWS, CACHE_ELEMENTS // num_entities)
 
 
 def batch_loss(params: ModelParams, batch, vocab: HistVocab, alpha: float,

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -105,6 +107,25 @@ class TestRankOfTruth:
     def test_needs_query_for_filtering(self):
         with pytest.raises(ValueError):
             rank_of_truth([0.1, 0.2], 0, None, build_filter(quads((0, 0, 1, 0))))
+
+    @pytest.mark.parametrize("truth", [-1, 3, 1.9, "1", True, np.int64(-2)])
+    def test_bad_truth_rejected(self, truth):
+        """A truth of -1 used to rank entity N-1 (ties broken as if no id came
+        first), 1.9 was truncated to 1, and 3 died in a bare IndexError."""
+        message = rf"^truth must be an integer entity id in \[0, 3\), got {re.escape(repr(truth))}$"
+        with pytest.raises(ValueError, match=message):
+            rank_of_truth([0.1, 0.5, 0.2], truth, regime="raw")
+
+    def test_integer_truth_types_accepted(self):
+        for truth in (2, np.int64(2), np.int32(2)):
+            assert rank_of_truth([0.1, 0.5, 0.2], truth, regime="raw") == 2
+
+    @pytest.mark.parametrize("scores", [[[0.1, 0.5, 0.2]], 0.5, np.zeros((2, 3))])
+    def test_scores_not_one_vector_rejected(self, scores):
+        shape = np.shape(scores)
+        with pytest.raises(ValueError, match=rf"^scores must be a 1-D vector, got shape "
+                                             rf"{re.escape(str(shape))}$"):
+            rank_of_truth(scores, 0, regime="raw")
 
 
 class TestReports:
@@ -266,9 +287,9 @@ class TestScoreOnce:
         for name in calls:
             original = getattr(model, name)
 
-            def counted(*args, _name=name, _original=original):
+            def counted(*args, _name=name, _original=original, **kwargs):
                 calls[_name] += 1
-                return _original(*args)
+                return _original(*args, **kwargs)
 
             monkeypatch.setattr(model, name, counted)
         return calls
@@ -326,12 +347,12 @@ class TestNonFiniteQuery:
         """A NaN embedding for a subject that first asks a query mid-split
         stops every driver at that query, with the full message."""
         params, _, test, vocab, index, r = eval_setup(seed=13)
-        # a subject whose first query lies past the first ranking block and
+        # a subject whose first query lies past the first BLOCK_ROWS rows and
         # before the last query
         firsts = {}
         for i, s in enumerate(test[:, 0].tolist()):
             firsts.setdefault(s, i)
-        position = max(i for i in firsts.values() if evaluation.BLOCK_ROWS < i < len(test) - 1)
+        position = max(i for i in firsts.values() if model.BLOCK_ROWS < i < len(test) - 1)
         subject, relation, truth, time = test[position].tolist()
         params.entity_emb[subject] = np.nan
         message = (f"non-finite score vector for query ({subject}, {relation}, {time}) "
@@ -420,3 +441,109 @@ class TestRanksAgainstOracle:
         ]
         for run, mixes in checks:
             assert self.recorded_ranks(run) == oracle(mixes)
+
+
+class TestBlockedEvaluation:
+    """The evaluator runs each chunk's head GEMMs whole, then builds, checks,
+    mixes and ranks its heads in blocks of ``block_rows(N)`` rows."""
+
+    MIXES = [*[(mode, None) for mode in model.MODES], ("full", 0.0), ("full", 1.0),
+             ("gen-new", 0.3)]
+
+    @staticmethod
+    def setup(n, seed=31):
+        """Queries whose pairs repeat, so their history pairs sit on both
+        sides of block edges: rows 3 and 4 (the first 4-row block edge) and
+        rows 7 and 8 ask the same pair with history; about a third of the
+        truths are drawn outside the pair's history."""
+        rng = np.random.default_rng(seed)
+        r = 2
+        facts = np.column_stack([rng.integers(0, 5, 400), rng.integers(0, 2 * r, 400),
+                                 rng.integers(0, n, 400), rng.integers(0, 4, 400)])
+        test = facts[:140] + [0, 0, 0, 4]
+        test[::3, 2] = rng.integers(0, n, len(test[::3]))
+        test[[3, 4, 7, 8], :2] = facts[0, :2]
+        params = random_params(rng, n, 2 * r, 4, dtype=np.float32, alpha=0.6)
+        vocab = vocab_from_quads(facts).freeze()
+        return params, test, vocab, build_filter(facts, test), r
+
+    @staticmethod
+    def whole_chunk_ranks(params, test, vocab, index, regime, chunk_size, mixes):
+        """Ranks by the one-query ranker over whole-chunk ``score_heads``
+        rows, one list per mix."""
+        ranks = [[] for _ in mixes]
+        for start in range(0, len(test), chunk_size):
+            chunk = test[start:start + chunk_size]
+            heads = model.score_heads(params, chunk[:, 0], chunk[:, 1], chunk[:, 3], vocab,
+                                      model.MODES)
+            for out, (mode, alpha) in zip(ranks, mixes):
+                rows = model.mix(heads, mode, params.alpha if alpha is None else alpha)
+                out += [rank_of_truth(row, o, (s, p, t), index, regime)
+                        for row, (s, p, o, t) in zip(rows, chunk.tolist())]
+        return ranks
+
+    @pytest.mark.parametrize("n", [12, 8200])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 256])
+    def test_ranks_equal_whole_chunk_heads(self, n, chunk_size):
+        """At N=12 a block is the whole chunk; at N=8200 blocks of 4 rows
+        split chunks of 7 and 256 (the last block of each 7-row chunk has
+        3 rows)."""
+        assert (model.block_rows(n) >= 256) == (n == 12)
+        assert n == 12 or model.block_rows(n) == 4
+        params, test, vocab, index, r = self.setup(n)
+        rows, _ = vocab.facts.select(test[:9, 0], test[:9, 1], before=vocab.frontier)
+        assert {3, 4, 7, 8} <= set(rows.tolist())
+        for regime in evaluation.REGIMES:
+            got = TestRanksAgainstOracle.recorded_ranks(
+                lambda: evaluation._evaluate_mixes(params, test, vocab, self.MIXES,
+                                                   num_relations=r, filter_index=index,
+                                                   regime=regime, chunk_size=chunk_size))
+            expected = self.whole_chunk_ranks(params, test, vocab, index, regime, chunk_size,
+                                              self.MIXES)
+            assert got == expected, regime
+
+    @pytest.mark.parametrize("n", [12, 8200])
+    def test_first_non_finite_row_in_a_later_block(self, n):
+        """Rows 9 and 13 ask about a subject with a NaN embedding; at N=8200
+        row 9 sits in the third 4-row block of the first 256-row chunk, and
+        in the first block of the second 7-row chunk. Every evaluator names row
+        9's query."""
+        params, test, vocab, index, r = self.setup(n)
+        test[[9, 13], 0] = 5
+        params.entity_emb[5] = np.nan
+        s, p, o, t = test[9].tolist()
+        message = f"non-finite score vector for query ({s}, {p}, {t}) (truth {o})"
+        kwargs = dict(num_relations=r, filter_index=index)
+        for run in (lambda: evaluate(params, test, vocab, **kwargs),
+                    lambda: evaluate(params, test, vocab, chunk_size=7, **kwargs),
+                    lambda: ablate(params, test, vocab, **kwargs),
+                    lambda: sweep_alpha(params, test, vocab, **kwargs)):
+            with pytest.raises(ValueError) as raised:
+                run()
+            assert str(raised.value) == message
+
+    def test_peak_allocation(self):
+        """The traced peak of evaluate and ablate over 600 queries at N=3000
+        in 256-row chunks with float32 parameters, in units of one (chunk, N)
+        float64 array: the two float32 GEMM outputs (1.0), the keep-rows
+        (0.125) and the block buffers. No timing test catches a reintroduced
+        (chunk, N) temporary, which costs a few percent of a round, so this
+        counts the bytes (whole-chunk float64 heads read 2.66 and 3.66)."""
+        rng = np.random.default_rng(4)
+        n, r, chunk = 3000, 4, 256
+        params = random_params(rng, n, 2 * r, 8, dtype=np.float32)
+        facts = np.column_stack([rng.integers(0, n, 3000), rng.integers(0, 2 * r, 3000),
+                                 rng.integers(0, n, 3000), rng.integers(0, 5, 3000)])
+        test = np.column_stack([rng.integers(0, n, 600), rng.integers(0, 2 * r, 600),
+                                rng.integers(0, n, 600), rng.integers(5, 7, 600)])
+        test[:300, :2] = facts[:300, :2]
+        vocab = vocab_from_quads(facts).freeze()
+        index = build_filter(facts, test)
+        for run in (evaluate, ablate):
+            tracemalloc.start()
+            try:
+                run(params, test, vocab, num_relations=r, filter_index=index)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / (chunk * n * 8) <= 1.5, run.__name__

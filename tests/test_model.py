@@ -194,6 +194,44 @@ class TestScoreHeads:
                     score_batch(params, [0, 1], [0, 1], [1, 1], vocab, alpha=0.3,
                                 mode=mode))
 
+    @pytest.mark.parametrize("column, value", [(0, -1), (0, 6), (1, -2), (1, 2), (2, -1)])
+    def test_out_of_range_ids(self, column, value):
+        """Subject -1 used to score as entity N-1, relation -2 read the
+        embedding counted from the end and time -1 was accepted; subject N
+        failed with a bare IndexError."""
+        rng = np.random.default_rng(8)
+        params = random_params(rng, 6, 2, 3)
+        vocab = vocab_from_quads([(0, 0, 1, 0)])
+        queries = np.array([[0, 0, 1], [1, 1, 2], [2, 0, 3]])
+        queries[1, column] = value
+        message = rf"^query row 1 \({', '.join(map(str, queries[1]))}\) is out of range"
+        for run in (lambda: score_heads(params, *queries.T, vocab, model.MODES),
+                    lambda: score_batch(params, *queries.T, vocab)):
+            with pytest.raises(ValueError, match=message):
+                run()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_rows_finite_or_all_nan(self, dtype):
+        """The evaluator checks one entry per head row for finiteness, which
+        holds because a softmax row is finite or entirely NaN; it is finite
+        exactly when its logits hold no NaN or +inf and not only -inf."""
+        rng = np.random.default_rng(17)
+        big = float(np.finfo(dtype).max)
+        rows = [rng.normal(size=9) * 10.0 ** rng.integers(-3, 3) for _ in range(60)]
+        for row in rows[:50]:
+            at = rng.choice(9, size=rng.integers(1, 4), replace=False)
+            row[at] = rng.choice([np.nan, np.inf, -np.inf, big, -big], size=len(at))
+        rows += [np.full(9, -np.inf), np.full(9, np.inf), np.full(9, np.nan),
+                 np.array([-big, big] * 4 + [0.0])]
+        logits = np.array(rows).astype(dtype)
+        with np.errstate(invalid="ignore", over="ignore"):
+            probs = stable_softmax(logits)
+        finite = np.isfinite(probs)
+        assert (finite.all(axis=1) | np.isnan(probs).all(axis=1)).all()
+        expected = ~(np.isnan(logits) | (logits == np.inf)).any(axis=1)
+        expected &= (logits != -np.inf).any(axis=1)
+        assert np.array_equal(finite[:, 0], expected)
+
     def test_softmax_leaves_input_untouched(self):
         logits = np.arange(6.0).reshape(2, 3)
         stable_softmax(logits)

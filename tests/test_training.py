@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from copygen import training
+from copygen import model, training
 from copygen.data import dedupe
 from copygen.history import HistVocab, masks_for, vocab_from_quads
 from copygen.model import (copy_index_batch, generation_logits_batch, query_inputs,
@@ -82,7 +82,7 @@ def block_batch(rng, n):
     """Rows for 2 * block_rows(n) + 3 queries, so the last of three blocks
     is partial; the (0, 0) pair, which has history, asks in every block
     (with truths 3 and 1 among its copy candidates, 6 outside them)."""
-    height = training.block_rows(n)
+    height = model.block_rows(n)
     m = 2 * height + 3
     batch = np.column_stack([rng.integers(0, 7, m), rng.integers(0, 4, m),
                              rng.integers(0, n, m), rng.integers(2, 5, m)])
@@ -378,7 +378,7 @@ class TestAmsGrad:
         params.w_gen = np.asfortranarray(params.w_gen)
         for name in ("entity_emb", "w_copy", "b_copy", "w_gen"):
             shape = getattr(params, name).shape
-            per_slice = training.CACHE_ELEMENTS // math.prod(shape[1:])
+            per_slice = model.CACHE_ELEMENTS // math.prod(shape[1:])
             assert shape[0] > per_slice and shape[0] % per_slice, name
         arrays = params.tensors()
         expected = {k: v.copy() for k, v in arrays.items()}
