@@ -176,21 +176,21 @@ class RunConfig:
         except KeyError:
             raise AttributeError(key) from None
 
-    def echo_lines(self) -> list[str]:
-        lines = [f"version={__version__}", f"command={self.command}"]
+    def _echoed(self):
+        """(key, value, source) of each echoed entry: the version and the
+        command, which have no source, then every set option but config."""
+        yield "version", __version__, None
+        yield "command", self.command, None
         for key, value in self.values.items():
-            if key == "config" or value is None:
-                continue
-            lines.append(f"{key}={value}  ({self.sources[key]})")
-        return lines
+            if key != "config" and value is not None:
+                yield key, value, self.sources[key]
+
+    def echo_lines(self) -> list[str]:
+        return [f"{key}={value}" + (f"  ({source})" if source else "")
+                for key, value, source in self._echoed()]
 
     def text(self) -> str:
-        out = [f"version = {__version__}", f"command = {self.command}"]
-        for key, value in self.values.items():
-            if key == "config" or value is None:
-                continue
-            out.append(f"{key} = {value}")
-        return "\n".join(out) + "\n"
+        return "".join(f"{key} = {value}\n" for key, value, _ in self._echoed())
 
 
 def _echoable(text: str) -> bool:
@@ -364,6 +364,11 @@ def _percent(x: float) -> str:
     return "nan" if x != x else f"{100.0 * x:.2f}"
 
 
+def _metric_cells(report) -> str:
+    """A report's metrics as the CSV cells ``mrr,hits1,hits3,hits10``."""
+    return ",".join(_percent(x) for x in report.metrics().values())
+
+
 def _emit_csv(out, header: str, rows: list[str], run: RunConfig) -> None:
     lines = [f"# {line}" for line in run.echo_lines()]
     lines.append(header)
@@ -378,13 +383,8 @@ def _emit_csv(out, header: str, rows: list[str], run: RunConfig) -> None:
 def _report_lines(prefix: str, report) -> list[str]:
     if not report.defined:
         return [f"{prefix}count=0", f"{prefix}metrics=undefined"]
-    return [
-        f"{prefix}count={report.count}",
-        f"{prefix}mrr={_percent(report.mrr)}",
-        f"{prefix}hits1={_percent(report.hits1)}",
-        f"{prefix}hits3={_percent(report.hits3)}",
-        f"{prefix}hits10={_percent(report.hits10)}",
-    ]
+    return [f"{prefix}count={report.count}"] + [
+        f"{prefix}{name}={_percent(x)}" for name, x in report.metrics().items()]
 
 
 # ---------------------------------------------------------------------------
@@ -573,9 +573,7 @@ def _cmd_eval(run: RunConfig) -> int:
         for line in _report_lines(prefix, report):
             print(line)
     if run.per_snapshot_csv:
-        rows = [f"{r.snapshot},{r.count},{_percent(r.mrr)},{_percent(r.hits1)},"
-                f"{_percent(r.hits3)},{_percent(r.hits10)}"
-                for r in result.per_snapshot]
+        rows = [f"{t},{r.count},{_metric_cells(r)}" for t, r in result.per_snapshot.items()]
         _emit_csv(run.per_snapshot_csv, "snapshot,count,mrr,hits1,hits3,hits10",
                   rows, run)
     return 0
@@ -589,8 +587,7 @@ def _cmd_ablate(run: RunConfig) -> int:
                              num_relations=ds.meta.num_relations,
                              alpha=run.alpha, filter_index=filter_index,
                              regime=run.filter)
-    csv_rows = [f"{mode},{_percent(r.mrr)},{_percent(r.hits1)},"
-                f"{_percent(r.hits3)},{_percent(r.hits10)}" for mode, r in rows]
+    csv_rows = [f"{mode},{_metric_cells(r)}" for mode, r in rows]
     _emit_csv(run.values.get("out"), "mode,mrr,hits1,hits3,hits10", csv_rows, run)
     return 0
 
@@ -603,10 +600,9 @@ def _cmd_sweep_alpha(run: RunConfig) -> int:
     if run.retrain:
         run.values["checkpoint"] = None  # never read, so not echoed as the rows' source
     params, ds, train, r_aug, quads, vocab, filter_index = _eval_inputs(run)
-    alphas = [round(0.1 * i, 1) for i in range(11)]
     if run.retrain:
         rows = []
-        for alpha in alphas:
+        for alpha in evaluation.SWEEP_ALPHAS:
             retrained, _ = training.fit(train, ds.meta.num_entities, r_aug,
                                         ds.meta.num_snapshots, _train_config(run, alpha))
             result = evaluation.evaluate(retrained, quads, vocab,
@@ -619,9 +615,8 @@ def _cmd_sweep_alpha(run: RunConfig) -> int:
         rows = evaluation.sweep_alpha(params, quads, vocab,
                                       num_relations=ds.meta.num_relations,
                                       filter_index=filter_index,
-                                      regime=run.filter, alphas=alphas)
-    csv_rows = [f"{alpha:.1f},{_percent(r.mrr)},{_percent(r.hits1)},"
-                f"{_percent(r.hits3)},{_percent(r.hits10)}" for alpha, r in rows]
+                                      regime=run.filter)
+    csv_rows = [f"{alpha:.1f},{_metric_cells(r)}" for alpha, r in rows]
     _emit_csv(run.values.get("out"), "alpha,mrr,hits1,hits3,hits10", csv_rows, run)
     return 0
 
@@ -632,13 +627,6 @@ def _cmd_predict(run: RunConfig) -> int:
     from . import model
 
     params, *_, vocab = _load_inputs(run)
-    if not 0 <= run.subject < params.num_entities:
-        raise ValueError(f"subject id outside [0, {params.num_entities})")
-    if not 0 <= run.relation < params.num_relations:
-        raise ValueError(f"relation id outside [0, {params.num_relations})")
-    if run.time < 0:
-        raise ValueError("time must be a non-negative snapshot index")
-
     alpha = run.alpha if run.alpha is not None else params.alpha
     heads = model.score_heads(params, [run.subject], [run.relation], [run.time], vocab,
                               (run.mode,))

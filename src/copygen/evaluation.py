@@ -24,6 +24,13 @@ REGIMES = ("raw", "static", "time-aware")
 
 HITS_AT = (1, 3, 10)
 
+# Queries per evaluation chunk. A chunk's two head GEMM outputs and its
+# keep-rows, (chunk, N) each, are the largest arrays evaluation allocates.
+CHUNK_ROWS = 256
+
+# The mixture weights ``sweep_alpha`` (and ``sweep-alpha --retrain``) visit.
+SWEEP_ALPHAS = tuple(round(0.1 * i, 1) for i in range(11))
+
 
 def build_filter(*splits) -> FactIndex:
     """Index of the known-true facts of the given splits (usually all three)."""
@@ -137,30 +144,21 @@ def report_from_ranks(ranks, direction: str, mode: str, filter_mode: str) -> Eva
 
 
 @dataclasses.dataclass
-class SnapshotRow:
-    snapshot: int
-    count: int
-    mrr: float
-    hits1: float
-    hits3: float
-    hits10: float
-
-
-@dataclasses.dataclass
 class EvalResult:
     """Overall report plus the object/subject breakdown (reciprocal relations
-    mark subject-direction queries) and optional per-snapshot rows."""
+    mark subject-direction queries) and, optionally, one report per
+    snapshot, keyed by snapshot index in ascending order."""
 
     overall: EvalReport
     objects: EvalReport
     subjects: EvalReport
-    per_snapshot: list[SnapshotRow] | None = None
+    per_snapshot: dict[int, EvalReport] | None = None
 
 
 def evaluate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
              alpha: float | None = None, mode: str = "full",
              filter_index: FactIndex | None = None, regime: str = "static",
-             chunk_size: int = 256, per_snapshot: bool = False) -> EvalResult:
+             per_snapshot: bool = False) -> EvalResult:
     """Rank the truth of every query quadruple and aggregate the metrics.
 
     ``num_relations`` is the raw relation count: queries with relation ids
@@ -170,38 +168,34 @@ def evaluate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int
     """
     return _evaluate_mixes(params, quads, vocab, [(mode, alpha)],
                            num_relations=num_relations, filter_index=filter_index,
-                           regime=regime, chunk_size=chunk_size,
-                           per_snapshot=per_snapshot)[0]
+                           regime=regime, per_snapshot=per_snapshot)[0]
 
 
 def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
                     num_relations: int, filter_index: FactIndex | None,
-                    regime: str, chunk_size: int = 256,
-                    per_snapshot: bool = False) -> list[EvalResult]:
+                    regime: str, per_snapshot: bool = False) -> list[EvalResult]:
     """One ``EvalResult`` per ``(mode, alpha)`` mix (alpha None means the
     checkpoint's). Neither head nor the filter depends on alpha, so each
     query's heads and keep-row are built once and every mix is ranked
     against them.
 
-    Per chunk, the head GEMMs run on the whole chunk into two arrays at
-    parameter dtype, and its keep-rows into a third, which the first chunk
-    allocates and the rest reuse; the chunk's history pairs are selected
-    once. The chunk is then walked in blocks of ``block_rows(N)`` rows:
-    ``build_heads`` turns each block's GEMM rows into float64 heads in
-    reused block buffers, whose finiteness is checked (a convex mix of
-    finite heads is finite), and each mix is written from them into one
-    more buffer and ranked, all while the block is in cache. Every step is
-    row-wise, so the ranks are bitwise those of whole-chunk heads. A
-    non-finite head row raises, naming the first such query; ranks already
-    computed for earlier blocks of its chunk are discarded with the rest.
+    Per chunk of ``CHUNK_ROWS`` queries, the head GEMMs run on the whole
+    chunk into two arrays at parameter dtype, and its keep-rows into a
+    third, which the first chunk allocates and the rest reuse; the chunk's
+    history pairs are selected once. The chunk is then walked in blocks of
+    ``block_rows(N)`` rows: ``build_heads`` turns each block's GEMM rows
+    into float64 heads in reused block buffers, whose finiteness is checked
+    (a convex mix of finite heads is finite), and each mix is written from
+    them into one more buffer and ranked, all while the block is in cache.
+    Every step is row-wise, so the ranks are bitwise those of whole-chunk
+    heads. A non-finite head row raises, naming the first such query; ranks
+    already computed for earlier blocks of its chunk are discarded with the
+    rest.
     """
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     if regime != "raw" and filter_index is None:
         raise ValueError(f"regime {regime!r} needs a filter index")
-    if (isinstance(chunk_size, bool) or not isinstance(chunk_size, (int, np.integer))
-            or chunk_size <= 0):
-        raise ValueError(f"chunk_size must be a positive integer, got {chunk_size!r}")
     mixes = [(mode, params.alpha if alpha is None else alpha) for mode, alpha in mixes]
     for mode, alpha in mixes:
         check_mix(mode, alpha)
@@ -211,14 +205,14 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
     n = params.num_entities
     ranks = np.empty((len(mixes), len(q)), dtype=np.int64)
     ids = np.arange(n)
-    height = min(block_rows(n), chunk_size)
+    height = min(block_rows(n), CHUNK_ROWS)
     blocks = {name: np.empty((height, n)) for name in need}
     mixed = np.empty((height, n))
     beats = np.empty((height, n), dtype=bool)
     ties = np.empty_like(beats)
     index = logits = keep = None
-    for start in range(0, len(q), chunk_size):
-        chunk = q[start:start + chunk_size]
+    for start in range(0, len(q), CHUNK_ROWS):
+        chunk = q[start:start + CHUNK_ROWS]
         subjects, relations = chunk[:, 0], chunk[:, 1]
         inputs = model.query_inputs(params, subjects, relations, chunk[:, 3])
         # Only the last chunk is shorter than the first, whose arrays it reuses.
@@ -262,12 +256,9 @@ def _result(q: np.ndarray, ranks: np.ndarray, mode: str, regime: str,
         subjects=report_from_ranks(ranks[~is_object], "subject", mode, regime),
     )
     if per_snapshot:
-        rows = []
-        for t in np.unique(q[:, 3]) if len(q) else []:
-            rep = report_from_ranks(ranks[q[:, 3] == t], "both", mode, regime)
-            rows.append(SnapshotRow(int(t), rep.count, rep.mrr,
-                                    rep.hits1, rep.hits3, rep.hits10))
-        result.per_snapshot = rows
+        result.per_snapshot = {int(t): report_from_ranks(ranks[q[:, 3] == t], "both",
+                                                         mode, regime)
+                               for t in np.unique(q[:, 3])}
     return result
 
 
@@ -288,11 +279,9 @@ def ablate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
 
 def sweep_alpha(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
                 filter_index: FactIndex | None = None, regime: str = "static",
-                alphas=None) -> list[tuple[float, EvalReport]]:
+                alphas=SWEEP_ALPHAS) -> list[tuple[float, EvalReport]]:
     """Re-mix one checkpoint at each alpha and evaluate the full mode,
     scoring each chunk's heads once."""
-    if alphas is None:
-        alphas = [round(0.1 * i, 1) for i in range(11)]
     alphas = [float(alpha) for alpha in alphas]
     results = _evaluate_mixes(params, quads, vocab, [("full", alpha) for alpha in alphas],
                               num_relations=num_relations,

@@ -234,17 +234,15 @@ def build_heads(heads: dict[str, np.ndarray], index: np.ndarray | None,
 
 
 def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVocab,
-                modes, out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
+                modes) -> dict[str, np.ndarray]:
     """The float64 softmax heads that ``modes`` mix, keyed as in
     ``MODE_HEADS``, each of shape (B, N).
 
     The query inputs are built once and each head is computed once, however
     many modes (or alphas) are later mixed from them with ``mix``. Each head
     GEMM is turned into its heads by ``build_heads`` before the next runs,
-    so next to the heads only one GEMM output is alive. ``out``, an earlier
-    result for the same modes with at least B rows, is overwritten and its
-    first B rows returned, so a chunk loop reuses one set of head arrays.
-    Ids out of range are rejected, naming the first such query row.
+    so next to the heads only one GEMM output is alive. Ids out of range
+    are rejected, naming the first such query row.
     """
     for mode in modes:
         check_mix(mode)
@@ -253,7 +251,7 @@ def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVoca
     need = {head for mode in modes for head in MODE_HEADS[mode]}
     inputs = query_inputs(params, subjects, relations, times)
     shape = (len(inputs), params.num_entities)
-    heads = {name: np.empty(shape) if out is None else out[name][:shape[0]] for name in need}
+    heads = {name: np.empty(shape) for name in need}
     pairs = vocab.facts.select(subjects, relations, before=vocab.frontier)
     mag = params.mask_magnitude
     if "pc" in need:

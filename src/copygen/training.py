@@ -28,6 +28,7 @@ from .model import (
     ModelParams,
     block_rows,
     build_heads,
+    check_mix,
     copy_index_batch,
     generation_logits_batch,
     hyperparameter_problem,
@@ -127,6 +128,14 @@ class Gradients:
     def tensors(self) -> dict[str, np.ndarray]:
         return {name: getattr(self, name) for name in TENSOR_NAMES}
 
+    def check_finite(self) -> None:
+        """Raise ``GradientError`` naming the first tensor with a NaN or
+        infinite entry: a NaN reaches its min and max, an infinity is one of
+        them, and neither reduction makes a tensor-sized temporary."""
+        for name, g in self.tensors().items():
+            if not (np.isfinite(g.min()) and np.isfinite(g.max())):
+                raise GradientError(f"non-finite gradient in {name}")
+
 
 def _flush_cast(delta: np.ndarray, dtype, out: np.ndarray | None = None) -> np.ndarray:
     """``delta`` (float64) at ``dtype`` for the backward GEMMs, written into
@@ -161,8 +170,7 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
     Every operation is row-wise, so losses and gradients are bitwise those
     of the whole-batch formulas.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    check_mix("full", alpha)
     if reduction not in ("sum", "mean"):
         raise ValueError(f"unknown reduction {reduction!r}")
     q = checked_quads(batch, params.num_entities, params.num_relations)
@@ -240,9 +248,7 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
     np.add.at(grads.relation_emb, relations, d_inputs[:, d:2 * d])
     grads.time_unit += ((steps + 1)[:, None] * d_inputs[:, 2 * d:]).sum(axis=0).astype(dt)
 
-    for name, g in grads.tensors().items():
-        if not np.isfinite(g).all():
-            raise GradientError(f"non-finite gradient in {name}")
+    grads.check_finite()
     return loss, grads
 
 
@@ -263,14 +269,15 @@ def batch_gradients(params: ModelParams, batch, vocab: HistVocab, alpha: float,
 
 class AmsGrad:
     """AMSGrad as published: keeps the running max of the second moment and
-    applies no bias correction."""
+    applies no bias correction. The moment decays and the epsilon are the
+    published values."""
 
-    def __init__(self, params: ModelParams, lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: ModelParams, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self._m = {k: np.zeros_like(v) for k, v in params.tensors().items()}
         self._v = {k: np.zeros_like(v) for k, v in params.tensors().items()}

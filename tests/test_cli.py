@@ -257,14 +257,13 @@ class TestAblateSweepPredict:
             assert position == rank_of_truth(probs, entity, regime="raw")
 
     def test_predict_rejects_bad_ids(self, synth_dir, checkpoint, capsys):
-        for (s, p, t), fragment in (((999, 0, 0), "subject id"), ((0, 6, 0), "relation id"),
-                                    ((0, 0, -1), "non-negative snapshot index")):
+        for s, p, t in ((999, 0, 0), (0, 6, 0), (0, 0, -1)):
             code = cli.main(["predict", "--checkpoint", str(checkpoint),
                              "--data", str(synth_dir), "--subject", str(s),
                              "--relation", str(p), "--time", str(t)])
             assert code == 1
             err = capsys.readouterr().err
-            assert err.startswith("error:") and fragment in err
+            assert err.startswith(f"error: query row 0 ({s}, {p}, {t}) is out of range: ")
 
 
 class TestUnaugmentedCheckpoint:
@@ -293,10 +292,8 @@ class TestUnaugmentedCheckpoint:
         out = lines_of(capsys)
         assert out == expected and "subject_count=0" in out
         rows = [l for l in csv.read_text().splitlines() if not l.startswith("#")]
-        assert rows[1:] == [
-            ",".join([str(r.snapshot), str(r.count)]
-                     + [cli._percent(x) for x in (r.mrr, r.hits1, r.hits3, r.hits10)])
-            for r in result.per_snapshot]
+        assert rows[1:] == [f"{t},{r.count},{cli._metric_cells(r)}"
+                            for t, r in result.per_snapshot.items()]
 
     @pytest.mark.parametrize("command", ["ablate", "sweep-alpha"])
     def test_ablate_and_sweep_alpha(self, synth_dir, plain_checkpoint, library, command,
@@ -307,11 +304,10 @@ class TestUnaugmentedCheckpoint:
         if command == "ablate":
             rows = ablate(params, test, vocab, **kwargs)
         else:
-            rows = [(f"{alpha:.1f}", report) for alpha, report in sweep_alpha(
-                params, test, vocab, alphas=[round(0.1 * i, 1) for i in range(11)], **kwargs)]
+            rows = [(f"{alpha:.1f}", report)
+                    for alpha, report in sweep_alpha(params, test, vocab, **kwargs)]
         assert [l for l in lines_of(capsys) if not l.startswith("#")][1:] == [
-            ",".join([key] + [cli._percent(x) for x in (r.mrr, r.hits1, r.hits3, r.hits10)])
-            for key, r in rows]
+            f"{key},{cli._metric_cells(r)}" for key, r in rows]
 
     def test_predict(self, synth_dir, plain_checkpoint, library, capsys):
         params, _, vocab, _ = library
@@ -324,7 +320,9 @@ class TestUnaugmentedCheckpoint:
         assert cli.main(["predict", "--checkpoint", str(plain_checkpoint), "--data",
                          str(synth_dir), "--subject", "0", "--relation", str(r),
                          "--time", "0"]) == 1
-        assert f"relation id outside [0, {r})" in capsys.readouterr().err
+        assert (f"error: query row 0 (0, {r}, 0) is out of range: entity ids must lie in "
+                f"[0, {params.num_entities}), relation ids in [0, {r}) "
+                in capsys.readouterr().err)
 
 
 class TestUsageAndErrors:
@@ -421,6 +419,27 @@ class TestUsageAndErrors:
                     assert opt.choices == expected[opt.key], opt.key
                     seen.add(opt.key)
         assert seen == set(expected)
+
+    def test_literal_defaults_match_the_library(self):
+        """The CLI keeps its own copies of the library defaults it feeds
+        (importing the library would load numpy before --threads applies)."""
+        from copygen import synth, training
+
+        fields = {
+            "train": (training.TrainConfig(), {
+                "dim": "dim", "lr": "learning_rate", "batch_size": "batch_size",
+                "epochs": "epochs", "seed": "seed", "mask_magnitude": "mask_magnitude",
+                "mean_loss": "mean_loss", "patience": "patience"}),
+            "synth": (synth.SynthConfig(), {
+                "entities": "num_entities", "relations": "num_relations",
+                "snapshots": "num_snapshots", "facts_per_snapshot": "facts_per_snapshot",
+                "recurrence": "recurrence", "seed": "seed",
+                "fixed_objects": "fixed_objects"}),
+        }
+        for command, (config, mapping) in fields.items():
+            defaults = {opt.key: opt.default for opt in cli.COMMANDS[command]}
+            for key, field in mapping.items():
+                assert defaults[key] == getattr(config, field), (command, key)
 
     def test_resolving_leaves_numpy_unloaded(self):
         """``--threads`` caps the BLAS pools before numpy loads, so importing

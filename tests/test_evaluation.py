@@ -27,6 +27,12 @@ def quads(*rows):
     return np.asarray(rows, dtype=np.int64).reshape(-1, 4)
 
 
+def in_chunks(rows, run):
+    """``run()`` with the evaluators' chunks of ``rows`` queries."""
+    with mock.patch.object(evaluation, "CHUNK_ROWS", rows):
+        return run()
+
+
 def filtered(index, s, p, t=None):
     """Objects the filter knows for (s, p), at time t when given."""
     _, objects = index.select([s], [p], at=None if t is None else [t])
@@ -175,7 +181,8 @@ class TestEvaluate:
         assert result.objects.count + result.subjects.count == len(test)
         assert result.objects.direction == "object"
         assert result.subjects.direction == "subject"
-        assert sum(row.count for row in result.per_snapshot) == len(test)
+        assert list(result.per_snapshot) == np.unique(test[:, 3]).tolist()
+        assert sum(row.count for row in result.per_snapshot.values()) == len(test)
         assert result.objects.count == int((test[:, 1] < r).sum())
 
     def test_empty_split(self):
@@ -193,17 +200,17 @@ class TestEvaluate:
 
     def test_chunking_invariant(self):
         params, _, test, vocab, index, r = eval_setup(seed=4)
-        small = evaluate(params, test, vocab, num_relations=r,
-                         filter_index=index, chunk_size=3)
-        large = evaluate(params, test, vocab, num_relations=r,
-                         filter_index=index, chunk_size=1000)
-        assert small.overall == large.overall
+
+        def run():
+            return evaluate(params, test, vocab, num_relations=r, filter_index=index)
+
+        assert in_chunks(3, run).overall == in_chunks(1000, run).overall
         # Multi-mix calls, at chunk sizes that are not multiples of the
         # ranking block, including chunks smaller than one block.
         mixes = [(mode, None) for mode in model.MODES] + [("full", 0.3), ("gen-new", 0.9)]
-        results = [evaluation._evaluate_mixes(params, test, vocab, mixes, num_relations=r,
-                                              filter_index=index, regime="static",
-                                              chunk_size=size, per_snapshot=True)
+        results = [in_chunks(size, lambda: evaluation._evaluate_mixes(
+                       params, test, vocab, mixes, num_relations=r, filter_index=index,
+                       regime="static", per_snapshot=True))
                    for size in (1, 5, 9, 256)]
         assert len(test) > 9
         assert all(result == results[0] for result in results)
@@ -218,14 +225,6 @@ class TestEvaluate:
         params, _, test, vocab, _, r = eval_setup()
         with pytest.raises(ValueError, match="filter"):
             evaluate(params, test, vocab, num_relations=r, regime="static")
-
-    @pytest.mark.parametrize("chunk_size", [0, -1, 2.5, True])
-    def test_bad_chunk_size(self, chunk_size):
-        # -1 used to report ranks never written, 0 and 2.5 died in range()
-        params, _, test, vocab, index, r = eval_setup()
-        with pytest.raises(ValueError, match=r"^chunk_size must be a positive integer, got "):
-            evaluate(params, test[:3], vocab, num_relations=r, filter_index=index,
-                     chunk_size=chunk_size)
 
     @pytest.mark.parametrize("column, value", [(0, -1), (2, -1), (2, 12), (1, 6), (3, -1)])
     def test_out_of_range_ids(self, column, value):
@@ -359,7 +358,7 @@ class TestNonFiniteQuery:
                    f"(truth {truth})")
         kwargs = dict(num_relations=r, filter_index=index)
         for run in (lambda: evaluate(params, test, vocab, **kwargs),
-                    lambda: evaluate(params, test, vocab, chunk_size=5, **kwargs),
+                    lambda: in_chunks(5, lambda: evaluate(params, test, vocab, **kwargs)),
                     lambda: ablate(params, test, vocab, **kwargs),
                     lambda: sweep_alpha(params, test, vocab, **kwargs)):
             with pytest.raises(ValueError) as raised:
@@ -401,9 +400,9 @@ class TestRanksAgainstOracle:
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), regime=st.sampled_from(evaluation.REGIMES),
-           chunk_size=st.sampled_from([1, 5, 9, 256]),
+           chunk_rows=st.sampled_from([1, 5, 9, 256]),
            alpha=st.sampled_from([0.0, 0.3, 0.5, 1.0]))
-    def test_ranks_equal_sort_oracle(self, seed, regime, chunk_size, alpha):
+    def test_ranks_equal_sort_oracle(self, seed, regime, chunk_rows, alpha):
         rng = np.random.default_rng(seed)
         n, r = 9, 2
         facts = np.column_stack([rng.integers(0, n, 60), rng.integers(0, 2 * r, 60),
@@ -435,12 +434,11 @@ class TestRanksAgainstOracle:
              [(mode, None) for mode in evaluation.ABLATION_ORDER]),
             (lambda: sweep_alpha(params, test, vocab, alphas=alphas, **kwargs),
              [("full", a) for a in alphas]),
-            *[(lambda mode=mode: evaluate(params, test, vocab, mode=mode,
-                                          chunk_size=chunk_size, **kwargs), [(mode, None)])
-              for mode in model.MODES],
+            *[(lambda mode=mode: evaluate(params, test, vocab, mode=mode, **kwargs),
+               [(mode, None)]) for mode in model.MODES],
         ]
         for run, mixes in checks:
-            assert self.recorded_ranks(run) == oracle(mixes)
+            assert in_chunks(chunk_rows, lambda: self.recorded_ranks(run)) == oracle(mixes)
 
 
 class TestBlockedEvaluation:
@@ -468,12 +466,12 @@ class TestBlockedEvaluation:
         return params, test, vocab, build_filter(facts, test), r
 
     @staticmethod
-    def whole_chunk_ranks(params, test, vocab, index, regime, chunk_size, mixes):
+    def whole_chunk_ranks(params, test, vocab, index, regime, chunk_rows, mixes):
         """Ranks by the one-query ranker over whole-chunk ``score_heads``
         rows, one list per mix."""
         ranks = [[] for _ in mixes]
-        for start in range(0, len(test), chunk_size):
-            chunk = test[start:start + chunk_size]
+        for start in range(0, len(test), chunk_rows):
+            chunk = test[start:start + chunk_rows]
             heads = model.score_heads(params, chunk[:, 0], chunk[:, 1], chunk[:, 3], vocab,
                                       model.MODES)
             for out, (mode, alpha) in zip(ranks, mixes):
@@ -483,8 +481,8 @@ class TestBlockedEvaluation:
         return ranks
 
     @pytest.mark.parametrize("n", [12, 8200])
-    @pytest.mark.parametrize("chunk_size", [1, 7, 256])
-    def test_ranks_equal_whole_chunk_heads(self, n, chunk_size):
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 256])
+    def test_ranks_equal_whole_chunk_heads(self, n, chunk_rows):
         """At N=12 a block is the whole chunk; at N=8200 blocks of 4 rows
         split chunks of 7 and 256 (the last block of each 7-row chunk has
         3 rows)."""
@@ -494,11 +492,11 @@ class TestBlockedEvaluation:
         rows, _ = vocab.facts.select(test[:9, 0], test[:9, 1], before=vocab.frontier)
         assert {3, 4, 7, 8} <= set(rows.tolist())
         for regime in evaluation.REGIMES:
-            got = TestRanksAgainstOracle.recorded_ranks(
+            got = in_chunks(chunk_rows, lambda: TestRanksAgainstOracle.recorded_ranks(
                 lambda: evaluation._evaluate_mixes(params, test, vocab, self.MIXES,
                                                    num_relations=r, filter_index=index,
-                                                   regime=regime, chunk_size=chunk_size))
-            expected = self.whole_chunk_ranks(params, test, vocab, index, regime, chunk_size,
+                                                   regime=regime)))
+            expected = self.whole_chunk_ranks(params, test, vocab, index, regime, chunk_rows,
                                               self.MIXES)
             assert got == expected, regime
 
@@ -515,7 +513,7 @@ class TestBlockedEvaluation:
         message = f"non-finite score vector for query ({s}, {p}, {t}) (truth {o})"
         kwargs = dict(num_relations=r, filter_index=index)
         for run in (lambda: evaluate(params, test, vocab, **kwargs),
-                    lambda: evaluate(params, test, vocab, chunk_size=7, **kwargs),
+                    lambda: in_chunks(7, lambda: evaluate(params, test, vocab, **kwargs)),
                     lambda: ablate(params, test, vocab, **kwargs),
                     lambda: sweep_alpha(params, test, vocab, **kwargs)):
             with pytest.raises(ValueError) as raised:

@@ -321,6 +321,24 @@ class TestBatchGradients:
             with pytest.raises(GradientError, match="w_gen|entity_emb"):
                 batch_gradients(params, [[0, 0, 1, 0]], HistVocab(), alpha=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_check_finite_names_the_first_bad_tensor(self, bad):
+        """A NaN or an infinity anywhere in a tensor fails it, whatever the
+        finite extremes around it; finite gradients, up to the dtype's
+        largest values, pass."""
+        params = random_params(np.random.default_rng(15), 6, 2, 3, dtype=np.float32)
+        grads = batch_gradients(params, [[0, 0, 1, 0], [2, 1, 3, 1]], HistVocab(), alpha=0.5)
+        grads.w_copy[0, 0] = np.finfo(np.float32).max
+        grads.w_copy[-1, -1] = np.finfo(np.float32).min
+        grads.check_finite()
+        grads.b_gen[-1] = bad
+        grads.w_copy[3, 1] = bad
+        with pytest.raises(GradientError, match="^non-finite gradient in w_copy$"):
+            grads.check_finite()
+        grads.w_copy[3, 1] = 0.0
+        with pytest.raises(GradientError, match="^non-finite gradient in b_gen$"):
+            grads.check_finite()
+
 
 def flush_edges() -> np.ndarray:
     """float64 values at and around float32's normal range, as one column."""
@@ -427,7 +445,7 @@ class TestAmsGrad:
     def test_vhat_never_decreases(self):
         rng = np.random.default_rng(13)
         params = random_params(rng, 4, 2, 2, dtype=np.float64)
-        opt = AmsGrad(params)
+        opt = AmsGrad(params, lr=0.001)
         previous = None
         for _ in range(100):
             grads = batch_gradients(
