@@ -14,7 +14,8 @@ import numpy as np
 from . import model
 from .data import as_quads, checked_quads
 from .history import FactIndex, HistVocab, block_pairs
-from .model import MODE_HEADS, ModelParams, block_rows, build_heads, check_mix, mix
+from .model import (MODE_HEADS, ModelParams, block_rows, build_heads, check_mix, mix,
+                    time_directions)
 # score_batch is unused here. It stays bound because the benchmark's tracer
 # wraps evaluation.score_batch, like rank_of_truth and evaluate, by looking
 # the name up in this module's namespace.
@@ -179,12 +180,15 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
     query's heads and keep-row are built once and every mix is ranked
     against them.
 
-    Per chunk of ``CHUNK_ROWS`` queries, the head GEMMs run on the whole
-    chunk into two arrays at parameter dtype, and its keep-rows into a
+    Per chunk of ``CHUNK_ROWS`` queries, the K=2d head GEMMs run on the
+    whole chunk into two arrays at parameter dtype, and its keep-rows into a
     third, which the first chunk allocates and the rest reuse; the chunk's
     history pairs are selected once. The chunk is then walked in blocks of
-    ``block_rows(N)`` rows: ``build_heads`` turns each block's GEMM rows
-    into float64 heads in reused block buffers, whose finiteness is checked
+    ``block_rows(N)`` rows: ``build_heads`` adds each block's time terms
+    (from the heads' ``time_directions``, computed once per call) and biases
+    to its GEMM rows, in one more reused block buffer, takes the copy head's
+    tanh, and turns the rows into float64 heads in reused block buffers,
+    whose finiteness is checked
     (a convex mix of finite heads is finite), and each mix is written from
     them into one more buffer and ranked, all while the block is in cache.
     Every step is row-wise, so the ranks are bitwise those of whole-chunk
@@ -210,11 +214,13 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
     mixed = np.empty((height, n))
     beats = np.empty((height, n), dtype=bool)
     ties = np.empty_like(beats)
+    directions = time_directions(params)
+    term = np.empty((height, n), dtype=params.time_unit.dtype)
     index = logits = keep = None
     for start in range(0, len(q), CHUNK_ROWS):
         chunk = q[start:start + CHUNK_ROWS]
         subjects, relations = chunk[:, 0], chunk[:, 1]
-        inputs = model.query_inputs(params, subjects, relations, chunk[:, 3])
+        inputs = model.query_inputs(params, subjects, relations)
         # Only the last chunk is shorter than the first, whose arrays it reuses.
         if "pc" in need:
             index = model.copy_index_batch(
@@ -228,9 +234,9 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
             truths = chunk[block, 2]
             b = len(truths)
             heads = {name: buffer[:b] for name, buffer in blocks.items()}
-            build_heads(heads, None if index is None else index[block],
-                        None if logits is None else logits[block], *pairs,
-                        params.mask_magnitude)
+            build_heads(heads, params, directions, chunk[block, 3],
+                        None if index is None else index[block],
+                        None if logits is None else logits[block], *pairs, term[:b])
             # a head row is finite or all NaN, so its first entry tells which
             finite = np.ones(b, dtype=bool)
             for head in heads.values():

@@ -2,6 +2,12 @@
 inputs — a copy head masked down to historically seen objects and an
 open-vocabulary generation head — mixed into one distribution over entities.
 
+Snapshot k embeds as t_k = (k + 1)·τ, so the time third of a head's affine
+map, W_t t_k, is (k + 1) times one (N,) vector W_t τ. Each head therefore
+multiplies only the [subject; relation] inputs, a K=2d GEMM against the
+first 2d columns of its weights, and adds (k + 1)·(W_t τ) and the bias to
+each block of GEMM rows afterwards (``build_heads``).
+
 Probabilities are always computed in float64 (parameters are typically
 float32); the softmax is max-shifted, which the -100 mask magnitude makes
 mandatory.
@@ -21,7 +27,7 @@ from .data import checked_queries
 # The forward stages are called through this module's namespace, where the
 # benchmark's tracer (bench/spans.py) wraps them; it also wraps masks_for
 # here, which this module does not call.
-from .history import HistVocab, masks_for  # noqa: F401
+from .history import HistVocab, block_pairs, masks_for  # noqa: F401
 
 CHECKPOINT_MAGIC = b"CYG1"
 _CONFIG_MAGIC = b"CFG1"
@@ -59,16 +65,22 @@ def _tensor_shapes(n: int, r_aug: int, d: int) -> dict[str, tuple]:
     return dict(zip(TENSOR_NAMES, [(n, d), (r_aug, d), (d,), (n, 3 * d), (n,), (n, 3 * d), (n,)]))
 
 
+def alpha_problem(alpha: float) -> str | None:
+    """What is wrong with a mixture weight, or None: alpha must lie in
+    [0, 1] (NaN does not)."""
+    if not 0.0 <= alpha <= 1.0:
+        return f"alpha must lie in [0, 1], got {alpha}"
+    return None
+
+
 def hyperparameter_problem(mask_magnitude: float, alpha: float) -> str | None:
     """What is wrong with the hyperparameters a checkpoint header stores, or
     None: the mask magnitude must be finite and positive as a float32 (a
     larger value does not fit the header, a smaller one rounds to 0), alpha
-    in [0, 1]."""
+    as ``alpha_problem`` says."""
     if not _F32.smallest_subnormal <= mask_magnitude <= _F32.max:
         return f"mask_magnitude is {mask_magnitude}, expected a finite float32 > 0"
-    if not 0.0 <= alpha <= 1.0:
-        return f"alpha is {alpha}, expected in [0, 1]"
-    return None
+    return alpha_problem(alpha)
 
 
 @dataclasses.dataclass
@@ -77,8 +89,10 @@ class ModelParams:
     with.
 
     The affine maps are stored as (N, 3d) acting on the concatenated
-    [subject; relation; time] input. ``num_snapshots`` records the dataset
-    horizon; time embeddings extrapolate naturally beyond it.
+    [subject; relation; time] input; the scoring code applies the time
+    columns as the rank-one term (k + 1)·(W_t τ) (see the module docstring).
+    ``num_snapshots`` records the dataset horizon; time embeddings
+    extrapolate naturally beyond it.
     """
 
     entity_emb: np.ndarray  # (N, d)
@@ -149,35 +163,49 @@ def stable_softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndar
     return z
 
 
-def query_inputs(params: ModelParams, subjects, relations, times) -> np.ndarray:
-    """Concatenated [subject; relation; time] rows, shape (B, 3d). Snapshot
-    k embeds as (k + 1) steps of the unit time vector, for any k >= 0,
-    including indices beyond the training horizon."""
+def query_inputs(params: ModelParams, subjects, relations) -> np.ndarray:
+    """Concatenated [subject; relation] rows, shape (B, 2d): the inputs of
+    both head GEMMs. The time input enters as ``time_directions``."""
     subjects = np.asarray(subjects, dtype=np.int64)
     relations = np.asarray(relations, dtype=np.int64)
-    steps = np.asarray(times, dtype=np.int64) + 1
-    s_emb = params.entity_emb[subjects]
-    p_emb = params.relation_emb[relations]
-    t_emb = steps[:, None].astype(params.time_unit.dtype) * params.time_unit
-    return np.concatenate([s_emb, p_emb, t_emb], axis=1)
+    return np.concatenate([params.entity_emb[subjects], params.relation_emb[relations]],
+                          axis=1)
+
+
+def time_directions(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """W_t τ of the copy and of the generation head, (N,) each at parameter
+    dtype: a query at snapshot k, for any k >= 0 (beyond the training
+    horizon too), adds (k + 1) times it to its head's GEMM row."""
+    time_cols = slice(2 * params.dim, None)
+    return (params.w_copy[:, time_cols] @ params.time_unit,
+            params.w_gen[:, time_cols] @ params.time_unit)
 
 
 def copy_index_batch(params: ModelParams, inputs: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """tanh-bounded copy index vectors, shape (B, N); the bias and the tanh
-    are applied in place on the GEMM output, a new array or ``out``."""
-    index = np.matmul(inputs, params.w_copy.T, out=out)
-    index += params.b_copy
-    return np.tanh(index, out=index)
+    """The copy head's GEMM rows, (B, N): ``query_inputs`` rows times the
+    first 2d columns of ``w_copy`` (a view), written into a new array or
+    ``out``. ``build_heads`` adds the time term and the bias and takes the
+    tanh."""
+    return np.matmul(inputs, params.w_copy[:, :2 * params.dim].T, out=out)
 
 
 def generation_logits_batch(params: ModelParams, inputs: np.ndarray,
                             out: np.ndarray | None = None) -> np.ndarray:
-    """Generation head logits, shape (B, N); the bias is added in place on
-    the GEMM output, a new array or ``out``."""
-    logits = np.matmul(inputs, params.w_gen.T, out=out)
-    logits += params.b_gen
-    return logits
+    """The generation head's GEMM rows, (B, N), as ``copy_index_batch``
+    computes the copy head's; ``build_heads`` adds the time term and the
+    bias."""
+    return np.matmul(inputs, params.w_gen[:, :2 * params.dim].T, out=out)
+
+
+def _add_time_and_bias(rows: np.ndarray, times, direction: np.ndarray, bias: np.ndarray,
+                       term: np.ndarray) -> None:
+    """Add the term (k + 1)·``direction`` + ``bias``, rounded at the rows'
+    dtype, to each (N,) GEMM row of a query at snapshot k, in place;
+    ``term``, of the rows' shape and dtype, is overwritten with it."""
+    np.multiply.outer((np.asarray(times) + 1).astype(rows.dtype), direction, out=term)
+    term += bias
+    rows += term
 
 
 # The softmax heads each mode mixes, over inputs x = [s; p; t_k]: pc is the
@@ -194,29 +222,44 @@ def check_mix(mode: str, alpha: float = 0.0) -> None:
     mixes two heads (``copy-only`` and ``gen-only`` ignore alpha)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if len(MODE_HEADS[mode]) == 2 and not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    problem = alpha_problem(alpha) if len(MODE_HEADS[mode]) == 2 else None
+    if problem:
+        raise ValueError(problem)
 
 
-def build_heads(heads: dict[str, np.ndarray], index: np.ndarray | None,
-                logits: np.ndarray | None, rows: np.ndarray, objects: np.ndarray,
-                magnitude: float) -> None:
+def build_heads(heads: dict[str, np.ndarray], params: ModelParams,
+                directions: tuple[np.ndarray, np.ndarray], times,
+                index: np.ndarray | None, logits: np.ndarray | None,
+                rows: np.ndarray, objects: np.ndarray, term: np.ndarray) -> None:
     """Turn a block of queries' head GEMM rows into their float64 softmax
     heads, written in place into ``heads`` (any of ``pc``, ``pg`` and
     ``pg_new``, each a (b, N) float64 array).
 
-    ``index`` (the tanh copy index, for ``pc``) and ``logits`` (the
-    generation logits, for ``pg`` / ``pg_new``) are the block's (b, N) GEMM
-    rows at parameter dtype and are only read. ``rows`` and ``objects`` are
-    the block's history pairs, (row within the block, object), in which a
-    pair may repeat. ``pc`` is the index cast and lowered by ``magnitude``,
-    its candidates then restored from the index; ``pg`` is softmaxed
-    straight from the logits, which the softmax casts; ``pg_new`` is the
-    logits cast and lowered at the candidates. Each head row is finite or
-    entirely NaN (see ``stable_softmax``).
+    ``index`` (for ``pc``) and ``logits`` (for ``pg`` / ``pg_new``) are the
+    block's (b, N) rows of ``copy_index_batch`` and
+    ``generation_logits_batch`` at parameter dtype, for queries at snapshots
+    ``times``; either is None when no head needs it. They are finished in
+    place first: each row gains the term (k + 1)·direction + bias of its
+    head (``directions`` from ``time_directions``), rounded before it is
+    added and built in ``term``, a (b, N) buffer at parameter dtype
+    that the caller reuses across blocks; the copy rows then take their
+    tanh, so that afterwards ``index`` holds the tanh copy index and
+    ``logits`` the generation logits. ``rows`` and
+    ``objects`` are the block's history pairs, (row within the block,
+    object), in which a pair may repeat. ``pc`` is the index cast and
+    lowered by the mask magnitude, its candidates then restored from the
+    index; ``pg`` is softmaxed straight from the logits, which the softmax
+    casts; ``pg_new`` is the logits cast and lowered at the candidates. Each
+    head row is finite or entirely NaN (see ``stable_softmax``).
     """
+    magnitude = params.mask_magnitude
     if not 0 < magnitude < np.inf:
         raise ValueError(f"mask magnitude must be finite and positive, got {magnitude}")
+    if index is not None:
+        _add_time_and_bias(index, times, directions[0], params.b_copy, term)
+        np.tanh(index, out=index)
+    if logits is not None:
+        _add_time_and_bias(logits, times, directions[1], params.b_gen, term)
     if "pc" in heads:
         pc = heads["pc"]
         np.copyto(pc, index)
@@ -240,25 +283,36 @@ def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVoca
 
     The query inputs are built once and each head is computed once, however
     many modes (or alphas) are later mixed from them with ``mix``. Each head
-    GEMM is turned into its heads by ``build_heads`` before the next runs,
-    so next to the heads only one GEMM output is alive. Ids out of range
-    are rejected, naming the first such query row.
+    GEMM is turned into its heads by ``build_heads``, in blocks of
+    ``BLOCK_ROWS`` rows, before the next runs, so next to the heads only one
+    GEMM output and a (BLOCK_ROWS, N) time-term buffer are alive. Ids out of
+    range are rejected, naming the first such query row.
     """
     for mode in modes:
         check_mix(mode)
     subjects, relations, times = checked_queries(
         subjects, relations, times, params.num_entities, params.num_relations).T
     need = {head for mode in modes for head in MODE_HEADS[mode]}
-    inputs = query_inputs(params, subjects, relations, times)
-    shape = (len(inputs), params.num_entities)
-    heads = {name: np.empty(shape) for name in need}
-    pairs = vocab.facts.select(subjects, relations, before=vocab.frontier)
-    mag = params.mask_magnitude
+    inputs = query_inputs(params, subjects, relations)
+    n = params.num_entities
+    heads = {name: np.empty((len(inputs), n)) for name in need}
+    directions = time_directions(params)
+    term = np.empty((BLOCK_ROWS, n), dtype=params.time_unit.dtype)
+    blocks = list(block_pairs(vocab, subjects, relations, BLOCK_ROWS))
     if "pc" in need:
-        build_heads({"pc": heads["pc"]}, copy_index_batch(params, inputs), None, *pairs, mag)
-    generation = {name: heads[name] for name in ("pg", "pg_new") if name in need}
+        index = copy_index_batch(params, inputs)
+        for block, *pairs in blocks:
+            b = len(times[block])
+            build_heads({"pc": heads["pc"][block]}, params, directions, times[block],
+                        index[block], None, *pairs, term[:b])
+        del index
+    generation = [name for name in ("pg", "pg_new") if name in need]
     if generation:
-        build_heads(generation, None, generation_logits_batch(params, inputs), *pairs, mag)
+        logits = generation_logits_batch(params, inputs)
+        for block, *pairs in blocks:
+            b = len(times[block])
+            build_heads({name: heads[name][block] for name in generation}, params,
+                        directions, times[block], None, logits[block], *pairs, term[:b])
     return heads
 
 

@@ -9,6 +9,12 @@ cache-sized block of rows at a time; each delta is then cast once to the
 parameters' dtype, its entries below that dtype's smallest normal flushed to
 exactly zero first, and the four backward GEMMs run at parameter precision.
 Float64 parameters thus take an all-float64 path.
+
+Like the forward heads (see ``copygen.model``), the backward treats the
+time third of each head's weights as the rank-one term (k + 1)·(W_t τ): the
+GEMMs multiply only the [subject; relation] inputs (K=2d), and the time
+columns' gradient is the outer product of each delta's (k + 1)-weighted
+column sums with τ.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .model import (
     generation_logits_batch,
     hyperparameter_problem,
     query_inputs,
+    time_directions,
 )
 # Unused here. They stay bound because the benchmark's tracer
 # (bench/spans.py) wraps them in this module's namespace.
@@ -162,13 +169,14 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
                     *, reduction: str = "sum", need_grads: bool = True):
     """Shared forward/backward pass over a batch of (s, p, truth, k) rows.
 
-    The two head GEMMs and the four backward GEMMs run on the whole batch;
-    the float64 work between them runs on blocks of rows, whose heads and
-    deltas stay in cache. ``build_heads`` turns each block's GEMM rows into
-    both heads in reused float64 buffers, which then become the losses and
-    both deltas, flush-cast back over the block's rows of the GEMM outputs.
-    Every operation is row-wise, so losses and gradients are bitwise those
-    of the whole-batch formulas.
+    The two K=2d head GEMMs and the four backward GEMMs run on the whole
+    batch; the float64 work between them runs on blocks of rows, whose heads
+    and deltas stay in cache. ``build_heads`` adds each block's time terms
+    and biases to its GEMM rows, takes the copy tanh, and turns the rows
+    into both heads in reused float64 buffers, which then become the losses
+    and both deltas, flush-cast back over the block's rows of the GEMM
+    outputs. Every operation is row-wise, so losses and gradients are
+    bitwise those of the whole-batch formulas.
     """
     check_mix("full", alpha)
     if reduction not in ("sum", "mean"):
@@ -181,24 +189,27 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
     d = params.dim
     m = len(q)
 
-    inputs = query_inputs(params, subjects, relations, steps)  # (m, 3d)
-    # (m, N) at parameter dtype; each block's rows become its deltas once read
-    index = copy_index_batch(params, inputs)  # tanh output
-    logits = generation_logits_batch(params, inputs)
-    dt = index.dtype
     losses = np.empty(m)
     height = block_rows(n)
     # Row 0 of each head buffer carries the running bias gradient (below).
     pc, pg = np.empty((height + 1, n)), np.empty((height + 1, n))
     tanh_grad = np.empty((height, n))
+    term = np.empty((height, n), dtype=params.time_unit.dtype)
+    inputs = query_inputs(params, subjects, relations)  # (m, 2d)
+    directions = time_directions(params)
+    # (m, N) at parameter dtype; build_heads turns each block's rows into the
+    # tanh copy index and the generation logits, then they become its deltas
+    index = copy_index_batch(params, inputs)
+    logits = generation_logits_batch(params, inputs)
+    dt = index.dtype
     for block, *pairs in block_pairs(vocab, subjects, relations, height):
         lo = block.start
         t = truths[block]
         b = len(t)
         rows = np.arange(b)
         c, g = pc[1:b + 1], pg[1:b + 1]
-        build_heads({"pc": c, "pg": g}, index[block], logits[block], *pairs,
-                    params.mask_magnitude)
+        build_heads({"pc": c, "pg": g}, params, directions, steps[block], index[block],
+                    logits[block], *pairs, term[:b])
         floored = np.maximum(alpha * c[rows, t] + (1.0 - alpha) * g[rows, t], LOSS_FLOOR)
         losses[block] = -np.log(floored)
         if not need_grads:
@@ -234,19 +245,30 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
         return loss, None
 
     d_copy, d_gen = index, logits
+    # Each head's weights get d.T @ inputs in their first 2d columns and
+    # outer((k + 1) @ d, τ) in the time columns; τ gets the time columns of
+    # d @ W weighted by k + 1, which is ((k + 1) @ d) @ W_t.
+    input_cols = slice(0, 2 * d)
+    time_cols = slice(2 * d, None)
+    weighted = (steps + 1).astype(dt)
     grads = Gradients(
         entity_emb=np.zeros((n, d), dtype=dt),
         relation_emb=np.zeros((params.num_relations, d), dtype=dt),
         time_unit=np.zeros(d, dtype=dt),
-        w_copy=d_copy.T @ inputs,
+        w_copy=np.empty((n, 3 * d), dtype=dt),
         b_copy=pc[0].astype(dt),
-        w_gen=d_gen.T @ inputs,
+        w_gen=np.empty((n, 3 * d), dtype=dt),
         b_gen=pg[0].astype(dt),
     )
-    d_inputs = d_copy @ params.w_copy + d_gen @ params.w_gen  # (m, 3d)
+    for delta, weights, grad in ((d_copy, params.w_copy, grads.w_copy),
+                                 (d_gen, params.w_gen, grads.w_gen)):
+        np.matmul(delta.T, inputs, out=grad[:, input_cols])
+        time_sums = weighted @ delta  # (N,)
+        np.multiply.outer(time_sums, params.time_unit, out=grad[:, time_cols])
+        grads.time_unit += time_sums @ weights[:, time_cols]
+    d_inputs = d_copy @ params.w_copy[:, input_cols] + d_gen @ params.w_gen[:, input_cols]
     np.add.at(grads.entity_emb, subjects, d_inputs[:, :d])
-    np.add.at(grads.relation_emb, relations, d_inputs[:, d:2 * d])
-    grads.time_unit += ((steps + 1)[:, None] * d_inputs[:, 2 * d:]).sum(axis=0).astype(dt)
+    np.add.at(grads.relation_emb, relations, d_inputs[:, d:])
 
     grads.check_finite()
     return loss, grads

@@ -44,6 +44,25 @@ def scalar_query_input(params, s, p, k):
     return x
 
 
+def head_rows(params, subjects, relations, times, *, factored=True):
+    """Both heads' affine rows over a batch, (copy before its tanh,
+    generation), each (B, N) at parameter dtype. ``factored`` computes them
+    as the model does: the K=2d GEMM over [e_s; r_p], plus the term
+    (k + 1)·(W_t τ) + bias, rounded first. Otherwise they are the paper's
+    formula: one GEMM over the concatenated (B, 3d) rows
+    [e_s; r_p; (k + 1)·τ], plus the bias."""
+    d2 = 2 * params.dim
+    steps = (np.asarray(times) + 1).astype(params.time_unit.dtype)
+    pair = np.concatenate([params.entity_emb[subjects], params.relation_emb[relations]],
+                          axis=1)
+    heads = ((params.w_copy, params.b_copy), (params.w_gen, params.b_gen))
+    if factored:
+        return tuple(pair @ w[:, :d2].T + (np.outer(steps, w[:, d2:] @ params.time_unit) + b)
+                     for w, b in heads)
+    inputs = np.concatenate([pair, steps[:, None] * params.time_unit], axis=1)
+    return tuple(inputs @ w.T + b for w, b in heads)
+
+
 def _scalar_softmax(logits):
     top = max(logits)
     exps = [math.exp(z - top) for z in logits]

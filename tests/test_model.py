@@ -17,14 +17,14 @@ from copygen.model import (
     ModelParams,
     load_checkpoint,
     mix,
-    query_inputs,
     save_checkpoint,
     score_batch,
     score_heads,
     stable_softmax,
 )
 
-from oracles import random_params, rel_err, scalar_copy_probs, scalar_generation_probs
+from oracles import (head_rows, random_params, rel_err, scalar_copy_probs,
+                     scalar_generation_probs)
 
 
 def zero_params(n=4, d=3, r=2, **kw):
@@ -47,34 +47,54 @@ def ranking(probs):
 
 
 class TestTimeEmbedding:
-    """The time block of ``query_inputs``: snapshot k embeds as (k + 1)
-    steps of the unit time vector."""
+    """The time term of each head: snapshot k embeds as t_k = (k + 1)·τ,
+    so a query at snapshot k adds W_t t_k = (k + 1)·(W_t τ) to its head's
+    GEMM row."""
 
-    def time_block(self, params, times):
-        return query_inputs(params, np.zeros(len(times), int), np.zeros(len(times), int),
-                            times)[:, 2 * params.dim:]
+    def time_terms(self, params, times):
+        """What ``build_heads`` adds for the times of queries at ``times``
+        under a zero bias: copy head rows, then generation head rows."""
+        terms = []
+        for direction in model.time_directions(params):
+            rows = np.zeros((len(times), params.num_entities), dtype=params.time_unit.dtype)
+            model._add_time_and_bias(rows, times, direction, np.zeros_like(direction),
+                                     np.empty_like(rows))
+            terms.append(rows)
+        return terms
+
+    def unit_params(self):
+        """W_t is the identity in the copy head and its negation in the
+        generation head, so W_t τ is τ and -τ."""
+        params = zero_params(n=3, d=3)
+        params.w_copy[:, 6:] = np.eye(3)
+        params.w_gen[:, 6:] = -np.eye(3)
+        params.time_unit = np.array([1.0, -2.0, 0.5])
+        return params
 
     def test_base_case(self):
-        params = zero_params()
-        params.time_unit = np.array([1.0, -2.0, 0.5])
-        assert self.time_block(params, [0]).tolist() == [[1.0, -2.0, 0.5]]
+        copy, gen = self.time_terms(self.unit_params(), [0])
+        assert copy.tolist() == [[1.0, -2.0, 0.5]]
+        assert gen.tolist() == [[-1.0, 2.0, -0.5]]
 
     def test_unrolled_recurrence(self):
-        params = zero_params()
-        params.time_unit = np.array([1.0, -2.0, 0.5])
-        assert self.time_block(params, [2]).tolist() == [[3.0, -6.0, 1.5]]
+        copy, gen = self.time_terms(self.unit_params(), [2])
+        assert copy.tolist() == [[3.0, -6.0, 1.5]]
+        assert gen.tolist() == [[-3.0, 6.0, -1.5]]
 
     def test_zero_unit(self):
-        assert self.time_block(zero_params(), [7]).tolist() == [[0.0, 0.0, 0.0]]
+        params = self.unit_params()
+        params.time_unit = np.zeros(3)
+        for term in self.time_terms(params, [7]):
+            assert term.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_linearity(self):
         rng = np.random.default_rng(0)
         params = random_params(rng, 5, 3, 4)
         times = [0, 1, 5, 40]
-        blocks = self.time_block(params, times)
-        for k, block in zip(times, blocks):
-            assert np.allclose(block, (k + 1) * params.time_unit)
-            assert np.allclose(block, (k + 1) * blocks[0])
+        for weights, term in zip((params.w_copy, params.w_gen), self.time_terms(params, times)):
+            for k, row in zip(times, term):
+                assert np.allclose(row, weights[:, 8:] @ ((k + 1) * params.time_unit))
+                assert np.allclose(row, (k + 1) * term[0])
 
 
 class TestCopyProbs:
@@ -238,10 +258,10 @@ class TestScoreHeads:
         assert logits.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]]
 
 
-def out_of_place_heads(params, subjects, relations, times, vocab):
-    """The three heads by the earlier out-of-place formula: dense additive
-    masks added to the float64 logits, then z - z.max, exp and a division."""
-    inputs = query_inputs(params, subjects, relations, times)
+def out_of_place_heads(params, subjects, relations, times, vocab, *, factored=True):
+    """The three heads by the earlier out-of-place formula over whole-batch
+    ``head_rows`` (factored or concatenated): dense additive masks added to
+    the float64 logits, then z - z.max, exp and a division."""
     seen = np.zeros((len(subjects), params.num_entities), dtype=bool)
     for row, (s, p) in zip(seen, zip(subjects, relations)):
         row[vocab.lookup(s, p)] = True
@@ -252,8 +272,8 @@ def out_of_place_heads(params, subjects, relations, times, vocab):
         e = np.exp(z)
         return e / e.sum(axis=-1, keepdims=True)
 
-    copy = np.tanh(inputs @ params.w_copy.T + params.b_copy).astype(np.float64)
-    gen = (inputs @ params.w_gen.T + params.b_gen).astype(np.float64)
+    copy, gen = head_rows(params, subjects, relations, times, factored=factored)
+    copy, gen = np.tanh(copy).astype(np.float64), gen.astype(np.float64)
     return {"pc": softmax(copy + np.where(seen, 0.0, -mag)), "pg": softmax(gen),
             "pg_new": softmax(gen + np.where(seen, -mag, 0.0))}
 
@@ -283,6 +303,29 @@ class TestInPlaceHeads:
                 heads = score_heads(params, subjects, relations, times, vocab, modes)
                 for name, head in heads.items():
                     assert np.array_equal(bits(head), bits(expected[name])), (name, modes)
+
+    @pytest.mark.parametrize("dtype, tolerance", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    def test_factored_heads_match_concatenated_formula(self, dtype, tolerance):
+        """The K=2d GEMMs plus the rank-one time term give the heads of the
+        paper's (B, 3d) affine maps, to rounding, relative to each head's
+        largest entry (float32: ``test_float32_matches_float64``'s bound).
+        Queries ask at snapshot 0, at the last train snapshot (9) and
+        beyond the horizon (60)."""
+        rng = np.random.default_rng(22)
+        n, r = 40, 4
+        facts = np.column_stack([rng.integers(0, 6, 80), rng.integers(0, r, 80),
+                                 rng.integers(0, n, 80), rng.integers(0, 10, 80)])
+        vocab = vocab_from_quads(facts).freeze()
+        subjects, relations = rng.integers(0, 6, 12), rng.integers(0, r, 12)
+        times = np.tile([0, 9, 60], 4)
+        for _ in range(5):
+            params = random_params(rng, n, r, 5, dtype=dtype, num_snapshots=10)
+            expected = out_of_place_heads(params, subjects, relations, times, vocab,
+                                          factored=False)
+            heads = score_heads(params, subjects, relations, times, vocab, model.MODES)
+            for name, head in heads.items():
+                want = expected[name]
+                assert rel_err(head, want, floor=np.abs(want).max()) < tolerance, name
 
     def test_negative_zero_logit_changes_no_probability(self):
         """Masked in place, a candidate logit of -0.0 (a tanh of -0.0) stays
@@ -379,6 +422,11 @@ class TestPredict:
             score_batch(zero_params(), [0], [0], [0], HistVocab(), mode="nope")
 
 
+# The start of the message each bad header scalar is rejected with.
+SCALAR_PROBLEM = {"mask_magnitude": "mask_magnitude is ",
+                  "alpha": r"alpha must lie in \[0, 1\], got "}
+
+
 class TestCheckpoint:
     def _params(self):
         rng = np.random.default_rng(8)
@@ -459,7 +507,8 @@ class TestCheckpoint:
         blob[offset:offset + 4] = struct.pack("<f", value)
         path.write_bytes(bytes(blob))
         for read in (load_checkpoint, model.checkpoint_config_text):
-            with pytest.raises(ValueError, match=rf"m\.cyg: header field {field} is "):
+            with pytest.raises(ValueError,
+                               match=rf"m\.cyg: header field {SCALAR_PROBLEM[field]}"):
                 read(path)
 
     @pytest.mark.parametrize("field, value", [("mask_magnitude", math.inf),
@@ -471,7 +520,7 @@ class TestCheckpoint:
     def test_bad_scalars_never_saved(self, tmp_path, field, value):
         params = self._params()
         setattr(params, field, value)
-        with pytest.raises(ValueError, match=rf"^{field} is "):
+        with pytest.raises(ValueError, match=rf"^{SCALAR_PROBLEM[field]}"):
             params.validate()
         with pytest.raises(ValueError, match=field):
             save_checkpoint(params, tmp_path / "m.cyg")

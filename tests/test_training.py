@@ -8,8 +8,7 @@ import pytest
 from copygen import model, training
 from copygen.data import dedupe
 from copygen.history import HistVocab, masks_for, vocab_from_quads
-from copygen.model import (copy_index_batch, generation_logits_batch, query_inputs,
-                           stable_softmax)
+from copygen.model import stable_softmax
 from copygen.synth import SynthConfig, generate
 from copygen.training import (
     AmsGrad,
@@ -22,7 +21,8 @@ from copygen.training import (
     xavier_init,
 )
 
-from oracles import finite_difference_grads, random_params, rel_err, scalar_batch_loss
+from oracles import (finite_difference_grads, head_rows, random_params, rel_err,
+                     scalar_batch_loss)
 
 
 class TestXavierInit:
@@ -90,22 +90,26 @@ def block_batch(rng, n):
     return batch
 
 
-def whole_batch_reference(params, batch, vocab, alpha, reduction="sum"):
+def whole_batch_reference(params, batch, vocab, alpha, reduction="sum", *, factored=True):
     """Loss and gradients by the whole-batch backward pass, written out of
     place: the float64 heads and deltas of the whole (m, N) batch, each
     delta flush-cast once to the parameters' dtype for the GEMMs (float64
-    is not flushed), in the order of ``_loss_and_grads``."""
+    is not flushed). ``factored`` follows ``_loss_and_grads``: ``head_rows``
+    in its order, K=2d backward GEMMs and the rank-one time term (each
+    head's time columns get outer((k + 1) @ d, τ), and τ gets
+    ((k + 1) @ d) @ W_t). Otherwise every GEMM runs over the paper's
+    concatenated (m, 3d) inputs [e_s; r_p; (k + 1)·τ]."""
     q = np.asarray(batch, dtype=np.int64)
     subjects, relations, truths, steps = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
     n, d, m = params.num_entities, params.dim, len(q)
     dt = params.entity_emb.dtype
     rows = np.arange(m)
-    inputs = query_inputs(params, subjects, relations, steps)
     masks = np.zeros((m, n))
     masks_for(vocab, subjects, relations, masks, params.mask_magnitude)
-    index = copy_index_batch(params, inputs)
+    copy, gen = head_rows(params, subjects, relations, steps, factored=factored)
+    index = np.tanh(copy)
     pc = stable_softmax(index + masks)
-    pg = stable_softmax(generation_logits_batch(params, inputs))
+    pg = stable_softmax(gen)
     floored = np.maximum(alpha * pc[rows, truths] + (1.0 - alpha) * pg[rows, truths],
                          training.LOSS_FLOOR)
     losses = -np.log(floored)
@@ -124,16 +128,26 @@ def whole_batch_reference(params, batch, vocab, alpha, reduction="sum"):
     if dt != np.float64:
         tiny = np.finfo(dt).tiny
         d_copy, d_gen = (np.where(np.abs(x) < tiny, 0.0, x).astype(dt) for x in (d_copy, d_gen))
-    d_inputs = d_copy @ params.w_copy + d_gen @ params.w_gen
+    pair = np.concatenate([params.entity_emb[subjects], params.relation_emb[relations]], axis=1)
+    if factored:
+        weighted = (steps + 1).astype(dt)
+        sums_c, sums_g = weighted @ d_copy, weighted @ d_gen
+        w_copy = np.hstack([d_copy.T @ pair, np.outer(sums_c, params.time_unit)])
+        w_gen = np.hstack([d_gen.T @ pair, np.outer(sums_g, params.time_unit)])
+        time_unit = sums_c @ params.w_copy[:, 2 * d:] + sums_g @ params.w_gen[:, 2 * d:]
+        d_inputs = d_copy @ params.w_copy[:, :2 * d] + d_gen @ params.w_gen[:, :2 * d]
+    else:
+        inputs = np.hstack([pair, (steps + 1).astype(dt)[:, None] * params.time_unit])
+        w_copy, w_gen = d_copy.T @ inputs, d_gen.T @ inputs
+        d_inputs = d_copy @ params.w_copy + d_gen @ params.w_gen
+        time_unit = ((steps + 1)[:, None] * d_inputs[:, 2 * d:]).sum(axis=0).astype(dt)
     entity_emb = np.zeros((n, d), dtype=dt)
     relation_emb = np.zeros((params.num_relations, d), dtype=dt)
     np.add.at(entity_emb, subjects, d_inputs[:, :d])
     np.add.at(relation_emb, relations, d_inputs[:, d:2 * d])
     return loss, {
-        "entity_emb": entity_emb, "relation_emb": relation_emb,
-        "time_unit": ((steps + 1)[:, None] * d_inputs[:, 2 * d:]).sum(axis=0).astype(dt),
-        "w_copy": d_copy.T @ inputs, "b_copy": b_copy,
-        "w_gen": d_gen.T @ inputs, "b_gen": b_gen,
+        "entity_emb": entity_emb, "relation_emb": relation_emb, "time_unit": time_unit,
+        "w_copy": w_copy, "b_copy": b_copy, "w_gen": w_gen, "b_gen": b_gen,
     }
 
 
@@ -248,6 +262,27 @@ class TestBatchGradients:
                 assert g.dtype == np.float32, name
                 w = getattr(want, name)
                 assert rel_err(g, w, floor=max(np.abs(w).max(), 1e-3)) < 1e-4, (seed, name)
+
+    @pytest.mark.parametrize("dtype, tolerance", [(np.float64, 1e-12), (np.float32, 1e-4)])
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+    def test_factored_matches_concatenated_formula(self, alpha, dtype, tolerance):
+        """The K=2d GEMMs and the rank-one time term give the loss and the
+        gradients of the paper's (m, 3d) affine maps, to rounding, relative
+        to each tensor's largest entry (float32: the bound of
+        ``test_float32_matches_float64``). The rows ask at snapshot 0, at
+        the last train snapshot (9) and beyond the horizon (60)."""
+        batch = COPY_BATCH.copy()
+        batch[:, 3] = [0, 9, 60, 9]
+        for seed in range(10):
+            params = random_params(np.random.default_rng(seed), 7, 4, 3, dtype=dtype)
+            loss, grads = training._loss_and_grads(params, batch, small_vocab(), alpha)
+            ref_loss, ref = whole_batch_reference(params, batch, small_vocab(), alpha,
+                                                  factored=False)
+            assert loss == pytest.approx(ref_loss, rel=tolerance)
+            for name, g in grads.tensors().items():
+                want = ref[name]
+                floor = np.abs(want).max() or 1.0
+                assert rel_err(g, want, floor=floor) < tolerance, (seed, name)
 
     @pytest.mark.parametrize("reduction", ["sum", "mean"])
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -598,6 +633,17 @@ class TestTrainConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
+
+    def test_alpha_rejected_like_the_train_step(self):
+        """The config, the train step and the evaluators reject a bad alpha
+        with one message."""
+        params = random_params(np.random.default_rng(0), 7, 4, 3)
+        for alpha in (2, -0.5, math.nan):
+            message = rf"^alpha must lie in \[0, 1\], got {alpha}$"
+            with pytest.raises(ValueError, match=message):
+                TrainConfig(alpha=alpha)
+            with pytest.raises(ValueError, match=message):
+                batch_loss(params, BATCH, small_vocab(), alpha)
 
     @pytest.mark.parametrize("kwargs", [
         {"epochs": 2.5}, {"dim": 8.5}, {"dim": 8.0}, {"batch_size": True},
