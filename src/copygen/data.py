@@ -10,6 +10,7 @@ public event-graph dumps load unmodified.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 from pathlib import Path
 from typing import Iterable
 
@@ -111,6 +112,8 @@ def parse_quadruple_file(lines: Iterable[str], meta: DatasetMeta) -> np.ndarray:
             )
         if t < 0:
             raise DataError(f"line {lineno}: negative timestamp {t}")
+        if max(s, p, o, t) >= 2**63:
+            raise DataError(f"line {lineno}: field {max(s, p, o, t)} is too large for int64")
         rows.append((s, p, o, t))
     if not rows:
         return np.empty((0, 4), dtype=np.int64)
@@ -124,7 +127,27 @@ def serialize_quadruples(quads) -> str:
 
 
 def read_quadruple_file(path, meta: DatasetMeta) -> np.ndarray:
+    """The (n, 4) int64 facts of a UTF-8 file, as :func:`parse_quadruple_file`
+    parses its lines; an error names the file and the line.
+
+    A file in the benchmark layout, every non-empty line holding four or more
+    tab-separated integers whose first four are in range, is read at array
+    speed by numpy's C reader. Any other file (space-separated or mixed
+    lines, ``#`` lines, a byte-order mark, ``1_000``-style integers, an id
+    out of range, a line that is not UTF-8) goes through the per-line
+    parser, which alone accepts the other layouts and words every error, so
+    both paths give the same array or the same error.
+    """
     with open(path, "r", encoding="utf-8") as fh:
+        try:
+            with warnings.catch_warnings():
+                # an empty or blank file reads as (0, 4), with a warning that it has no data
+                warnings.simplefilter("ignore", UserWarning)
+                quads = np.loadtxt(fh, dtype=np.int64, delimiter="\t", usecols=range(4),
+                                   ndmin=2, comments=None)
+            return checked_quads(quads, meta.num_entities, meta.num_relations)
+        except ValueError:  # another layout or out of range: the loop below words it
+            fh.seek(0)
         try:
             return parse_quadruple_file(fh, meta)
         except DataError as exc:
@@ -171,8 +194,14 @@ def normalize_timestamps(quads, granularity: int, *, origin: int | None = None) 
 
 
 def dedupe(quads) -> np.ndarray:
-    """Remove repeated (s, p, o, t) rows; output is in canonical sorted order."""
-    return np.unique(as_quads(quads), axis=0)
+    """The distinct rows of an (n, 4) int64 array in ascending lexicographic
+    order, first column first: the rows and order ``np.unique(axis=0)``
+    gives, from a sort of the rows' indices and a comparison of neighbours."""
+    q = as_quads(quads)
+    q = q[np.lexsort(q.T[::-1])]  # lexsort's last key is its primary one
+    fresh = np.ones(len(q), dtype=bool)
+    fresh[1:] = (q[1:] != q[:-1]).any(axis=1)
+    return q[fresh]
 
 
 def augment_reciprocal(quads, meta: DatasetMeta) -> tuple[np.ndarray, int]:

@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import checked_quads
+from .data import checked_quads, dedupe
 from .history import FactIndex, HistVocab, block_pairs
 from .model import (
     CACHE_ELEMENTS,
@@ -364,7 +364,7 @@ def fit(train_quads, num_entities: int, num_relations_aug: int, num_snapshots: i
     params = init_params(num_entities, num_relations_aug, num_snapshots, config, rng)
     optimizer = AmsGrad(params, lr=config.learning_rate)
     # distinct facts sorted by (t, s, p, o); snapshot k is facts[bounds[k]:bounds[k + 1]]
-    by_time = np.unique(train_quads[:, [3, 0, 1, 2]], axis=0)
+    by_time = dedupe(train_quads[:, [3, 0, 1, 2]])
     horizon = int(by_time[-1, 0]) + 1 if len(by_time) else 0
     bounds = np.searchsorted(by_time[:, 0], np.arange(horizon + 1))
     facts = by_time[:, [1, 2, 3, 0]]

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from copygen import data
+from copygen import cli, data
 from copygen.data import (
     DataError,
     DatasetMeta,
@@ -13,10 +15,11 @@ from copygen.data import (
     load_dataset,
     normalize_timestamps,
     parse_quadruple_file,
+    read_quadruple_file,
     serialize_quadruples,
 )
 
-from oracles import split_oracle
+from oracles import dedupe_oracle, split_oracle
 
 META = DatasetMeta(num_entities=20, num_relations=6)
 
@@ -76,6 +79,144 @@ class TestParse:
         q = np.asarray(rows, dtype=np.int64).reshape(-1, 4)
         reparsed = parse_quadruple_file(serialize_quadruples(q).splitlines(), meta)
         assert reparsed.dtype == np.int64 and np.array_equal(reparsed, q)
+
+
+def per_line_read(path, meta):
+    """What ``read_quadruple_file`` returns or raises when every file goes
+    through the per-line parser."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return parse_quadruple_file(fh, meta)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
+
+
+def outcome(read, path, meta):
+    """The array ``read`` returns, or the type and message of what it raises."""
+    try:
+        return read(path, meta)
+    except Exception as exc:  # noqa: BLE001 - the error itself is compared
+        return type(exc), str(exc)
+
+
+# Fields of fact files: ids in range for META, ids out of its range, and
+# tokens only the per-line parser takes or neither reader does.
+IN_RANGE = st.one_of(st.integers(0, 5).map(str), st.sampled_from(["+3", "007", "-0"]))
+OUT_OF_RANGE = st.sampled_from(["-1", "6", "20", "25", str(2**63 - 1)])
+ODD = st.sampled_from([
+    "", " ", "x", "4.0", "1e3", "1_000", "#", "#3", "\ufeff1", "\uff13", "0x4", " 3 ",
+    "3\x0b", "\x1c3", "\xa03", "3\x00", "- 3", str(2**63), str(2**64), str(-2**63 - 1)])
+
+
+@st.composite
+def fact_files(draw):
+    """The bytes of a fact file of one of four kinds: in range and
+    tab-separated; the same with ids out of range; in range in another
+    layout (space-separated and mixed separators, whitespace-only lines);
+    or odd (also ``#`` lines, a byte-order mark, short lines, fields no
+    integer parser takes, bytes that are not UTF-8). Every kind may have
+    LF, CRLF and lone CR line ends, empty lines, extra columns and a
+    trailing tab."""
+    kind = draw(st.sampled_from(["in range", "out of range", "other layout", "odd"]))
+    fields = {"out of range": st.one_of(IN_RANGE, OUT_OF_RANGE),
+              "odd": st.one_of(IN_RANGE, OUT_OF_RANGE, ODD)}.get(kind, IN_RANGE)
+    tabbed = kind in ("in range", "out of range")
+    separators = st.sampled_from(["\t"] if tabbed else
+                                 ["\t", " ", "  ", "\t ", " \t", "\t\t", "\x0c"])
+    blanks = [""] if tabbed else ["", " ", "\t", "\x0b"] + ["# note"] * (kind == "odd")
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(blanks)))
+            continue
+        # four fields, then up to three extra columns of any token
+        cells = draw(st.lists(fields, min_size=4, max_size=4))
+        cells += draw(st.lists(st.one_of(IN_RANGE, ODD), max_size=3))
+        cut = draw(st.integers(2, len(cells))) if kind == "odd" else len(cells)
+        line = "".join(cell + draw(separators) for cell in cells[:cut])[:-1]
+        if draw(st.booleans()):
+            line += draw(st.sampled_from(["\t"] if tabbed else ["\t", " "]))
+        lines.append(line)
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = "".join(line + draw(ends) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")  # no line end after the last line
+    if kind == "odd" and draw(st.booleans()):
+        text = "\ufeff" + text
+    blob = text.encode("utf-8")
+    return blob + b"\xff" if kind == "odd" and draw(st.integers(0, 9)) == 0 else blob
+
+
+@pytest.fixture(scope="module")
+def facts_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("facts") / "train.txt"
+
+
+class TestRead:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_per_line_parser(self, facts_path, example):
+        """Any file reads as the per-line parser reads it: the same int64,
+        C-ordered array, or the same error and message."""
+        path = facts_path
+        path.write_bytes(example.draw(fact_files()))
+        got, want = outcome(read_quadruple_file, path, META), outcome(per_line_read, path, META)
+        if isinstance(want, np.ndarray):
+            assert isinstance(got, np.ndarray), got
+            assert got.dtype == np.int64 and got.flags.c_contiguous
+            assert got.shape == want.shape and np.array_equal(got, want)
+        else:
+            assert got == want
+
+    def test_benchmark_layout_takes_the_array_reader(self, tmp_path, monkeypatch):
+        """A ``copygen synth`` dataset loads without the per-line parser,
+        into the arrays that parser gives."""
+        out = tmp_path / "synth"
+        assert cli.main(["synth", "--out", str(out), "--entities", "30",
+                         "--relations", "4", "--snapshots", "12",
+                         "--facts-per-snapshot", "40", "--seed", "5"]) == 0
+        want = load_dataset(out)
+
+        def refuse(lines, meta):
+            raise AssertionError("the per-line parser ran on a benchmark-layout file")
+
+        monkeypatch.setattr(data, "parse_quadruple_file", refuse)
+        got = load_dataset(out)
+        for name in ("train", "valid", "test"):
+            assert np.array_equal(got.split(name), want.split(name)), name
+            assert got.split(name).dtype == np.int64
+        assert got.meta == want.meta
+
+    @pytest.mark.parametrize("line,num_entities", [
+        (f"3\t1\t4\t{2**63}", 20),
+        (f"{2**63}\t1\t4\t0", 2**64),
+    ])
+    def test_over_int64_field_names_file_and_line(self, tmp_path, line, num_entities):
+        path = tmp_path / "train.txt"
+        path.write_text(f"1\t0\t2\t0\n{line}\n", encoding="utf-8")
+        meta = DatasetMeta(num_entities=num_entities, num_relations=6)
+        with pytest.raises(DataError, match=re.escape(f"{path}: line 2: field {2**63} ")):
+            read_quadruple_file(path, meta)
+
+
+class TestDedupe:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_row_unique(self, example):
+        """Distinct rows in np.unique(axis=0) order, int64, (0, 4) when
+        empty, from any rows: repeats, negative and extreme values."""
+        pool = example.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=4))
+        value = st.one_of(st.sampled_from(pool), st.integers(-3, 3))
+        rows = example.draw(st.lists(st.tuples(value, value, value, value), max_size=40))
+        repeats = example.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=10))
+        q = np.asarray(rows + [rows[i] for i in repeats if rows], dtype=np.int64).reshape(-1, 4)
+        if example.draw(st.booleans()):
+            q = q[::-1]  # a strided view
+        got = dedupe(q)
+        assert got.dtype == np.int64 and got.shape[1:] == (4,)
+        assert np.array_equal(got, dedupe_oracle(q))
+        empty = dedupe(q[:0])
+        assert empty.dtype == np.int64 and empty.shape == (0, 4)
 
 
 class TestNormalize:
