@@ -2,22 +2,8 @@
 mixture: a masked copy head over each query's historical object vocabulary
 blended with an open-vocabulary generation head.
 
-Submodules are imported lazily so the CLI can configure thread pools before
-numpy loads.
+Importing the package loads no submodule, so the CLI can configure thread
+pools before numpy loads.
 """
 
 __version__ = "0.1.0"
-
-_SUBMODULES = ("cli", "data", "evaluation", "history", "model", "synth", "training")
-
-
-def __getattr__(name):
-    if name in _SUBMODULES:
-        import importlib
-
-        return importlib.import_module(f".{name}", __name__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(list(globals()) + list(_SUBMODULES))

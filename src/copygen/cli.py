@@ -407,7 +407,7 @@ def _cmd_prepare(run: RunConfig) -> int:
         boundaries = ()
     else:
         num_entities, num_relations = data.load_stat(src / "stat.txt")
-        meta = data.DatasetMeta(num_entities, num_relations, granularity=run.granularity)
+        meta = data.DatasetMeta(num_entities, num_relations)
         if not present:
             raise FileNotFoundError(f"{src}: no fact files found")
         chunks = [data.read_quadruple_file(src / f"{name}.txt", meta) for name in present]

@@ -28,13 +28,10 @@ class DatasetMeta:
     num_entities: int
     num_relations: int  # before reciprocal augmentation
     num_snapshots: int = 0
-    granularity: int = 1
 
     def __post_init__(self):
         if self.num_entities <= 0 or self.num_relations <= 0:
             raise DataError("entity and relation counts must be positive")
-        if self.granularity <= 0:
-            raise DataError("granularity must be positive")
 
 
 def as_quads(facts) -> np.ndarray:
@@ -310,9 +307,11 @@ def load_dataset(root, granularity: int = 1) -> Dataset:
     ``test.txt`` may be absent (some benchmarks ship without a validation
     set), yielding empty arrays.
     """
+    if granularity <= 0:
+        raise DataError("granularity must be positive")
     root = Path(root)
     num_entities, num_relations = load_stat(root / "stat.txt")
-    meta = DatasetMeta(num_entities, num_relations, granularity=granularity)
+    meta = DatasetMeta(num_entities, num_relations)
     raw = {}
     for name in ("train", "valid", "test"):
         path = root / f"{name}.txt"

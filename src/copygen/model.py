@@ -60,7 +60,7 @@ def block_rows(num_entities: int) -> int:
     return max(BLOCK_ROWS, CACHE_ELEMENTS // num_entities)
 
 
-def _tensor_shapes(n: int, r_aug: int, d: int) -> dict[str, tuple]:
+def tensor_shapes(n: int, r_aug: int, d: int) -> dict[str, tuple]:
     """Each learnable tensor's shape for N entities, R_aug relations and dim d."""
     return dict(zip(TENSOR_NAMES, [(n, d), (r_aug, d), (d,), (n, 3 * d), (n,), (n, 3 * d), (n,)]))
 
@@ -125,7 +125,7 @@ class ModelParams:
 
     def validate(self) -> None:
         n, d = self.entity_emb.shape
-        expected = _tensor_shapes(n, self.relation_emb.shape[0], d)
+        expected = tensor_shapes(n, self.relation_emb.shape[0], d)
         for name, arr in self.tensors().items():
             if arr.shape != expected[name]:
                 raise ValueError(f"{name}: shape {arr.shape}, expected {expected[name]}")
@@ -391,7 +391,7 @@ def _checkpoint_layout(path, blob: bytes) -> tuple[tuple, dict[str, tuple], int]
     if problem:
         raise ValueError(f"{path}: header field {problem}")
     tensors, end = {}, _HEADER.size
-    for name, shape in _tensor_shapes(n, r_aug, d).items():
+    for name, shape in tensor_shapes(n, r_aug, d).items():
         tensors[name] = (end, shape)
         end += 4 * math.prod(shape)
         if end > len(blob):

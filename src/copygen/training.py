@@ -30,7 +30,6 @@ from .data import checked_quads, dedupe
 from .history import FactIndex, HistVocab, block_pairs
 from .model import (
     CACHE_ELEMENTS,
-    TENSOR_NAMES,
     ModelParams,
     block_rows,
     build_heads,
@@ -39,6 +38,7 @@ from .model import (
     generation_logits_batch,
     hyperparameter_problem,
     query_inputs,
+    tensor_shapes,
     time_directions,
 )
 # Unused here. They stay bound because the benchmark's tracer
@@ -103,45 +103,26 @@ def xavier_init(shape, rng: np.random.Generator, dtype=np.float32) -> np.ndarray
 
 def init_params(num_entities: int, num_relations_aug: int, num_snapshots: int,
                 config: TrainConfig, rng: np.random.Generator) -> ModelParams:
-    """Xavier-initialized weights and embeddings; affine biases start at zero."""
-    d = config.dim
+    """Xavier-initialized weights and embeddings, drawn from ``rng`` in
+    checkpoint order; affine biases start at zero."""
     dt = config.dtype
+    shapes = tensor_shapes(num_entities, num_relations_aug, config.dim)
     return ModelParams(
-        entity_emb=xavier_init((num_entities, d), rng, dt),
-        relation_emb=xavier_init((num_relations_aug, d), rng, dt),
-        time_unit=xavier_init((d,), rng, dt),
-        w_copy=xavier_init((num_entities, 3 * d), rng, dt),
-        b_copy=np.zeros(num_entities, dtype=dt),
-        w_gen=xavier_init((num_entities, 3 * d), rng, dt),
-        b_gen=np.zeros(num_entities, dtype=dt),
+        **{name: np.zeros(shape, dtype=dt) if name.startswith("b_")
+           else xavier_init(shape, rng, dt) for name, shape in shapes.items()},
         num_snapshots=num_snapshots,
         mask_magnitude=config.mask_magnitude,
         alpha=config.alpha,
     )
 
 
-@dataclasses.dataclass
-class Gradients:
-    """One buffer per learnable tensor; rows untouched by the batch stay zero."""
-
-    entity_emb: np.ndarray
-    relation_emb: np.ndarray
-    time_unit: np.ndarray
-    w_copy: np.ndarray
-    b_copy: np.ndarray
-    w_gen: np.ndarray
-    b_gen: np.ndarray
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in TENSOR_NAMES}
-
-    def check_finite(self) -> None:
-        """Raise ``GradientError`` naming the first tensor with a NaN or
-        infinite entry: a NaN reaches its min and max, an infinity is one of
-        them, and neither reduction makes a tensor-sized temporary."""
-        for name, g in self.tensors().items():
-            if not (np.isfinite(g.min()) and np.isfinite(g.max())):
-                raise GradientError(f"non-finite gradient in {name}")
+def check_finite(grads: dict[str, np.ndarray]) -> None:
+    """Raise ``GradientError`` naming the first tensor with a NaN or infinite
+    entry: a NaN reaches its min and max, an infinity is one of them, and
+    neither reduction makes a tensor-sized temporary."""
+    for name, g in grads.items():
+        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
+            raise GradientError(f"non-finite gradient in {name}")
 
 
 def _flush_cast(delta: np.ndarray, dtype, out: np.ndarray | None = None) -> np.ndarray:
@@ -251,26 +232,28 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
     input_cols = slice(0, 2 * d)
     time_cols = slice(2 * d, None)
     weighted = (steps + 1).astype(dt)
-    grads = Gradients(
-        entity_emb=np.zeros((n, d), dtype=dt),
-        relation_emb=np.zeros((params.num_relations, d), dtype=dt),
-        time_unit=np.zeros(d, dtype=dt),
-        w_copy=np.empty((n, 3 * d), dtype=dt),
-        b_copy=pc[0].astype(dt),
-        w_gen=np.empty((n, 3 * d), dtype=dt),
-        b_gen=pg[0].astype(dt),
-    )
-    for delta, weights, grad in ((d_copy, params.w_copy, grads.w_copy),
-                                 (d_gen, params.w_gen, grads.w_gen)):
+    # One buffer per learnable tensor, in checkpoint order; rows untouched by
+    # the batch stay zero.
+    grads = {
+        "entity_emb": np.zeros((n, d), dtype=dt),
+        "relation_emb": np.zeros((params.num_relations, d), dtype=dt),
+        "time_unit": np.zeros(d, dtype=dt),
+        "w_copy": np.empty((n, 3 * d), dtype=dt),
+        "b_copy": pc[0].astype(dt),
+        "w_gen": np.empty((n, 3 * d), dtype=dt),
+        "b_gen": pg[0].astype(dt),
+    }
+    for delta, weights, grad in ((d_copy, params.w_copy, grads["w_copy"]),
+                                 (d_gen, params.w_gen, grads["w_gen"])):
         np.matmul(delta.T, inputs, out=grad[:, input_cols])
         time_sums = weighted @ delta  # (N,)
         np.multiply.outer(time_sums, params.time_unit, out=grad[:, time_cols])
-        grads.time_unit += time_sums @ weights[:, time_cols]
+        grads["time_unit"] += time_sums @ weights[:, time_cols]
     d_inputs = d_copy @ params.w_copy[:, input_cols] + d_gen @ params.w_gen[:, input_cols]
-    np.add.at(grads.entity_emb, subjects, d_inputs[:, :d])
-    np.add.at(grads.relation_emb, relations, d_inputs[:, d:])
+    np.add.at(grads["entity_emb"], subjects, d_inputs[:, :d])
+    np.add.at(grads["relation_emb"], relations, d_inputs[:, d:])
 
-    grads.check_finite()
+    check_finite(grads)
     return loss, grads
 
 
@@ -283,8 +266,9 @@ def batch_loss(params: ModelParams, batch, vocab: HistVocab, alpha: float,
 
 
 def batch_gradients(params: ModelParams, batch, vocab: HistVocab, alpha: float,
-                    *, reduction: str = "sum") -> Gradients:
-    """Analytic gradients of :func:`batch_loss` for every learnable tensor."""
+                    *, reduction: str = "sum") -> dict[str, np.ndarray]:
+    """Analytic gradients of :func:`batch_loss`, one array per learnable
+    tensor, keyed by name in checkpoint order."""
     _, grads = _loss_and_grads(params, batch, vocab, alpha, reduction=reduction)
     return grads
 
@@ -300,19 +284,17 @@ class AmsGrad:
 
     def __init__(self, params: ModelParams, lr: float):
         self.lr = lr
-        self.step_count = 0
         self._m = {k: np.zeros_like(v) for k, v in params.tensors().items()}
         self._v = {k: np.zeros_like(v) for k, v in params.tensors().items()}
         self._vhat = {k: np.zeros_like(v) for k, v in params.tensors().items()}
 
-    def step(self, params: ModelParams, grads: Gradients) -> None:
+    def step(self, params: ModelParams, grads: dict[str, np.ndarray]) -> None:
         """One update of every tensor, applied elementwise to slices of
         about ``CACHE_ELEMENTS`` elements so that its temporaries stay in
         cache. The slices are row blocks, views even of a non-contiguous
         tensor (where ``reshape(-1)`` would copy and lose the update)."""
-        self.step_count += 1
         tensors = params.tensors()
-        for name, grad in grads.tensors().items():
+        for name, grad in grads.items():
             theta = tensors[name]
             rows = max(1, CACHE_ELEMENTS // math.prod(theta.shape[1:]))
             for lo in range(0, len(theta), rows):

@@ -63,7 +63,7 @@ def test_criterion_1_gradient_correctness():
             rng.integers(0, n, size), rng.integers(0, 8, size)])
         grads = batch_gradients(params, batch, vocab, alpha)
         fd = finite_difference_grads(params, batch, vocab, alpha, h=1e-4)
-        for name, g in grads.tensors().items():
+        for name, g in grads.items():
             worst = max(worst, rel_err(g, fd[name]))
         instances += 1
     passed = worst <= 1e-5 and instances >= 20

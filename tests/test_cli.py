@@ -423,7 +423,10 @@ class TestUsageAndErrors:
     def test_literal_defaults_match_the_library(self):
         """The CLI keeps its own copies of the library defaults it feeds
         (importing the library would load numpy before --threads applies)."""
-        from copygen import synth, training
+        from copygen import evaluation, model, synth, training
+
+        assert cli.MODE_CHOICES == model.MODES
+        assert cli.REGIME_CHOICES == evaluation.REGIMES
 
         fields = {
             "train": (training.TrainConfig(), {

@@ -368,6 +368,13 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="train"):
             load_dataset(tmp_path)
 
+    def test_non_positive_granularity(self, tmp_path):
+        (tmp_path / "stat.txt").write_text("10 4\n")
+        self._write(tmp_path, "train", [(0, 0, 1, 0)])
+        for granularity in (0, -1):
+            with pytest.raises(DataError, match="^granularity must be positive$"):
+                load_dataset(tmp_path, granularity=granularity)
+
     def test_bad_stat(self, tmp_path):
         (tmp_path / "stat.txt").write_text("10\n")
         with pytest.raises(DataError, match="stat"):

@@ -567,7 +567,7 @@ class TestCheckpoint:
         n, r_aug, d = (example.draw(st.integers(1, 6)) for _ in range(3))
         finite = st.floats(width=32, allow_nan=False, allow_infinity=False)
         tensors = {name: example.draw(arrays(np.float32, shape, elements=finite))
-                   for name, shape in model._tensor_shapes(n, r_aug, d).items()}
+                   for name, shape in model.tensor_shapes(n, r_aug, d).items()}
         params = ModelParams(
             **tensors, num_snapshots=example.draw(st.integers(0, 2**31 - 1)),
             mask_magnitude=example.draw(finite.filter(lambda x: x > 0)),

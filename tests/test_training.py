@@ -64,6 +64,23 @@ class TestXavierInit:
         assert not params.b_copy.any() and not params.b_gen.any()
         assert params.num_snapshots == 9
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_params_draw_order(self, dtype):
+        """The tensors are successive ``xavier_init`` draws from the one
+        generator, in the order entity, relation, τ, w_copy, w_gen, and the
+        biases are zeros, so a fixed seed keeps giving the same checkpoint."""
+        n, r_aug, d = 7, 6, 4
+        config = TrainConfig(dim=d, seed=0, dtype=dtype)
+        params = init_params(n, r_aug, 9, config, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        expected = {name: xavier_init(shape, rng, dtype) for name, shape in (
+            ("entity_emb", (n, d)), ("relation_emb", (r_aug, d)), ("time_unit", (d,)),
+            ("w_copy", (n, 3 * d)), ("w_gen", (n, 3 * d)))}
+        expected["b_copy"] = expected["b_gen"] = np.zeros(n, dtype)
+        for name, tensor in params.tensors().items():
+            assert tensor.dtype == dtype, name
+            assert tensor.tobytes() == expected[name].tobytes(), name
+
 
 def small_vocab():
     vocab = HistVocab()
@@ -211,9 +228,9 @@ class TestBatchGradients:
     def test_alpha_zero_kills_copy_path(self):
         params = random_params(np.random.default_rng(6), 7, 4, 3)
         grads = batch_gradients(params, BATCH, small_vocab(), alpha=0.0)
-        assert not grads.w_copy.any()
-        assert not grads.b_copy.any()
-        assert grads.w_gen.any()
+        assert not grads["w_copy"].any()
+        assert not grads["b_copy"].any()
+        assert grads["w_gen"].any()
 
     def test_alpha_one_empty_vocab_reduces_to_softmax_ce(self):
         # zero weights + all-masked copy head: gradient of b_copy is the
@@ -222,7 +239,7 @@ class TestBatchGradients:
         grads = batch_gradients(params, [[0, 0, 3, 0]], HistVocab(), alpha=1.0)
         expected = np.full(5, 0.2)
         expected[3] -= 1.0
-        assert np.allclose(grads.b_copy, expected, atol=1e-12)
+        assert np.allclose(grads["b_copy"], expected, atol=1e-12)
 
     def test_untouched_rows_stay_zero(self):
         params = random_params(np.random.default_rng(8), 9, 6, 3)
@@ -230,11 +247,11 @@ class TestBatchGradients:
         touched_entities = set(BATCH[:, 0].tolist())
         for e in range(9):
             if e not in touched_entities:
-                assert not grads.entity_emb[e].any()
+                assert not grads["entity_emb"][e].any()
         touched_relations = set(BATCH[:, 1].tolist())
         for r in range(6):
             if r not in touched_relations:
-                assert not grads.relation_emb[r].any()
+                assert not grads["relation_emb"][r].any()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
     def test_matches_finite_differences(self, alpha):
@@ -243,7 +260,7 @@ class TestBatchGradients:
         vocab = small_vocab()
         grads = batch_gradients(params, BATCH, vocab, alpha)
         fd = finite_difference_grads(params, BATCH, vocab, alpha)
-        for name, g in grads.tensors().items():
+        for name, g in grads.items():
             assert rel_err(g, fd[name]) < 1e-5, name
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
@@ -258,9 +275,9 @@ class TestBatchGradients:
             params = random_params(np.random.default_rng(seed), 7, 4, 3, dtype=np.float32)
             got = batch_gradients(params, COPY_BATCH, small_vocab(), alpha)
             want = batch_gradients(params.astype(np.float64), COPY_BATCH, small_vocab(), alpha)
-            for name, g in got.tensors().items():
+            for name, g in got.items():
                 assert g.dtype == np.float32, name
-                w = getattr(want, name)
+                w = want[name]
                 assert rel_err(g, w, floor=max(np.abs(w).max(), 1e-3)) < 1e-4, (seed, name)
 
     @pytest.mark.parametrize("dtype, tolerance", [(np.float64, 1e-12), (np.float32, 1e-4)])
@@ -279,7 +296,7 @@ class TestBatchGradients:
             ref_loss, ref = whole_batch_reference(params, batch, small_vocab(), alpha,
                                                   factored=False)
             assert loss == pytest.approx(ref_loss, rel=tolerance)
-            for name, g in grads.tensors().items():
+            for name, g in grads.items():
                 want = ref[name]
                 floor = np.abs(want).max() or 1.0
                 assert rel_err(g, want, floor=floor) < tolerance, (seed, name)
@@ -298,7 +315,7 @@ class TestBatchGradients:
             ref_loss, ref = whole_batch_reference(params, batch, small_vocab(), alpha,
                                                   reduction)
             assert loss == ref_loss
-            for name, g in grads.tensors().items():
+            for name, g in grads.items():
                 assert g.dtype == np.float64 and g.tobytes() == ref[name].tobytes(), name
 
     @pytest.mark.parametrize("reduction", ["sum", "mean"])
@@ -322,9 +339,9 @@ class TestBatchGradients:
                 ref_loss, ref = whole_batch_reference(params, batch, small_vocab(), alpha,
                                                       reduction)
                 assert loss == ref_loss
-                for name, g in grads.tensors().items():
+                for name, g in grads.items():
                     assert g.dtype == np.float32 and g.tobytes() == ref[name].tobytes(), name
-            assert not grads.w_copy[5:].any()  # truths are 0..4, the history 1..3
+            assert not grads["w_copy"][5:].any()  # truths are 0..4, the history 1..3
 
     def test_peak_allocation(self):
         """The traced peak of a float32 step at B=64, N=3000, d=32, less the
@@ -346,7 +363,7 @@ class TestBatchGradients:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        gradient_bytes = sum(g.nbytes for g in grads.tensors().values())
+        gradient_bytes = sum(g.nbytes for g in grads.values())
         assert (peak - gradient_bytes) / (b * n * 4) <= 4.0
 
     def test_non_finite_raises(self):
@@ -363,16 +380,16 @@ class TestBatchGradients:
         largest values, pass."""
         params = random_params(np.random.default_rng(15), 6, 2, 3, dtype=np.float32)
         grads = batch_gradients(params, [[0, 0, 1, 0], [2, 1, 3, 1]], HistVocab(), alpha=0.5)
-        grads.w_copy[0, 0] = np.finfo(np.float32).max
-        grads.w_copy[-1, -1] = np.finfo(np.float32).min
-        grads.check_finite()
-        grads.b_gen[-1] = bad
-        grads.w_copy[3, 1] = bad
+        grads["w_copy"][0, 0] = np.finfo(np.float32).max
+        grads["w_copy"][-1, -1] = np.finfo(np.float32).min
+        training.check_finite(grads)
+        grads["b_gen"][-1] = bad
+        grads["w_copy"][3, 1] = bad
         with pytest.raises(GradientError, match="^non-finite gradient in w_copy$"):
-            grads.check_finite()
-        grads.w_copy[3, 1] = 0.0
+            training.check_finite(grads)
+        grads["w_copy"][3, 1] = 0.0
         with pytest.raises(GradientError, match="^non-finite gradient in b_gen$"):
-            grads.check_finite()
+            training.check_finite(grads)
 
 
 def flush_edges() -> np.ndarray:
@@ -438,10 +455,10 @@ class TestAmsGrad:
         m, v, vhat = ({k: np.zeros_like(a) for k, a in arrays.items()} for _ in range(3))
         opt = AmsGrad(params, lr=0.01)
         for _ in range(3):
-            grads = training.Gradients(**{k: rng.standard_normal(a.shape).astype(np.float32)
-                                          for k, a in arrays.items()})
+            grads = {k: rng.standard_normal(a.shape).astype(np.float32)
+                     for k, a in arrays.items()}
             opt.step(params, grads)
-            for name, g in grads.tensors().items():
+            for name, g in grads.items():
                 m[name] *= opt.beta1
                 m[name] += (1.0 - opt.beta1) * g
                 v[name] *= opt.beta2
@@ -458,7 +475,7 @@ class TestAmsGrad:
         before = {k: v.copy() for k, v in params.tensors().items()}
         opt = AmsGrad(params, lr=0.1)
         grads = batch_gradients(params, [[0, 0, 1, 0]], HistVocab(), alpha=0.0)
-        for arr in grads.tensors().values():
+        for arr in grads.values():
             arr[:] = 0.0
         opt.step(params, grads)
         for name, arr in params.tensors().items():
@@ -470,9 +487,9 @@ class TestAmsGrad:
         lr = 0.001
         opt = AmsGrad(params, lr=lr)
         grads = batch_gradients(params, [[0, 0, 1, 0]], HistVocab(), alpha=0.0)
-        for arr in grads.tensors().values():
+        for arr in grads.values():
             arr[:] = 0.0
-        grads.b_gen[0] = 1.0
+        grads["b_gen"][0] = 1.0
         opt.step(params, grads)
         expected = -lr * 0.1 / (math.sqrt(0.001) + 1e-8)
         assert params.b_gen[0] == pytest.approx(expected, rel=1e-12)
