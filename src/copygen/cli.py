@@ -311,6 +311,8 @@ def dispatch(argv) -> int:
         return 2
     run = resolve(args.command, args, parser)
     threads = run.values.get("threads")
+    if threads is not None and threads < 1:
+        parser.error(f"{args.command}: --threads must be at least 1, got {threads}")
     if threads:
         for var in _THREAD_ENV:  # must precede the numpy import
             os.environ[var] = str(threads)
@@ -339,6 +341,8 @@ def _load_inputs(run):
     """Checkpoint, dataset, train/valid/test facts, relation count and history
     vocabulary. The facts get their inverses exactly when the checkpoint has twice
     the dataset's relations, or, under ``--retrain`` (no checkpoint), ``--reciprocal``."""
+    import numpy as np
+
     from . import data, history, model
 
     params = None if run.values.get("retrain") else model.load_checkpoint(run.checkpoint)
@@ -354,9 +358,10 @@ def _load_inputs(run):
             f"{params.num_relations} relations) does not match the dataset "
             f"({n} entities, {r} relations or {2 * r} with inverses); check --data")
     train, valid, test, r_aug = _augmented(ds, reciprocal)
-    vocab = history.vocab_from_quads(train)
-    if run.absorb_valid:
-        history.absorb_quads(vocab, valid)
+    if run.absorb_valid and len(valid) and valid[:, 3].min() <= train[:, 3].max():
+        raise ValueError(f"{run.command}: --absorb-valid needs validation facts after the last "
+                         f"training snapshot, {train[:, 3].max()}, not from {valid[:, 3].min()}")
+    vocab = history.vocab_from_quads(np.concatenate([train, valid]) if run.absorb_valid else train)
     return params, ds, train, valid, test, r_aug, vocab.freeze()
 
 
@@ -444,8 +449,7 @@ def _cmd_stats(run: RunConfig) -> int:
     probe = ds.split(run.probe)
     if len(probe) == 0:
         raise ValueError(f"probe split {run.probe!r} is empty")
-    parts = [ds.train] + ([ds.valid] if run.probe == "test" else [])
-    hist = np.concatenate([p for p in parts if len(p)] or [ds.train])
+    hist = np.concatenate([ds.train] + ([ds.valid] if run.probe == "test" else []))
 
     forward = history.recurrence_stats(hist, probe)
     swapped = history.recurrence_stats(hist[:, [2, 1, 0, 3]], probe[:, [2, 1, 0, 3]])

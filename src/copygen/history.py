@@ -70,12 +70,6 @@ class HistVocab:
         self.frontier = frontier
         self.frozen = False
 
-    def _absorb(self, quads: np.ndarray, frontier: int) -> None:
-        if self.frozen:
-            raise SequencingError("vocabulary is frozen")
-        self.facts = FactIndex(np.concatenate([self.facts.quads, quads]))
-        self.frontier = frontier
-
     def absorb_snapshot(self, facts, index: int | None = None) -> "HistVocab":
         """Insert one snapshot's (s, p, o) facts and advance the frontier by 1.
 
@@ -84,8 +78,12 @@ class HistVocab:
         """
         if index is not None and index != self.frontier:
             raise SequencingError(f"expected snapshot {self.frontier}, got {index}")
+        if self.frozen:
+            raise SequencingError("vocabulary is frozen")
         arr = np.asarray(facts, dtype=np.int64).reshape(-1, 3)
-        self._absorb(np.hstack([arr, np.full((len(arr), 1), self.frontier)]), self.frontier + 1)
+        stamped = np.hstack([arr, np.full((len(arr), 1), self.frontier)])
+        self.facts = FactIndex(np.concatenate([self.facts.quads, stamped]))
+        self.frontier += 1
         return self
 
     def lookup(self, subject: int, relation: int) -> np.ndarray:
@@ -98,24 +96,12 @@ class HistVocab:
         return self
 
 
-def absorb_quads(vocab: HistVocab, quads) -> HistVocab:
-    """Absorb all snapshots of a fact array, starting at the current frontier.
-
-    The frontier moves past the latest fact, so it keeps tracking absolute
-    snapshot indices across gaps. Facts at already-absorbed indices are a
-    sequencing error.
-    """
-    q = as_quads(quads)
-    if len(q) == 0:
-        return vocab
-    if int(q[:, 3].min()) < vocab.frontier:
-        raise SequencingError("facts precede the vocabulary frontier")
-    vocab._absorb(q, int(q[:, 3].max()) + 1)
-    return vocab
-
-
 def vocab_from_quads(quads) -> HistVocab:
-    return absorb_quads(HistVocab(), quads)
+    """The history of a fact array at the frontier just past its latest
+    snapshot (0 when there are no facts), so it tracks absolute snapshot
+    indices across gaps."""
+    facts = FactIndex(quads)
+    return HistVocab(facts, int(facts.quads[:, 3].max()) + 1 if len(facts.quads) else 0)
 
 
 def masks_for(vocab: HistVocab, subjects, relations, logits: np.ndarray,

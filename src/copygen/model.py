@@ -78,8 +78,9 @@ def hyperparameter_problem(mask_magnitude: float, alpha: float) -> str | None:
     None: the mask magnitude must be finite and positive as a float32 (a
     larger value does not fit the header, a smaller one rounds to 0), alpha
     as ``alpha_problem`` says."""
-    if not _F32.smallest_subnormal <= mask_magnitude <= _F32.max:
-        return f"mask_magnitude is {mask_magnitude}, expected a finite float32 > 0"
+    with np.errstate(over="ignore"):  # a value past float32 compares as inf
+        if not _F32.smallest_subnormal <= mask_magnitude <= _F32.max:
+            return f"mask_magnitude is {mask_magnitude}, expected a finite float32 > 0"
     return alpha_problem(alpha)
 
 

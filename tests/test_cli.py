@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,16 @@ def train_vocab(data, reciprocal=True):
     return vocab_from_quads(augment_reciprocal(ds.train, ds.meta)[0] if reciprocal else ds.train)
 
 
+def eval_lines(alpha, result):
+    """The lines ``copygen eval`` prints for ``result`` under the default
+    split, mode and filter."""
+    lines = ["split=test", "mode=full", "filter=static", f"alpha={alpha:g}"]
+    for prefix, report in (("", result.overall), ("object_", result.objects),
+                           ("subject_", result.subjects)):
+        lines += cli._report_lines(prefix, report)
+    return lines
+
+
 class TestSynthAndStats:
     def test_synth_writes_dataset(self, synth_dir):
         for name in ("train.txt", "valid.txt", "test.txt", "stat.txt", "synth.cfg"):
@@ -92,6 +103,15 @@ class TestSynthAndStats:
         body = csv.read_text().splitlines()
         assert "metric,value" in body
         assert any(row.startswith("fact_repeat_rate,") for row in body)
+
+    def test_stats_empty_probe_is_error(self, tmp_path, capsys):
+        data = tmp_path / "twoway"
+        assert cli.main(["synth", "--out", str(data), "--entities", "15", "--relations", "2",
+                         "--snapshots", "6", "--facts-per-snapshot", "20", "--seed", "1",
+                         "--split", "80/20"]) == 0
+        capsys.readouterr()
+        assert cli.main(["stats", "--data", str(data), "--probe", "valid"]) == 1
+        assert capsys.readouterr().err == "error: probe split 'valid' is empty\n"
 
 
 class TestTrainAndEval:
@@ -147,6 +167,19 @@ class TestTrainAndEval:
                          "--alpha", "0.3"]) == 0
         out = dict(line.split("=", 1) for line in lines_of(capsys))
         assert out["alpha"] == "0.3" and out["filter"] == "raw"
+
+    def test_eval_filter_from_train(self, synth_dir, checkpoint, capsys):
+        """``--filter-from train`` filters with the training facts only."""
+        ds = load_dataset(synth_dir)
+        train, _ = augment_reciprocal(ds.train, ds.meta)
+        test, _ = augment_reciprocal(ds.test, ds.meta)
+        params = load_checkpoint(checkpoint)
+        result = evaluate(params, test, train_vocab(synth_dir),
+                          num_relations=ds.meta.num_relations,
+                          filter_index=build_filter(train))
+        assert cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(synth_dir),
+                         "--filter-from", "train"]) == 0
+        assert lines_of(capsys) == eval_lines(params.alpha, result)
 
 
 class TestAblateSweepPredict:
@@ -285,12 +318,8 @@ class TestUnaugmentedCheckpoint:
         assert cli.main(["eval", "--checkpoint", str(plain_checkpoint), "--data",
                          str(synth_dir), "--per-snapshot-csv", str(csv)]) == 0
         result = evaluate(params, test, vocab, per_snapshot=True, **kwargs)
-        expected = ["split=test", "mode=full", "filter=static", f"alpha={params.alpha:g}"]
-        for prefix, report in (("", result.overall), ("object_", result.objects),
-                               ("subject_", result.subjects)):
-            expected += cli._report_lines(prefix, report)
         out = lines_of(capsys)
-        assert out == expected and "subject_count=0" in out
+        assert out == eval_lines(params.alpha, result) and "subject_count=0" in out
         rows = [l for l in csv.read_text().splitlines() if not l.startswith("#")]
         assert rows[1:] == [f"{t},{r.count},{cli._metric_cells(r)}"
                             for t, r in result.per_snapshot.items()]
@@ -346,6 +375,27 @@ class TestUsageAndErrors:
         assert capsys.readouterr().err == (
             f"error: {command}: --absorb-valid cannot be used with --split valid\n")
 
+    @pytest.mark.parametrize("shift", [0, 2], ids=["at-last-train", "before-last-train"])
+    def test_absorb_valid_overlapping_splits_is_error(self, synth_dir, checkpoint, shift,
+                                                     tmp_path, capsys):
+        """Validation facts that start at or before the last training
+        snapshot cannot extend the history; the dataset is read, not trusted."""
+        data = tmp_path / "overlap"
+        data.mkdir()
+        for name in ("stat.txt", "train.txt", "test.txt"):
+            (data / name).write_bytes((synth_dir / name).read_bytes())
+        ds = load_dataset(synth_dir)
+        valid = ds.valid.copy()
+        valid[:, 3] += ds.train[:, 3].max() - shift - valid[:, 3].min()
+        write_quadruple_file(data / "valid.txt", valid)
+        for argv in (["eval"], ["predict", "--subject", "0", "--relation", "0", "--time", "7"]):
+            assert cli.main([*argv, "--checkpoint", str(checkpoint), "--data", str(data),
+                             "--absorb-valid"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert cli.main([*argv, "--checkpoint", str(checkpoint), "--data", str(data)]) == 0
+            capsys.readouterr()
+
     def test_checkpoint_relation_count_is_r_or_2r(self, synth_dir, tmp_path, capsys):
         ds = load_dataset(synth_dir)
         n, r, d = ds.meta.num_entities, ds.meta.num_relations, 2
@@ -390,12 +440,35 @@ class TestUsageAndErrors:
         assert cli.main([]) == 2
 
     def test_train_rejects_non_finite_mask_magnitude(self, synth_dir, tmp_path, capsys):
-        for value in ("inf", "nan"):
-            code = cli.main(["train", "--data", str(synth_dir), "--out",
-                             str(tmp_path / "m.cyg"), "--mask-magnitude", value])
+        """One error line, and no overflow warning for a value past float32."""
+        for value in ("inf", "nan", "1e39"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = cli.main(["train", "--data", str(synth_dir), "--out",
+                                 str(tmp_path / "m.cyg"), "--mask-magnitude", value])
             assert code == 1
-            assert f"mask_magnitude is {value}, expected" in capsys.readouterr().err
+            assert capsys.readouterr().err == (
+                f"error: mask_magnitude is {float(value)}, expected a finite float32 > 0\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_threads_below_one_is_usage_error(self, synth_dir, tmp_path, monkeypatch,
+                                              capsys):
+        """Refused before any thread variable is exported, whether the value
+        comes from a flag or from a config file."""
+        for var in cli._THREAD_ENV:
+            monkeypatch.delenv(var, raising=False)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = -1\n")
+        out = tmp_path / "m.cyg"
+        for extra, value in ((["--threads", "0"], 0), (["--threads", "-1"], -1),
+                             (["--config", str(cfg)], -1)):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["train", "--data", str(synth_dir), "--out", str(out), *extra])
+            assert exc.value.code == 2
+            assert (f"train: --threads must be at least 1, got {value}"
+                    in capsys.readouterr().err)
+            assert not any(var in os.environ for var in cli._THREAD_ENV)
+        assert not out.exists()
 
     def test_unreadable_echo_value_is_usage_error(self, synth_dir, tmp_path, capsys):
         """A value the ``key = value`` echo would cut or change is refused
@@ -443,6 +516,12 @@ class TestUsageAndErrors:
             defaults = {opt.key: opt.default for opt in cli.COMMANDS[command]}
             for key, field in mapping.items():
                 assert defaults[key] == getattr(config, field), (command, key)
+
+    @pytest.mark.parametrize("name, alpha", [
+        ("ICEWS14", 0.8), ("icews05-15", 0.8), ("GDELT", 0.7), ("WIKI", 0.5),
+        ("yago11k", 0.5), ("synth", 0.8)])
+    def test_default_alpha_for(self, name, alpha):
+        assert cli.default_alpha_for(name) == alpha
 
     def test_resolving_leaves_numpy_unloaded(self):
         """``--threads`` caps the BLAS pools before numpy loads, so importing
@@ -613,6 +692,17 @@ class TestConfigFile:
             cli.main(["train", "--data", str(synth_dir), "--config", str(cfg)])
         assert exc.value.code == 2
 
+    def test_config_value_outside_choices_is_usage_error(self, synth_dir, checkpoint,
+                                                         tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("filter = fuzzy\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(synth_dir),
+                      "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert (f"config file: filter must be one of {cli.REGIME_CHOICES}"
+                in capsys.readouterr().err)
+
 
 class TestMoreEvalSurfaces:
     def test_absorb_valid_changes_vocabulary(self, synth_dir, checkpoint, capsys):
@@ -710,6 +800,15 @@ class TestPrepare:
         out = tmp_path / "prepared"
         assert cli.main(["prepare", "--data", str(src), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {src}: train.txt missing or empty\n"
+        assert not out.exists()
+
+    def test_no_fact_files_names_the_directory(self, tmp_path, capsys):
+        src = tmp_path / "raw"
+        src.mkdir()
+        (src / "stat.txt").write_text("10 2\n")
+        out = tmp_path / "prepared"
+        assert cli.main(["prepare", "--data", str(src), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {src}: no fact files found\n"
         assert not out.exists()
 
     def test_two_way_resplit(self, tmp_path, capsys):

@@ -245,6 +245,14 @@ class TestNormalize:
         with pytest.raises(DataError):
             normalize_timestamps(quads((0, 0, 1, 0)), 0)
 
+    @pytest.mark.parametrize("times, origin, message", [
+        ((3, -1), None, "raw timestamps must be non-negative"),
+        ((24, 48), 2, "origin is later than the earliest snapshot")])
+    def test_bad_times(self, times, origin, message):
+        q = quads(*[(0, 0, 1, t) for t in times])
+        with pytest.raises(DataError, match=f"^{message}$"):
+            normalize_timestamps(q, 24, origin=origin)
+
 
 class TestAugment:
     def test_definition(self):
@@ -329,6 +337,14 @@ class TestSplit:
         assert split.boundaries == (8,)
         assert len(split.valid) == 0
         assert len(split.train) == 80 and len(split.test) == 20
+
+    @pytest.mark.parametrize("ratios, message", [
+        ((1.0,), "two or three entries"), ((0.25, 0.25, 0.25, 0.25), "two or three entries"),
+        ((0.8, 0.1, 0.2), "sum to 1"), ((0.8, 0.3, -0.1), "positive")])
+    def test_bad_ratios(self, ratios, message):
+        rows = [(i % 3, 0, i % 5, t) for t in range(6) for i in range(4)]
+        with pytest.raises(DataError, match=message):
+            chronological_split(quads(*rows), ratios)
 
     def test_too_few_snapshots(self):
         with pytest.raises(DataError, match="at least 3"):

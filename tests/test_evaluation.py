@@ -221,6 +221,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="non-finite"):
             evaluate(params, test, vocab, num_relations=r, filter_index=index)
 
+    @pytest.mark.parametrize("function", ["rank_of_truth", "evaluate"])
+    def test_unknown_regime_rejected(self, function):
+        params, _, test, vocab, index, r = eval_setup()
+        run = {"rank_of_truth": lambda: rank_of_truth([0.1, 0.5, 0.2], 0, regime="fuzzy"),
+               "evaluate": lambda: evaluate(params, test, vocab, num_relations=r,
+                                            filter_index=index, regime="fuzzy")}[function]
+        with pytest.raises(ValueError, match=r"^unknown regime 'fuzzy'; expected one of "):
+            run()
+
     def test_regime_needs_filter(self):
         params, _, test, vocab, _, r = eval_setup()
         with pytest.raises(ValueError, match="filter"):

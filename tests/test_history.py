@@ -8,7 +8,6 @@ from copygen.history import (
     FactIndex,
     HistVocab,
     SequencingError,
-    absorb_quads,
     masks_for,
     recurrence_stats,
     vocab_from_quads,
@@ -158,21 +157,12 @@ class TestCopyMask:
         assert logits.tolist() == [[0.5, -0.25, 2.0 - 10, -1.0 - 10, 0.0]]
 
 
-class TestAbsorbQuads:
+class TestVocabFromQuads:
     def test_gaps_advance_frontier(self):
-        vocab = absorb_quads(HistVocab(), [(0, 0, 1, 0), (0, 0, 2, 3)])
+        vocab = vocab_from_quads([(0, 0, 1, 0), (0, 0, 2, 3)])
         assert vocab.frontier == 4
         assert vocab.lookup(0, 0).tolist() == [1, 2]
-
-    def test_continuation_across_splits(self):
-        vocab = absorb_quads(HistVocab(), [(0, 0, 1, 0)])
-        absorb_quads(vocab, [(0, 0, 2, 2)])
-        assert vocab.frontier == 3
-
-    def test_rejects_already_absorbed_times(self):
-        vocab = absorb_quads(HistVocab(), [(0, 0, 1, 1)])
-        with pytest.raises(SequencingError):
-            absorb_quads(vocab, [(0, 0, 2, 0)])
+        assert vocab_from_quads(np.empty((0, 4), np.int64)).frontier == 0
 
 
 class TestRecurrenceStats:

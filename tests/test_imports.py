@@ -2,7 +2,14 @@
 runs in the test suite, so this is its check against dead imports."""
 
 import ast
+import ctypes
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "copygen"
 
@@ -55,3 +62,48 @@ def test_every_import_is_used():
     found = {(path.stem, name) for path in modules
              for name in unused_imports(path.read_text(encoding="utf-8"))}
     assert found == TRACER_SHIMS
+
+
+
+HEAP_PROBE = textwrap.dedent("""
+    import ctypes
+    {setup}
+    import numpy as np
+
+    class MallInfo2(ctypes.Structure):
+        _fields_ = [(name, ctypes.c_size_t) for name in (
+            "arena ordblks smblks hblks hblkhd usmblks fsmblks uordblks "
+            "fordblks keepcost").split()]
+
+    libc = ctypes.CDLL(None)
+    libc.mallinfo2.restype = MallInfo2
+    size = 6 << 20
+    block = np.ones(size, dtype=np.uint8)
+    mapped = libc.mallinfo2().hblkhd >= size
+    del block
+    print(mapped, libc.mallinfo2().keepcost >= size)
+""")
+
+
+def _heap_probe(setup: str) -> str:
+    """Whether a fresh 6 MiB array gets a mapping of its own, and whether
+    the heap keeps its pages once it is freed."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent),
+                                                       os.environ.get("PYTHONPATH")]))}
+    for var in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
+        env.pop(var, None)
+    proc = subprocess.run([sys.executable, "-c", HEAP_PROBE.format(setup=setup)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux")
+                         and hasattr(ctypes.CDLL(None), "mallinfo2")),
+                    reason="needs glibc 2.33 or later")
+def test_import_pins_the_allocator_thresholds():
+    """glibc maps a first 6 MiB array and unmaps it on free; once copygen is
+    imported the array comes from the heap, which keeps its pages."""
+    assert _heap_probe("") == "True False"
+    assert _heap_probe("import copygen") == "False True"

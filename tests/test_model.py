@@ -2,6 +2,7 @@ import math
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +526,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=field):
             save_checkpoint(params, tmp_path / "m.cyg")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("value, accepted", [
+        (3.40282356e38, True), (1.401298464324817e-45, True), (3.4028236e38, False),
+        (7e-46, False), (1e39, False), (math.inf, False), (math.nan, False)])
+    def test_mask_magnitude_stored_as_float32(self, value, accepted):
+        """Accepted exactly when float32 stores it finite and positive; a
+        value past float32 is judged without an overflow warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            problem = model.hyperparameter_problem(value, 0.5)
+        assert (problem is None) == accepted
 
     # N=6, R_aug=4, d=3: the tensors end at byte 100, 148, 160, 376, 400, 616, 640
     @pytest.mark.parametrize("size, where", [(20, "header"), (28, "tensor entity_emb"),
