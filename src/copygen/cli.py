@@ -628,9 +628,11 @@ def _cmd_sweep_alpha(run: RunConfig) -> int:
 def _cmd_predict(run: RunConfig) -> int:
     import numpy as np
 
-    from . import model
+    from . import history, model
 
     params, *_, vocab = _load_inputs(run)
+    # the history the query at --time sees: facts before it, none after
+    vocab = history.HistVocab(vocab.facts, frontier=min(run.time, vocab.frontier))
     alpha = run.alpha if run.alpha is not None else params.alpha
     heads = model.score_heads(params, [run.subject], [run.relation], [run.time], vocab,
                               (run.mode,))

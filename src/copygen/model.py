@@ -84,6 +84,13 @@ def hyperparameter_problem(mask_magnitude: float, alpha: float) -> str | None:
     return alpha_problem(alpha)
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is finite: a NaN reaches its min and
+    max, an infinity is one of them, and neither reduction makes an
+    array-sized temporary."""
+    return not arr.size or bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
+
+
 @dataclasses.dataclass
 class ModelParams:
     """All learnable tensors plus the fixed hyperparameters they were trained
@@ -130,7 +137,7 @@ class ModelParams:
         for name, arr in self.tensors().items():
             if arr.shape != expected[name]:
                 raise ValueError(f"{name}: shape {arr.shape}, expected {expected[name]}")
-            if not np.isfinite(arr).all():
+            if not all_finite(arr):
                 raise ValueError(f"{name}: non-finite entries")
         problem = hyperparameter_problem(self.mask_magnitude, self.alpha)
         if problem:
@@ -376,12 +383,12 @@ def save_checkpoint(params: ModelParams, path, config_text: str | None = None) -
         raise
 
 
-def _checkpoint_layout(path, blob: bytes) -> tuple[tuple, dict[str, tuple], int]:
+def _checkpoint_layout(path, blob: bytes | bytearray) -> tuple[tuple, dict[str, tuple], int]:
     """Header values (T, mask magnitude, alpha), each tensor's (offset,
     shape) and the tensors' end, checked against the file before any read:
     the tensors must end at EOF or at a ``CFG1`` marker."""
     if blob[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint (bad magic {blob[:4]!r})")
+        raise ValueError(f"{path}: not a checkpoint (bad magic {bytes(blob[:4])!r})")
     if len(blob) < _HEADER.size:
         raise ValueError(f"{path}: truncated header ({len(blob)} of {_HEADER.size} bytes)")
     _, n, r_aug, horizon, d, mag, alpha = _HEADER.unpack_from(blob)
@@ -405,10 +412,15 @@ def _checkpoint_layout(path, blob: bytes) -> tuple[tuple, dict[str, tuple], int]
 
 
 def load_checkpoint(path) -> ModelParams:
-    blob = Path(path).read_bytes()
+    """The checkpoint at ``path``, read once into one writeable buffer whose
+    views are the tensors (float32, little-endian), so loading holds no
+    second copy of them."""
+    with open(path, "rb") as fh:
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob):]
     (horizon, mag, alpha), tensors, _ = _checkpoint_layout(path, blob)
     arrays = [np.frombuffer(blob, dtype="<f4", count=math.prod(shape), offset=offset)
-              .reshape(shape).copy() for offset, shape in tensors.values()]
+              .reshape(shape) for offset, shape in tensors.values()]
     params = ModelParams(*arrays, num_snapshots=horizon,
                          mask_magnitude=float(mag), alpha=float(alpha))
     params.validate()

@@ -31,6 +31,7 @@ from .history import FactIndex, HistVocab, block_pairs
 from .model import (
     CACHE_ELEMENTS,
     ModelParams,
+    all_finite,
     block_rows,
     build_heads,
     check_mix,
@@ -89,7 +90,10 @@ def xavier_init(shape, rng: np.random.Generator, dtype=np.float32) -> np.ndarray
     """Uniform on [-b, b] with b = sqrt(6 / (fan_in + fan_out)).
 
     For a 2-D shape the fans are the two axes; a 1-D shape (n,) is treated
-    as a single row (fans 1 and n).
+    as a single row (fans 1 and n). The float64 draws are made and cast into
+    the ``dtype`` tensor a row block of about ``CACHE_ELEMENTS`` at a time,
+    so no whole-tensor float64 array exists; the generator yields its
+    values in order, so the tensor is bitwise the whole-tensor draw's.
     """
     if len(shape) == 1:
         fan_in, fan_out = 1, shape[0]
@@ -98,7 +102,12 @@ def xavier_init(shape, rng: np.random.Generator, dtype=np.float32) -> np.ndarray
     else:
         raise ValueError(f"expected a 1-D or 2-D shape, got {shape}")
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    out = np.empty(shape, dtype=dtype)
+    rows = max(1, CACHE_ELEMENTS // math.prod(shape[1:]))
+    for lo in range(0, len(out), rows):
+        part = out[lo:lo + rows]
+        part[...] = rng.uniform(-bound, bound, size=part.shape)
+    return out
 
 
 def init_params(num_entities: int, num_relations_aug: int, num_snapshots: int,
@@ -118,10 +127,9 @@ def init_params(num_entities: int, num_relations_aug: int, num_snapshots: int,
 
 def check_finite(grads: dict[str, np.ndarray]) -> None:
     """Raise ``GradientError`` naming the first tensor with a NaN or infinite
-    entry: a NaN reaches its min and max, an infinity is one of them, and
-    neither reduction makes a tensor-sized temporary."""
+    entry (``all_finite``)."""
     for name, g in grads.items():
-        if not (np.isfinite(g.min()) and np.isfinite(g.max())):
+        if not all_finite(g):
             raise GradientError(f"non-finite gradient in {name}")
 
 
@@ -372,6 +380,9 @@ def fit(train_quads, num_entities: int, num_relations_aug: int, num_snapshots: i
                     loss, grads = _loss_and_grads(params, batch, vocab, config.alpha,
                                                   reduction=reduction)
                     optimizer.step(params, grads)
+                    # Dropped before the next step builds its own set, so only
+                    # one set of gradients is ever alive.
+                    del grads
                     snap_loss += loss
                     steps += 1
             snapshot_losses.append(snap_loss)

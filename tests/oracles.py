@@ -110,6 +110,13 @@ def scalar_batch_loss(params, batch, vocab, alpha, floor=1e-30):
     return total
 
 
+def xavier_oracle(shape, rng, dtype):
+    """Xavier-uniform draws as one whole-tensor float64 array, then cast."""
+    fan_in, fan_out = (1, shape[0]) if len(shape) == 1 else shape
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
+    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
 def vocab_oracle(quads, frontier):
     """One-shot rebuild of the historical vocabulary from a flat fact list."""
     table = {}

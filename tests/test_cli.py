@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import os
 import re
 import subprocess
@@ -297,6 +298,37 @@ class TestAblateSweepPredict:
             assert code == 1
             err = capsys.readouterr().err
             assert err.startswith(f"error: query row 0 ({s}, {p}, {t}) is out of range: ")
+
+    @pytest.mark.parametrize("absorb_valid", [False, True])
+    def test_predict_copies_only_from_before_its_time(self, synth_dir, checkpoint,
+                                                      absorb_valid, capsys):
+        """At every ``--time``, from 0 to past the last known snapshot, the
+        copy head's unmasked objects are exactly the objects of the pair's
+        known facts (train, and valid under ``--absorb-valid``) before that
+        time, by brute force; a pair with none keeps every entity."""
+        ds = load_dataset(synth_dir)
+        n = ds.meta.num_entities
+        known, r_aug = augment_reciprocal(ds.train, ds.meta)
+        known = known.tolist()
+        if absorb_valid:
+            known += augment_reciprocal(ds.valid, ds.meta)[0].tolist()
+        times = {}
+        for s, p, _, t in known:
+            times.setdefault((s, p), set()).add(t)
+        # the pairs seen at the most times, the pair seen first the latest, and
+        # a pair never seen
+        pairs = sorted(times, key=lambda pair: (-len(times[pair]), pair))[:3]
+        pairs.append(max(times, key=lambda pair: (min(times[pair]), pair)))
+        pairs.append(min(set(itertools.product(range(n), range(r_aug))) - set(times)))
+        last = max(t for *_, t in known)
+        for s, p in pairs:
+            for t in range(last + 3):
+                rows = predict_rows(capsys, checkpoint, synth_dir, s, p, t, "--mode",
+                                    "copy-only", "--topk", str(n),
+                                    *(["--absorb-valid"] if absorb_valid else []))
+                unmasked = {entity for _, entity, prob, _ in rows if float(prob) > 1e-20}
+                expected = {o for s2, p2, o, t2 in known if (s2, p2) == (s, p) and t2 < t}
+                assert unmasked == (expected or set(range(n))), (s, p, t)
 
 
 class TestUnaugmentedCheckpoint:

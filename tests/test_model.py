@@ -458,6 +458,24 @@ class TestCheckpoint:
         first = np.frombuffer(blob, dtype="<f4", count=3, offset=28)
         assert np.array_equal(first, params.entity_emb[0])
 
+    def test_load_reads_the_file_once(self, tmp_path):
+        """Loading holds the file's bytes once: the tensors are writeable
+        views of the one buffer it is read into, bitwise the saved ones."""
+        params = random_params(np.random.default_rng(4), 2000, 6, 64, dtype=np.float32)
+        path = tmp_path / "m.cyg"
+        save_checkpoint(params, path, config_text="seed = 1\n")
+        tracemalloc.start()
+        try:
+            loaded = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * path.stat().st_size
+        for name, arr in params.tensors().items():
+            got = loaded.tensors()[name]
+            assert got.flags.writeable and got.dtype == np.float32, name
+            assert got.tobytes() == arr.tobytes(), name
+
     def test_embedded_config_round_trip(self, tmp_path):
         path = tmp_path / "m.cyg"
         text = "alpha = 0.25\nseed = 3\n"
@@ -609,7 +627,8 @@ class TestCheckpoint:
             params.validate()
 
     def test_validate_catches_non_finite(self):
-        params = self._params()
-        params.w_gen[0, 0] = np.inf
-        with pytest.raises(ValueError, match="w_gen"):
-            params.validate()
+        for bad in (np.inf, -np.inf, np.nan):
+            params = self._params()
+            params.w_gen[0, 0] = bad
+            with pytest.raises(ValueError, match="w_gen"):
+                params.validate()

@@ -22,7 +22,22 @@ from copygen.training import (
 )
 
 from oracles import (finite_difference_grads, head_rows, random_params, rel_err,
-                     scalar_batch_loss)
+                     scalar_batch_loss, xavier_oracle)
+
+
+def traced_peak(run):
+    """``run()``'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# A float32 step's traced peak less its returned gradients, in (B, N)
+# float32 arrays, at B=64 and N=3000 (see test_peak_allocation).
+STEP_PEAK_ARRAYS = 4.0
 
 
 class TestXavierInit:
@@ -65,21 +80,45 @@ class TestXavierInit:
         assert params.num_snapshots == 9
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(5, 7), (1000, 96), (3, 40000), (50000,), (7,)])
+    def test_blocked_draw_is_the_whole_tensor_draw(self, shape, dtype):
+        """Row blocks of about ``CACHE_ELEMENTS`` draws, cast one by one,
+        give the bytes of one whole-tensor draw cast once, and leave the
+        generator where that draw does: a partial last block (341-row blocks
+        over 1000 rows), one-row blocks wider than ``CACHE_ELEMENTS``, and
+        1-D τ-like shapes split or whole."""
+        rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+        got = xavier_init(shape, rng, dtype)
+        assert got.dtype == dtype and got.shape == shape
+        assert got.tobytes() == xavier_oracle(shape, ref, dtype).tobytes()
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_init_params_draw_order(self, dtype):
-        """The tensors are successive ``xavier_init`` draws from the one
+        """The tensors are successive whole-tensor Xavier draws from the one
         generator, in the order entity, relation, τ, w_copy, w_gen, and the
         biases are zeros, so a fixed seed keeps giving the same checkpoint."""
         n, r_aug, d = 7, 6, 4
         config = TrainConfig(dim=d, seed=0, dtype=dtype)
         params = init_params(n, r_aug, 9, config, np.random.default_rng(5))
         rng = np.random.default_rng(5)
-        expected = {name: xavier_init(shape, rng, dtype) for name, shape in (
+        expected = {name: xavier_oracle(shape, rng, dtype) for name, shape in (
             ("entity_emb", (n, d)), ("relation_emb", (r_aug, d)), ("time_unit", (d,)),
             ("w_copy", (n, 3 * d)), ("w_gen", (n, 3 * d)))}
         expected["b_copy"] = expected["b_gen"] = np.zeros(n, dtype)
         for name, tensor in params.tensors().items():
             assert tensor.dtype == dtype, name
             assert tensor.tobytes() == expected[name].tobytes(), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_init_params_peak_is_the_parameters_and_one_block(self, dtype):
+        """Initialization holds the parameters and one block of float64
+        draws, never a whole tensor's float64 draws next to its cast."""
+        config = TrainConfig(dim=64, dtype=dtype)
+        rng = np.random.default_rng(0)
+        params, peak = traced_peak(lambda: init_params(2000, 6, 5, config, rng))
+        parameter_bytes = sum(t.nbytes for t in params.tensors().values())
+        assert peak <= parameter_bytes + 8 * model.CACHE_ELEMENTS
 
 
 def small_vocab():
@@ -357,14 +396,10 @@ class TestBatchGradients:
                                  rng.integers(0, n, 3000), rng.integers(0, 5, 3000)])
         vocab = vocab_from_quads(facts).freeze()
         batch = facts[:b] + [0, 0, 0, 5]
-        tracemalloc.start()
-        try:
-            _, grads = training._loss_and_grads(params, batch, vocab, 0.8)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        (_, grads), peak = traced_peak(
+            lambda: training._loss_and_grads(params, batch, vocab, 0.8))
         gradient_bytes = sum(g.nbytes for g in grads.values())
-        assert (peak - gradient_bytes) / (b * n * 4) <= 4.0
+        assert (peak - gradient_bytes) / (b * n * 4) <= STEP_PEAK_ARRAYS
 
     def test_non_finite_raises(self):
         params = random_params(np.random.default_rng(10), 5, 2, 3)
@@ -546,6 +581,23 @@ class TestFit:
         config = TrainConfig(alpha=0.5, dim=3, batch_size=2, epochs=1, seed=0)
         _, log = fit(quads, 4, 1, 2, config)
         assert log.epochs[0].steps == sum(math.ceil(m / 2) for m in sizes)
+
+    def test_peak_holds_one_gradient_set(self):
+        """Over several steps and snapshots, ``fit`` holds the parameters,
+        AMSGrad's three moments, one gradient set and one step's
+        temporaries: a step's gradients are gone before the next step
+        builds its own."""
+        rng = np.random.default_rng(3)
+        n, r_aug, b = 3000, 4, 64
+        facts = np.column_stack([rng.integers(0, n, 400), rng.integers(0, r_aug, 400),
+                                 rng.integers(0, n, 400), rng.integers(0, 3, 400)])
+        config = TrainConfig(dim=64, batch_size=b, epochs=1, seed=0)
+        (params, log), peak = traced_peak(lambda: fit(facts, n, r_aug, 3, config))
+        assert log.epochs[0].steps >= 6 and len(log.epochs[0].snapshot_losses) == 3
+        parameter_bytes = sum(t.nbytes for t in params.tensors().values())
+        # parameters and three moments; a gradient set has the parameters' bytes
+        held = peak - 4 * parameter_bytes
+        assert (held - parameter_bytes) / (b * n * 4) <= STEP_PEAK_ARRAYS
 
     def test_duplicates_train_once(self):
         """A fact repeated within a snapshot is one training fact: the fit is
