@@ -28,6 +28,12 @@ SPLIT_RATIOS = {"80/10/10": (0.8, 0.1, 0.1), "80/20": (0.8, 0.2)}
 MODE_CHOICES = ("full", "copy-only", "gen-only", "gen-new")
 REGIME_CHOICES = ("raw", "static", "time-aware")
 
+# The options naming a file a command writes, per command. Their directories
+# must exist before any data is read, so a bad path fails at once, not after
+# training.
+OUTPUT_FILES = {"train": ("out", "log_csv"), "stats": ("csv",), "eval": ("per_snapshot_csv",),
+                "ablate": ("out",), "sweep-alpha": ("out",)}
+
 # per-dataset mixture weights from the benchmark tuning
 DATASET_ALPHA = (("icews", 0.8), ("gdelt", 0.7), ("wiki", 0.5), ("yago", 0.5))
 
@@ -310,9 +316,16 @@ def dispatch(argv) -> int:
         parser.print_usage(sys.stderr)
         return 2
     run = resolve(args.command, args, parser)
+    for key in ("threads", "topk"):
+        value = run.values.get(key)
+        if value is not None and value < 1:
+            parser.error(f"{args.command}: --{key} must be at least 1, got {value}")
+    for key in OUTPUT_FILES.get(args.command, ()):
+        out = run.values[key]
+        if out is not None and not Path(out).parent.is_dir():
+            raise FileNotFoundError(f"{args.command}: --{key.replace('_', '-')} {out}: "
+                                    f"no directory {Path(out).parent}")
     threads = run.values.get("threads")
-    if threads is not None and threads < 1:
-        parser.error(f"{args.command}: --threads must be at least 1, got {threads}")
     if threads:
         for var in _THREAD_ENV:  # must precede the numpy import
             os.environ[var] = str(threads)
@@ -385,6 +398,21 @@ def _emit_csv(out, header: str, rows: list[str], run: RunConfig) -> None:
         sys.stdout.write(text)
 
 
+def _write_splits(out: Path, named) -> None:
+    """Write the split files ``named`` maps to their facts into the directory
+    ``out``, made if missing, and delete its other split files, so that no
+    split of an earlier dataset there is read as part of this one."""
+    from . import data
+
+    out.mkdir(parents=True, exist_ok=True)
+    for name in ("train", "valid", "test"):
+        path = out / f"{name}.txt"
+        if name in named:
+            data.write_quadruple_file(path, named[name])
+        else:
+            path.unlink(missing_ok=True)
+
+
 def _report_lines(prefix: str, report) -> list[str]:
     if not report.defined:
         return [f"{prefix}count=0", f"{prefix}metrics=undefined"]
@@ -426,9 +454,7 @@ def _cmd_prepare(run: RunConfig) -> int:
         boundaries = split.boundaries
 
     out = Path(run.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, quads in named.items():
-        data.write_quadruple_file(out / f"{name}.txt", quads)
+    _write_splits(out, named)
     (out / "stat.txt").write_text(f"{meta.num_entities} {meta.num_relations}\n",
                                   encoding="utf-8")
     extra = f"boundaries = {','.join(map(str, boundaries))}\n" if boundaries else ""
@@ -481,12 +507,11 @@ def _cmd_synth(run: RunConfig) -> int:
     quads, rate = synth.generate(config)
     split = data.chronological_split(quads, SPLIT_RATIOS[run.split])
 
-    out = Path(run.out)
-    out.mkdir(parents=True, exist_ok=True)
-    data.write_quadruple_file(out / "train.txt", split.train)
+    named = {"train": split.train, "test": split.test}
     if len(SPLIT_RATIOS[run.split]) == 3:
-        data.write_quadruple_file(out / "valid.txt", split.valid)
-    data.write_quadruple_file(out / "test.txt", split.test)
+        named["valid"] = split.valid
+    out = Path(run.out)
+    _write_splits(out, named)
     (out / "stat.txt").write_text(f"{run.entities} {run.relations}\n", encoding="utf-8")
     (out / "synth.cfg").write_text(
         run.text() + f"realized_fact_repeat_rate = {rate:.6f}\n"
@@ -638,7 +663,7 @@ def _cmd_predict(run: RunConfig) -> int:
                               (run.mode,))
     probs = model.mix(heads, run.mode, alpha)[0]
     pc = heads.get("pc")
-    order = np.argsort(-probs, kind="stable")[:max(run.topk, 0)]
+    order = np.argsort(-probs, kind="stable")[:run.topk]
     for rank, entity in enumerate(order.tolist(), start=1):
         p = probs[entity]
         if run.mode == "copy-only":

@@ -284,12 +284,12 @@ def ablate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
 
 
 def sweep_alpha(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
-                filter_index: FactIndex | None = None, regime: str = "static",
-                alphas=SWEEP_ALPHAS) -> list[tuple[float, EvalReport]]:
-    """Re-mix one checkpoint at each alpha and evaluate the full mode,
-    scoring each chunk's heads once."""
-    alphas = [float(alpha) for alpha in alphas]
-    results = _evaluate_mixes(params, quads, vocab, [("full", alpha) for alpha in alphas],
+                filter_index: FactIndex | None = None, regime: str = "static"
+                ) -> list[tuple[float, EvalReport]]:
+    """Re-mix one checkpoint at each of ``SWEEP_ALPHAS`` and evaluate the
+    full mode, scoring each chunk's heads once."""
+    results = _evaluate_mixes(params, quads, vocab,
+                              [("full", alpha) for alpha in SWEEP_ALPHAS],
                               num_relations=num_relations,
                               filter_index=filter_index, regime=regime)
-    return [(alpha, result.overall) for alpha, result in zip(alphas, results)]
+    return [(alpha, result.overall) for alpha, result in zip(SWEEP_ALPHAS, results)]

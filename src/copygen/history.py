@@ -58,7 +58,7 @@ class FactIndex:
 class HistVocab:
     """Objects seen for each (subject, relation) pair strictly before the frontier.
 
-    Absorbing snapshots [0, k) makes ``lookup(s, p)`` exactly the set of
+    Absorbing snapshots [0, k) makes the candidates of (s, p) exactly the
     objects o with an observed fact (s, p, o, t), t < k. Membership is
     binary: re-absorbing a fact changes nothing. A vocabulary over a given
     index sees that index's facts before ``frontier``, so one index serves
@@ -85,10 +85,6 @@ class HistVocab:
         self.facts = FactIndex(np.concatenate([self.facts.quads, stamped]))
         self.frontier += 1
         return self
-
-    def lookup(self, subject: int, relation: int) -> np.ndarray:
-        """Sorted object ids historically seen for (subject, relation)."""
-        return np.unique(self.facts.select([subject], [relation], before=self.frontier)[1])
 
     def freeze(self) -> "HistVocab":
         """Make the vocabulary read-only (test-time state)."""

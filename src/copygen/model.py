@@ -143,11 +143,6 @@ class ModelParams:
         if problem:
             raise ValueError(problem)
 
-    def astype(self, dtype) -> "ModelParams":
-        return dataclasses.replace(
-            self, **{k: v.astype(dtype) for k, v in self.tensors().items()}
-        )
-
 
 def stable_softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Max-shifted softmax over the last axis, computed in float64.
@@ -426,9 +421,3 @@ def load_checkpoint(path) -> ModelParams:
     params.validate()
     return params
 
-
-def checkpoint_config_text(path) -> str | None:
-    """The trailing config block of a checkpoint, if one was embedded."""
-    blob = Path(path).read_bytes()
-    _, _, end = _checkpoint_layout(path, blob)
-    return blob[end + 4:].decode("utf-8") if len(blob) > end else None

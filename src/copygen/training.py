@@ -133,10 +133,10 @@ def check_finite(grads: dict[str, np.ndarray]) -> None:
             raise GradientError(f"non-finite gradient in {name}")
 
 
-def _flush_cast(delta: np.ndarray, dtype, out: np.ndarray | None = None) -> np.ndarray:
+def _flush_cast(delta: np.ndarray, dtype, out: np.ndarray) -> np.ndarray:
     """``delta`` (float64) at ``dtype`` for the backward GEMMs, written into
-    ``out`` (a new array by default), with every entry below the dtype's
-    smallest normal set to exactly +0.0; float64 is copied unchanged.
+    ``out``, with every entry below the dtype's smallest normal set to
+    exactly +0.0; float64 is copied unchanged.
 
     Masked copy probabilities sit near e^-magnitude (4e-44 at the default
     100), below float32's smallest normal (1.2e-38), so without the flush
@@ -144,7 +144,6 @@ def _flush_cast(delta: np.ndarray, dtype, out: np.ndarray | None = None) -> np.n
     slow them several-fold. The gradients would differ only below float32's
     normal range, so the time alone shows a missing flush.
     """
-    out = np.empty(delta.shape, dtype) if out is None else out
     np.copyto(out, delta, casting="same_kind")
     if delta.dtype != dtype:
         tiny = np.finfo(dtype).tiny
@@ -155,8 +154,10 @@ def _flush_cast(delta: np.ndarray, dtype, out: np.ndarray | None = None) -> np.n
 
 
 def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
-                    *, reduction: str = "sum", need_grads: bool = True):
-    """Shared forward/backward pass over a batch of (s, p, truth, k) rows.
+                    *, reduction: str = "sum"):
+    """Summed (or mean) cross-entropy of the mixture, -sum(ln p(truth)), over
+    a batch of (s, p, truth, k) rows, and its analytic gradients: one array
+    per learnable tensor, keyed by name in checkpoint order.
 
     The two K=2d head GEMMs and the four backward GEMMs run on the whole
     batch; the float64 work between them runs on blocks of rows, whose heads
@@ -201,8 +202,6 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
                     logits[block], *pairs, term[:b])
         floored = np.maximum(alpha * c[rows, t] + (1.0 - alpha) * g[rows, t], LOSS_FLOOR)
         losses[block] = -np.log(floored)
-        if not need_grads:
-            continue
 
         # d(loss)/d(copy logits): -(alpha / P) * a_y * (onehot - a); same shape
         # for the generation logits with the (1 - alpha) weight. The mask is
@@ -230,8 +229,6 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
         _flush_cast(c, dt, out=index[block])
         _flush_cast(g, dt, out=logits[block])
     loss = float(losses.mean() if reduction == "mean" else losses.sum())
-    if not need_grads:
-        return loss, None
 
     d_copy, d_gen = index, logits
     # Each head's weights get d.T @ inputs in their first 2d columns and
@@ -263,22 +260,6 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
 
     check_finite(grads)
     return loss, grads
-
-
-def batch_loss(params: ModelParams, batch, vocab: HistVocab, alpha: float,
-               *, reduction: str = "sum") -> float:
-    """Cross-entropy of the mixture: -sum(ln p(truth)) over the batch."""
-    loss, _ = _loss_and_grads(params, batch, vocab, alpha,
-                              reduction=reduction, need_grads=False)
-    return loss
-
-
-def batch_gradients(params: ModelParams, batch, vocab: HistVocab, alpha: float,
-                    *, reduction: str = "sum") -> dict[str, np.ndarray]:
-    """Analytic gradients of :func:`batch_loss`, one array per learnable
-    tensor, keyed by name in checkpoint order."""
-    _, grads = _loss_and_grads(params, batch, vocab, alpha, reduction=reduction)
-    return grads
 
 
 class AmsGrad:
@@ -329,10 +310,6 @@ class EpochStats:
 @dataclasses.dataclass
 class TrainLog:
     epochs: list[EpochStats] = dataclasses.field(default_factory=list)
-
-    @property
-    def losses(self) -> list[float]:
-        return [e.loss for e in self.epochs]
 
 
 def fit(train_quads, num_entities: int, num_relations_aug: int, num_snapshots: int,

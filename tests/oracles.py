@@ -1,15 +1,50 @@
-"""Independent reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles, and the
+test-side accessors of the program's internals.
 
-Everything here is deliberately naive (scalar loops, exhaustive search,
-brute-force sorting) and stays independent of the vectorized paths it
-checks.
+The oracles are deliberately naive (scalar loops, exhaustive search,
+brute-force sorting) and stay independent of the vectorized paths they
+check. The accessors (``batch_loss``, ``batch_gradients``, ``lookup``,
+``params_astype``, ``checkpoint_config_text``) are thin wrappers over the
+program's own code, which no command needs in these shapes.
 """
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 
+from copygen import model, training
 from copygen.model import ModelParams
+
+
+def batch_loss(params, batch, vocab, alpha, *, reduction="sum"):
+    """The cross-entropy of the mixture that a train step computes."""
+    return training._loss_and_grads(params, batch, vocab, alpha, reduction=reduction)[0]
+
+
+def batch_gradients(params, batch, vocab, alpha, *, reduction="sum"):
+    """The analytic gradients of :func:`batch_loss`, one array per learnable
+    tensor, keyed by name in checkpoint order."""
+    return training._loss_and_grads(params, batch, vocab, alpha, reduction=reduction)[1]
+
+
+def lookup(vocab, subject, relation):
+    """Sorted object ids ``vocab`` has seen for (subject, relation)."""
+    return np.unique(vocab.facts.select([subject], [relation], before=vocab.frontier)[1])
+
+
+def params_astype(params, dtype):
+    """``params`` with every learnable tensor cast to ``dtype``."""
+    return dataclasses.replace(
+        params, **{k: v.astype(dtype) for k, v in params.tensors().items()})
+
+
+def checkpoint_config_text(path):
+    """The trailing config block of a checkpoint, if one was embedded."""
+    blob = Path(path).read_bytes()
+    _, _, end = model._checkpoint_layout(path, blob)
+    return blob[end + 4:].decode("utf-8") if len(blob) > end else None
 
 
 def random_params(rng, num_entities, num_relations, dim, *, scale=0.6,
@@ -102,7 +137,7 @@ def scalar_batch_loss(params, batch, vocab, alpha, floor=1e-30):
     """Summed cross-entropy of the mixture, fact by fact."""
     total = 0.0
     for s, p, o, k in np.asarray(batch).tolist():
-        mask = [0.0 if e in set(vocab.lookup(s, p).tolist()) else -params.mask_magnitude
+        mask = [0.0 if e in set(lookup(vocab, s, p).tolist()) else -params.mask_magnitude
                 for e in range(params.num_entities)]
         pc = scalar_copy_probs(params, s, p, k, mask)
         pg = scalar_generation_probs(params, s, p, k)
@@ -191,8 +226,6 @@ def rel_err(a, b, floor=1e-3):
 
 def finite_difference_grads(params, batch, vocab, alpha, h=1e-4):
     """Central finite differences of the batch loss, coordinate by coordinate."""
-    from copygen.training import batch_loss
-
     out = {}
     for name, arr in params.tensors().items():
         fd = np.zeros_like(arr)

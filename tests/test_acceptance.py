@@ -18,10 +18,12 @@ from copygen.evaluation import build_filter, evaluate, rank_of_truth
 from copygen.history import HistVocab, vocab_from_quads
 from copygen.model import score_batch, score_heads
 from copygen.synth import SynthConfig, generate
-from copygen.training import TrainConfig, batch_gradients, fit
+from copygen.training import TrainConfig, fit
 
 from oracles import (
+    batch_gradients,
     finite_difference_grads,
+    lookup,
     random_params,
     rank_oracle,
     rel_err,
@@ -133,7 +135,7 @@ def test_criterion_4_vocabulary_oracle():
         for frontier in range(11):
             expected = vocab_oracle(quads, frontier)
             # every pair in range, so pairs without history must come back empty
-            got = {(s, p): set(vocab.lookup(s, p).tolist())
+            got = {(s, p): set(lookup(vocab, s, p).tolist())
                    for s in range(n) for p in range(r)}
             if got != {key: expected.get(key, set()) for key in got}:
                 mismatches += 1

@@ -22,6 +22,8 @@ from copygen.evaluation import ablate, build_filter, evaluate, rank_of_truth, sw
 from copygen.history import vocab_from_quads
 from copygen.model import ModelParams, load_checkpoint, save_checkpoint, score_batch
 
+from oracles import checkpoint_config_text, lookup
+
 
 @pytest.fixture(scope="module")
 def synth_dir(tmp_path_factory):
@@ -115,10 +117,22 @@ class TestSynthAndStats:
         assert capsys.readouterr().err == "error: probe split 'valid' is empty\n"
 
 
+    def test_synth_leaves_no_stale_split(self, tmp_path, capsys):
+        """A two-way synth over a three-way one deletes the old validation
+        split, which would otherwise load as the new dataset's."""
+        data = tmp_path / "synth"
+        for seed, split in (("1", "80/10/10"), ("2", "80/20")):
+            assert cli.main(["synth", "--out", str(data), "--entities", "15",
+                             "--relations", "2", "--snapshots", "10",
+                             "--facts-per-snapshot", "20", "--seed", seed,
+                             "--split", split]) == 0
+        assert sorted(path.name for path in data.glob("*.txt")) == [
+            "stat.txt", "test.txt", "train.txt"]
+        assert len(load_dataset(data).valid) == 0
+
+
 class TestTrainAndEval:
     def test_checkpoint_embeds_config(self, checkpoint):
-        from copygen.model import checkpoint_config_text
-
         text = checkpoint_config_text(checkpoint)
         assert "alpha = 0.8" in text
         assert "version = " in text
@@ -276,8 +290,8 @@ class TestAblateSweepPredict:
         vocab = train_vocab(synth_dir)
         # the pair with the most historical objects, so several of them tie
         s, p = max(((s, p) for s in range(n) for p in range(r_aug)),
-                   key=lambda pair: len(vocab.lookup(*pair)))
-        history = vocab.lookup(s, p).tolist()
+                   key=lambda pair: len(lookup(vocab, *pair)))
+        history = lookup(vocab, s, p).tolist()
         assert len(history) >= 2
         rows = predict_rows(capsys, path, synth_dir, s, p, 7, "--mode", mode,
                             "--topk", str(n))
@@ -502,6 +516,35 @@ class TestUsageAndErrors:
             assert not any(var in os.environ for var in cli._THREAD_ENV)
         assert not out.exists()
 
+    def test_topk_below_one_is_usage_error(self, synth_dir, checkpoint, capsys):
+        for value in (0, -3):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(["predict", "--checkpoint", str(checkpoint), "--data", str(synth_dir),
+                          "--subject", "0", "--relation", "0", "--time", "7",
+                          "--topk", str(value)])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert f"predict: --topk must be at least 1, got {value}" in captured.err
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("command, option", [
+        ("train", "--out"), ("train", "--log-csv"), ("stats", "--csv"),
+        ("eval", "--per-snapshot-csv"), ("ablate", "--out"), ("sweep-alpha", "--out")])
+    def test_output_directory_checked_before_any_work(self, synth_dir, checkpoint, tmp_path,
+                                                      monkeypatch, command, option, capsys):
+        """An output file in a missing directory fails at once, naming the
+        option and the path as given, before any data is read (training
+        used to run every epoch, then fail on the checkpoint's temp file)."""
+        monkeypatch.chdir(tmp_path)
+        extra = {"eval": ["--checkpoint", str(checkpoint)],
+                 "ablate": ["--checkpoint", str(checkpoint)],
+                 "sweep-alpha": ["--retrain", "--dim", "4", "--epochs", "1"]}.get(command, [])
+        assert cli.main([command, "--data", str(synth_dir), *extra,
+                         option, "nodir/m.cyg"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {command}: {option} nodir/m.cyg: no directory nodir\n"
+
     def test_unreadable_echo_value_is_usage_error(self, synth_dir, tmp_path, capsys):
         """A value the ``key = value`` echo would cut or change is refused
         before anything runs."""
@@ -618,8 +661,6 @@ class TestConfigFile:
                          "--config", str(cfg), "--epochs", "1"]) == 0
         stdout = capsys.readouterr().out
         assert stdout.count("epoch=") == 1  # flag beat the config file
-        from copygen.model import checkpoint_config_text, load_checkpoint
-
         text = checkpoint_config_text(out)
         assert "dim = 4" in text and "epochs = 1" in text
         assert load_checkpoint(out).dim == 4
@@ -693,8 +734,6 @@ class TestConfigFile:
         """``synth.cfg``, ``prepared.cfg`` and a checkpoint's config block,
         read back as ``--config`` of their command, reproduce the run: the
         re-run's echo differs only in its ``out`` line."""
-        from copygen.model import checkpoint_config_text
-
         def same_echo(command, cfg, echo):
             out = tmp_path / f"{command}-again"
             assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 0
@@ -842,6 +881,27 @@ class TestPrepare:
         assert cli.main(["prepare", "--data", str(src), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {src}: no fact files found\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("split", [None, "80/20"])
+    def test_leaves_no_stale_split(self, tmp_path, split, capsys):
+        """A stale ``valid.txt`` in the output directory is deleted when the
+        command writes no validation split: without ``--split`` when the
+        source has none, and under a two-way ``--split``."""
+        src = tmp_path / "raw"
+        src.mkdir()
+        (src / "stat.txt").write_text("10 2\n")
+        rows = np.asarray([(i % 5, i % 2, (i + 1) % 5, t) for t in range(10)
+                           for i in range(4)], np.int64)
+        write_quadruple_file(src / "train.txt", rows[rows[:, 3] < 8])
+        write_quadruple_file(src / "test.txt", rows[rows[:, 3] >= 8])
+        out = tmp_path / "prepared"
+        out.mkdir()
+        write_quadruple_file(out / "valid.txt", np.asarray([(9, 1, 9, 8)], np.int64))
+        assert cli.main(["prepare", "--data", str(src), "--out", str(out),
+                         *(["--split", split] if split else [])]) == 0
+        assert sorted(path.name for path in out.glob("*.txt")) == [
+            "stat.txt", "test.txt", "train.txt"]
+        assert len(load_dataset(out).valid) == 0
 
     def test_two_way_resplit(self, tmp_path, capsys):
         src = tmp_path / "raw"

@@ -334,8 +334,9 @@ class TestMixValidation:
         params, _, test, vocab, index, r = eval_setup(seed=11, count=count)
         calls = TestScoreOnce.count_head_calls(monkeypatch)
         kwargs = dict(num_relations=r, filter_index=index)
+        monkeypatch.setattr(evaluation, "SWEEP_ALPHAS", (0.5, 1.5))
         with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1.5$"):
-            sweep_alpha(params, test, vocab, alphas=[0.5, 1.5], **kwargs)
+            sweep_alpha(params, test, vocab, **kwargs)
         with pytest.raises(ValueError, match=r"^unknown mode 'bogus'; expected one of "):
             evaluate(params, test, vocab, mode="bogus", **kwargs)
         with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got -0.5$"):
@@ -437,12 +438,11 @@ class TestRanksAgainstOracle:
             return ranks
 
         kwargs = dict(num_relations=r, filter_index=index, regime=regime)
-        alphas = [0.0, 0.25, alpha, 1.0]
         checks = [
             (lambda: ablate(params, test, vocab, **kwargs),
              [(mode, None) for mode in evaluation.ABLATION_ORDER]),
-            (lambda: sweep_alpha(params, test, vocab, alphas=alphas, **kwargs),
-             [("full", a) for a in alphas]),
+            (lambda: sweep_alpha(params, test, vocab, **kwargs),
+             [("full", a) for a in evaluation.SWEEP_ALPHAS]),
             *[(lambda mode=mode: evaluate(params, test, vocab, mode=mode, **kwargs),
                [(mode, None)]) for mode in model.MODES],
         ]

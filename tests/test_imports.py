@@ -1,5 +1,6 @@
-"""Every name a ``copygen`` module imports is used in that module. No linter
-runs in the test suite, so this is its check against dead imports."""
+"""Every name a ``copygen`` module imports is used in that module, and every
+public name it defines is used by the program or the benchmark. No linter
+runs in the test suite, so these are its checks against dead code."""
 
 import ast
 import ctypes
@@ -11,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "copygen"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "copygen"
+BENCH = ROOT / "bench"
 
 # Bound only so that the benchmark's tracer (bench/spans.py) can wrap them
 # in these modules' namespaces.
@@ -63,6 +66,83 @@ def test_every_import_is_used():
              for name in unused_imports(path.read_text(encoding="utf-8"))}
     assert found == TRACER_SHIMS
 
+
+# Public definitions kept without a caller in src/copygen or bench/, each
+# with the reason it stays.
+UNREFERENCED_ALLOWED: dict[str, str] = {}
+
+
+def public_definitions(source: str) -> set[str]:
+    """The module-level functions and classes of ``source``, and the methods
+    of its classes, whose names do not start with an underscore."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(child.name for child in node.body if isinstance(child, _FUNCTIONS))
+    return {name for name in names if not name.startswith("_")}
+
+
+def referenced_names(source: str, *, strings: bool = False) -> set[str]:
+    """The names ``source`` reads: ``Name`` and ``Attribute`` loads, and with
+    ``strings`` every string constant too, since the benchmark's tracer
+    binds its targets by name. An import binds names but reads none."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def unreferenced(program: list[str], bench: list[str]) -> set[str]:
+    """The public definitions of the ``program`` sources that neither they
+    nor the ``bench`` sources reference.
+
+    References are matched by name alone, not resolved to a definition: a
+    definition whose name is also a numpy method (``astype``) or a local
+    variable (``losses``) counts as used. So this catches a dead name only
+    where no other name is spelled like it: the dead ``ModelParams.astype``
+    and ``TrainLog.losses`` passed it, and were deleted by hand."""
+    defined = set().union(*map(public_definitions, program))
+    read = set().union(*map(referenced_names, program),
+                       *(referenced_names(source, strings=True) for source in bench))
+    return defined - read
+
+
+def test_finds_an_unreferenced_definition():
+    program = [
+        textwrap.dedent("""
+            def used(): ...
+            def dead(): ...
+            def imported(): ...
+            def _private(): ...
+            class Box:
+                def shown(self): ...
+                def traced(self): ...
+                def hidden(self): ...
+                def _own(self): ...
+            """),
+        textwrap.dedent("""
+            from first import imported
+            box = used().Box()
+            box.hidden = 1
+            print(box.shown(), "traced")
+            """),
+    ]
+    bench = ['wrap(Box, "traced")\n']
+    assert unreferenced(program, bench) == {"dead", "imported", "hidden"}
+
+
+def test_every_public_definition_is_referenced():
+    program, bench = ([path.read_text(encoding="utf-8") for path in sorted(root.glob("*.py"))]
+                      for root in (SRC, BENCH))
+    assert len(program) > 5 and len(bench) > 3
+    assert unreferenced(program, bench) == set(UNREFERENCED_ALLOWED)
 
 
 HEAP_PROBE = textwrap.dedent("""

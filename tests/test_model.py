@@ -24,8 +24,8 @@ from copygen.model import (
     stable_softmax,
 )
 
-from oracles import (head_rows, random_params, rel_err, scalar_copy_probs,
-                     scalar_generation_probs)
+from oracles import (checkpoint_config_text, head_rows, lookup, params_astype, random_params,
+                     rel_err, scalar_copy_probs, scalar_generation_probs)
 
 
 def zero_params(n=4, d=3, r=2, **kw):
@@ -265,7 +265,7 @@ def out_of_place_heads(params, subjects, relations, times, vocab, *, factored=Tr
     the float64 logits, then z - z.max, exp and a division."""
     seen = np.zeros((len(subjects), params.num_entities), dtype=bool)
     for row, (s, p) in zip(seen, zip(subjects, relations)):
-        row[vocab.lookup(s, p)] = True
+        row[lookup(vocab, s, p)] = True
     mag = params.mask_magnitude
 
     def softmax(z):
@@ -298,7 +298,7 @@ class TestInPlaceHeads:
         # rows: empty history, full history, a repeated fact, a partial one
         subjects, relations, times = [0, 1, 2, 3, 2], [0, 0, 1, 1, 1], [3, 3, 4, 5, 9]
         for params in (random_params(rng, n, 2, 3, dtype=dtype),
-                       zero_params(n=n).astype(dtype)):
+                       params_astype(zero_params(n=n), dtype)):
             expected = out_of_place_heads(params, subjects, relations, times, vocab)
             for modes in [(mode,) for mode in model.MODES] + [model.MODES]:
                 heads = score_heads(params, subjects, relations, times, vocab, modes)
@@ -480,15 +480,15 @@ class TestCheckpoint:
         path = tmp_path / "m.cyg"
         text = "alpha = 0.25\nseed = 3\n"
         save_checkpoint(self._params(), path, config_text=text)
-        assert model.checkpoint_config_text(path) == text
-        assert model.checkpoint_config_text(tmp_path / "m.cyg") == text
+        assert checkpoint_config_text(path) == text
+        assert checkpoint_config_text(tmp_path / "m.cyg") == text
         loaded = load_checkpoint(path)  # trailing block must not confuse loading
         assert loaded.num_entities == 6
 
     def test_no_config_block(self, tmp_path):
         path = tmp_path / "m.cyg"
         save_checkpoint(self._params(), path)
-        assert model.checkpoint_config_text(path) is None
+        assert checkpoint_config_text(path) is None
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "m.cyg"
@@ -500,7 +500,7 @@ class TestCheckpoint:
         path = tmp_path / "m.cyg"
         save_checkpoint(self._params(), path)
         path.write_bytes(path.read_bytes() + b"junk")
-        for read in (load_checkpoint, model.checkpoint_config_text):
+        for read in (load_checkpoint, checkpoint_config_text):
             with pytest.raises(ValueError, match=r"m\.cyg: 4 unexpected bytes after the tensors"):
                 read(path)
 
@@ -525,7 +525,7 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[offset:offset + 4] = struct.pack("<f", value)
         path.write_bytes(bytes(blob))
-        for read in (load_checkpoint, model.checkpoint_config_text):
+        for read in (load_checkpoint, checkpoint_config_text):
             with pytest.raises(ValueError,
                                match=rf"m\.cyg: header field {SCALAR_PROBLEM[field]}"):
                 read(path)
@@ -564,7 +564,7 @@ class TestCheckpoint:
         path = tmp_path / "m.cyg"
         save_checkpoint(self._params(), path, config_text="seed = 1\n")
         path.write_bytes(path.read_bytes()[:size])
-        for read in (load_checkpoint, model.checkpoint_config_text):
+        for read in (load_checkpoint, checkpoint_config_text):
             with pytest.raises(ValueError, match=rf"m\.cyg: truncated (in )?{where}"):
                 read(path)
 
@@ -611,12 +611,12 @@ class TestCheckpoint:
                 assert loaded.tensors()[name].tobytes() == arr.tobytes(), name
             assert (loaded.num_snapshots, loaded.mask_magnitude, loaded.alpha) \
                 == (params.num_snapshots, params.mask_magnitude, params.alpha)
-            assert model.checkpoint_config_text(path) == config_text
+            assert checkpoint_config_text(path) == config_text
 
             tensors_end = 28 + 4 * sum(arr.size for arr in tensors.values())
             cut = example.draw(st.integers(0, tensors_end - 1))
             path.write_bytes(path.read_bytes()[:cut])
-            for read in (load_checkpoint, model.checkpoint_config_text):
+            for read in (load_checkpoint, checkpoint_config_text):
                 with pytest.raises(ValueError, match=r"m\.cyg: "):
                     read(path)
 
