@@ -41,7 +41,8 @@ class FactIndex:
         """(query row, object) of every fact of the queried pairs, for one
         fancy-index assignment into a (B, N) array. ``before`` keeps facts
         with t < before (the history at that frontier), ``at`` those of row
-        i with t == at[i] (the time-aware filter), neither all of them."""
+        i with t == at[i] (the time-aware filter), neither all of them.
+        ``before`` is one frontier or one per row."""
         keys = _pair_keys(subjects, relations)
         lo = np.searchsorted(self.keys, keys, side="left")
         counts = np.searchsorted(self.keys, keys, side="right") - lo
@@ -49,7 +50,11 @@ class FactIndex:
         # a match's position: its row's lo plus its offset among the row's matches
         matched = self.quads[np.arange(len(rows))
                              + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
-        keep = np.ones(len(rows), dtype=bool) if before is None else matched[:, 3] < before
+        if before is None:
+            keep = np.ones(len(rows), dtype=bool)
+        else:
+            before = np.asarray(before, dtype=np.int64)
+            keep = matched[:, 3] < (before[rows] if before.ndim else before)
         if at is not None:
             keep &= matched[:, 3] == np.asarray(at, dtype=np.int64)[rows]
         return rows[keep], matched[keep, 2]

@@ -7,7 +7,7 @@ test suite. Parameters are float32 by default. The softmax heads, the loss,
 the truth probabilities and the gradient deltas are computed in float64, a
 cache-sized block of rows at a time; each delta is then cast once to the
 parameters' dtype, its entries below that dtype's smallest normal flushed to
-exactly zero first, and the four backward GEMMs run at parameter precision.
+exactly zero first, and the backward GEMMs run at parameter precision.
 Float64 parameters thus take an all-float64 path.
 
 Like the forward heads (see ``copygen.model``), the backward treats the
@@ -15,6 +15,12 @@ time third of each head's weights as the rank-one term (k + 1)·(W_t τ): the
 GEMMs multiply only the [subject; relation] inputs (K=2d), and the time
 columns' gradient is the outer product of each delta's (k + 1)-weighted
 column sums with τ.
+
+A train step holds no gradient set: the backward hands each gradient block
+(the (N, 3d) head weights' a block of entity rows at a time) to AMSGrad as
+it is made, bitwise as if whole gradient sets were applied after it. A
+non-finite block raises ``GradientError`` before it is applied, so a failed
+step may leave the tensors before it updated.
 """
 
 from __future__ import annotations
@@ -48,6 +54,8 @@ from .history import masks_for  # noqa: F401
 from .model import stable_softmax  # noqa: F401
 
 LOSS_FLOOR = 1e-30  # guards log() against truth-probability underflow
+# Entity rows of a head-weight gradient block: 2.4 MB at d=200 in float32.
+GRAD_BLOCK_ROWS = 1024
 
 
 class GradientError(RuntimeError):
@@ -125,12 +133,11 @@ def init_params(num_entities: int, num_relations_aug: int, num_snapshots: int,
     )
 
 
-def check_finite(grads: dict[str, np.ndarray]) -> None:
-    """Raise ``GradientError`` naming the first tensor with a NaN or infinite
-    entry (``all_finite``)."""
-    for name, g in grads.items():
-        if not all_finite(g):
-            raise GradientError(f"non-finite gradient in {name}")
+def check_finite(name: str, grad: np.ndarray) -> None:
+    """Raise ``GradientError`` naming tensor ``name`` if its gradient block
+    ``grad`` has a NaN or infinite entry (``all_finite``)."""
+    if not all_finite(grad):
+        raise GradientError(f"non-finite gradient in {name}")
 
 
 def _flush_cast(delta: np.ndarray, dtype, out: np.ndarray) -> np.ndarray:
@@ -154,19 +161,25 @@ def _flush_cast(delta: np.ndarray, dtype, out: np.ndarray) -> np.ndarray:
 
 
 def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
-                    *, reduction: str = "sum"):
+                    *, apply: Callable[[str, int, np.ndarray], None],
+                    reduction: str = "sum") -> float:
     """Summed (or mean) cross-entropy of the mixture, -sum(ln p(truth)), over
-    a batch of (s, p, truth, k) rows, and its analytic gradients: one array
-    per learnable tensor, keyed by name in checkpoint order.
+    a batch of (s, p, truth, k) rows. Its analytic gradients go, each block
+    checked finite first, to the sink ``apply(name, first_row, block)``:
+    the generation and then the copy head's weights in blocks of
+    ``GRAD_BLOCK_ROWS`` entity rows (one reused buffer, valid during the
+    call), then the embeddings, the biases and τ whole. The sink may update
+    the parameters: the backward reads each tensor before its first block
+    is passed.
 
-    The two K=2d head GEMMs and the four backward GEMMs run on the whole
-    batch; the float64 work between them runs on blocks of rows, whose heads
-    and deltas stay in cache. ``build_heads`` adds each block's time terms
-    and biases to its GEMM rows, takes the copy tanh, and turns the rows
-    into both heads in reused float64 buffers, which then become the losses
-    and both deltas, flush-cast back over the block's rows of the GEMM
-    outputs. Every operation is row-wise, so losses and gradients are
-    bitwise those of the whole-batch formulas.
+    The two K=2d head GEMMs and the backward GEMMs run on the whole batch;
+    the float64 work between them runs on blocks of rows, whose heads and
+    deltas stay in cache. ``build_heads`` adds each block's time terms and
+    biases to its GEMM rows, takes the copy tanh, and turns the rows into
+    both heads in reused float64 buffers, which then become the losses and
+    both deltas, flush-cast back over the block's rows of the GEMM outputs.
+    Every operation is row-wise, so losses and gradients are bitwise those
+    of the whole-batch formulas.
     """
     check_mix("full", alpha)
     if reduction not in ("sum", "mean"):
@@ -229,37 +242,49 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
         _flush_cast(c, dt, out=index[block])
         _flush_cast(g, dt, out=logits[block])
     loss = float(losses.mean() if reduction == "mean" else losses.sum())
-
+    b_copy, b_gen = pc[0].astype(dt), pg[0].astype(dt)
     d_copy, d_gen = index, logits
+    del index, logits, pc, pg, tanh_grad, term
+
+    def emit(name, first_row, grad):
+        check_finite(name, grad)
+        apply(name, first_row, grad)
+
     # Each head's weights get d.T @ inputs in their first 2d columns and
     # outer((k + 1) @ d, τ) in the time columns; τ gets the time columns of
-    # d @ W weighted by k + 1, which is ((k + 1) @ d) @ W_t.
+    # d @ W weighted by k + 1, which is ((k + 1) @ d) @ W_t. Everything that
+    # reads the head weights runs before their first block is passed on.
     input_cols = slice(0, 2 * d)
     time_cols = slice(2 * d, None)
     weighted = (steps + 1).astype(dt)
-    # One buffer per learnable tensor, in checkpoint order; rows untouched by
-    # the batch stay zero.
-    grads = {
-        "entity_emb": np.zeros((n, d), dtype=dt),
-        "relation_emb": np.zeros((params.num_relations, d), dtype=dt),
-        "time_unit": np.zeros(d, dtype=dt),
-        "w_copy": np.empty((n, 3 * d), dtype=dt),
-        "b_copy": pc[0].astype(dt),
-        "w_gen": np.empty((n, 3 * d), dtype=dt),
-        "b_gen": pg[0].astype(dt),
-    }
-    for delta, weights, grad in ((d_copy, params.w_copy, grads["w_copy"]),
-                                 (d_gen, params.w_gen, grads["w_gen"])):
-        np.matmul(delta.T, inputs, out=grad[:, input_cols])
-        time_sums = weighted @ delta  # (N,)
-        np.multiply.outer(time_sums, params.time_unit, out=grad[:, time_cols])
-        grads["time_unit"] += time_sums @ weights[:, time_cols]
     d_inputs = d_copy @ params.w_copy[:, input_cols] + d_gen @ params.w_gen[:, input_cols]
-    np.add.at(grads["entity_emb"], subjects, d_inputs[:, :d])
-    np.add.at(grads["relation_emb"], relations, d_inputs[:, d:])
-
-    check_finite(grads)
-    return loss, grads
+    time_sums = {"w_copy": weighted @ d_copy, "w_gen": weighted @ d_gen}  # (N,) each
+    time_unit = np.zeros(d, dtype=dt)
+    for name, sums in time_sums.items():
+        time_unit += sums @ getattr(params, name)[:, time_cols]
+    buffer = np.empty((min(GRAD_BLOCK_ROWS, n), 3 * d), dtype=dt)
+    # The generation head goes first: its logits are unbounded, unlike the
+    # copy head's tanh, so a NaN that the mixture spreads to both deltas is
+    # named after the head that most likely made it.
+    for name, delta in (("w_gen", d_gen), ("w_copy", d_copy)):
+        for lo in range(0, n, GRAD_BLOCK_ROWS):
+            grad = buffer[:min(GRAD_BLOCK_ROWS, n - lo)]
+            np.matmul(delta[:, lo:lo + len(grad)].T, inputs, out=grad[:, input_cols])
+            np.multiply.outer(time_sums[name][lo:lo + len(grad)], params.time_unit,
+                              out=grad[:, time_cols])
+            emit(name, lo, grad)
+    # the deltas are read for the last time, so the (N, d) embedding
+    # gradients never sit next to them
+    del d_copy, d_gen, delta, buffer, grad
+    for name, ids, cols in (("entity_emb", subjects, slice(0, d)),
+                            ("relation_emb", relations, slice(d, None))):
+        grad = np.zeros((len(getattr(params, name)), d), dtype=dt)
+        np.add.at(grad, ids, d_inputs[:, cols])
+        emit(name, 0, grad)
+    emit("b_copy", 0, b_copy)
+    emit("b_gen", 0, b_gen)
+    emit("time_unit", 0, time_unit)
+    return loss
 
 
 class AmsGrad:
@@ -273,29 +298,29 @@ class AmsGrad:
 
     def __init__(self, params: ModelParams, lr: float):
         self.lr = lr
-        self._m = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-        self._v = {k: np.zeros_like(v) for k, v in params.tensors().items()}
-        self._vhat = {k: np.zeros_like(v) for k, v in params.tensors().items()}
+        self._theta = params.tensors()
+        self._m = {k: np.zeros_like(v) for k, v in self._theta.items()}
+        self._v = {k: np.zeros_like(v) for k, v in self._theta.items()}
+        self._vhat = {k: np.zeros_like(v) for k, v in self._theta.items()}
 
-    def step(self, params: ModelParams, grads: dict[str, np.ndarray]) -> None:
-        """One update of every tensor, applied elementwise to slices of
-        about ``CACHE_ELEMENTS`` elements so that its temporaries stay in
-        cache. The slices are row blocks, views even of a non-contiguous
-        tensor (where ``reshape(-1)`` would copy and lose the update)."""
-        tensors = params.tensors()
-        for name, grad in grads.items():
-            theta = tensors[name]
-            rows = max(1, CACHE_ELEMENTS // math.prod(theta.shape[1:]))
-            for lo in range(0, len(theta), rows):
-                part = slice(lo, lo + rows)
-                th, g = theta[part], grad[part]
-                m, v, vhat = self._m[name][part], self._v[name][part], self._vhat[name][part]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * g * g
-                np.maximum(vhat, v, out=vhat)
-                th -= self.lr * m / (np.sqrt(vhat) + self.eps)
+    def step(self, name: str, first_row: int, grad: np.ndarray) -> None:
+        """Update rows ``first_row`` onward of tensor ``name`` from their
+        gradient ``grad``, elementwise on slices of about ``CACHE_ELEMENTS``
+        elements so that its temporaries stay in cache. The slices are row
+        blocks, views even of a non-contiguous tensor (where ``reshape(-1)``
+        would copy and lose the update)."""
+        rows = max(1, CACHE_ELEMENTS // math.prod(grad.shape[1:]))
+        for lo in range(0, len(grad), rows):
+            g = grad[lo:lo + rows]
+            part = slice(first_row + lo, first_row + lo + len(g))
+            th = self._theta[name][part]
+            m, v, vhat = self._m[name][part], self._v[name][part], self._vhat[name][part]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            np.maximum(vhat, v, out=vhat)
+            th -= self.lr * m / (np.sqrt(vhat) + self.eps)
 
 
 @dataclasses.dataclass
@@ -354,13 +379,8 @@ def fit(train_quads, num_entities: int, num_relations_aug: int, num_snapshots: i
                 shuffled = snapshot[rng.permutation(len(snapshot))]
                 for start in range(0, len(shuffled), config.batch_size):
                     batch = shuffled[start:start + config.batch_size]
-                    loss, grads = _loss_and_grads(params, batch, vocab, config.alpha,
-                                                  reduction=reduction)
-                    optimizer.step(params, grads)
-                    # Dropped before the next step builds its own set, so only
-                    # one set of gradients is ever alive.
-                    del grads
-                    snap_loss += loss
+                    snap_loss += _loss_and_grads(params, batch, vocab, config.alpha,
+                                                 apply=optimizer.step, reduction=reduction)
                     steps += 1
             snapshot_losses.append(snap_loss)
             epoch_loss += snap_loss

@@ -3,9 +3,10 @@ test-side accessors of the program's internals.
 
 The oracles are deliberately naive (scalar loops, exhaustive search,
 brute-force sorting) and stay independent of the vectorized paths they
-check. The accessors (``batch_loss``, ``batch_gradients``, ``lookup``,
-``params_astype``, ``checkpoint_config_text``) are thin wrappers over the
-program's own code, which no command needs in these shapes.
+check. The accessors (``batch_loss``, ``loss_and_gradients``,
+``batch_gradients``, ``amsgrad_step``, ``lookup``, ``params_astype``,
+``checkpoint_config_text``) are thin wrappers over the program's own code,
+which no command needs in these shapes.
 """
 
 import dataclasses
@@ -20,13 +21,38 @@ from copygen.model import ModelParams
 
 def batch_loss(params, batch, vocab, alpha, *, reduction="sum"):
     """The cross-entropy of the mixture that a train step computes."""
-    return training._loss_and_grads(params, batch, vocab, alpha, reduction=reduction)[0]
+    return training._loss_and_grads(params, batch, vocab, alpha, apply=lambda *_: None,
+                                    reduction=reduction)
+
+
+def loss_and_gradients(params, batch, vocab, alpha, *, reduction="sum"):
+    """:func:`batch_loss` and its analytic gradients, one array per
+    learnable tensor, keyed by name in checkpoint order: the blocks a train
+    step passes to its sink, collected. Each tensor must come in row blocks
+    at its own dtype that cover it once, in order."""
+    grads = {name: np.full_like(t, np.nan) for name, t in params.tensors().items()}
+    filled = dict.fromkeys(grads, 0)
+
+    def collect(name, first_row, block):
+        assert first_row == filled[name] and block.dtype == grads[name].dtype, name
+        grads[name][first_row:first_row + len(block)] = block
+        filled[name] += len(block)
+
+    loss = training._loss_and_grads(params, batch, vocab, alpha, apply=collect,
+                                    reduction=reduction)
+    assert all(filled[name] == len(g) for name, g in grads.items()), filled
+    return loss, grads
 
 
 def batch_gradients(params, batch, vocab, alpha, *, reduction="sum"):
-    """The analytic gradients of :func:`batch_loss`, one array per learnable
-    tensor, keyed by name in checkpoint order."""
-    return training._loss_and_grads(params, batch, vocab, alpha, reduction=reduction)[1]
+    """The gradients of :func:`loss_and_gradients`."""
+    return loss_and_gradients(params, batch, vocab, alpha, reduction=reduction)[1]
+
+
+def amsgrad_step(optimizer, grads):
+    """One ``AmsGrad`` update of every tensor from a whole gradient set."""
+    for name, grad in grads.items():
+        optimizer.step(name, 0, grad)
 
 
 def lookup(vocab, subject, relation):

@@ -238,6 +238,25 @@ class TestIndexAgainstOracles:
             == [vocab_oracle(quads, HORIZON).get(pair, set()) for pair in GRID]
 
     @settings(max_examples=60, deadline=None)
+    @given(facts, st.lists(st.integers(0, HORIZON), min_size=len(GRID), max_size=len(GRID)))
+    def test_per_row_frontiers(self, quads, frontiers):
+        """``before`` with one frontier per query row keeps each row's facts
+        before its own frontier."""
+        subjects, relations = np.array(GRID).T
+        got = row_sets(*FactIndex(quads).select(subjects, relations, before=frontiers),
+                       len(GRID))
+        assert got == [vocab_oracle(quads, frontier).get(pair, set())
+                       for pair, frontier in zip(GRID, frontiers)]
+
+    def test_per_row_frontiers_as_many_as_the_matches(self):
+        """Two rows and two matches, both of the first row's pair: each
+        match is held to its row's frontier, not to the frontier at its own
+        position (which kept row 0 from seeing object 2)."""
+        index = FactIndex([(0, 0, 1, 0), (0, 0, 2, 4)])
+        rows, objects = index.select([0, 1], [0, 0], before=[5, 1])
+        assert rows.tolist() == [0, 0] and objects.tolist() == [1, 2]
+
+    @settings(max_examples=60, deadline=None)
     @given(facts, facts)
     def test_filters(self, first, second):
         index = build_filter(first, second)

@@ -7,7 +7,7 @@ import pytest
 
 from copygen import model, training
 from copygen.data import dedupe
-from copygen.history import HistVocab, masks_for, vocab_from_quads
+from copygen.history import FactIndex, HistVocab, masks_for, vocab_from_quads
 from copygen.model import stable_softmax
 from copygen.synth import SynthConfig, generate
 from copygen.training import (
@@ -19,8 +19,9 @@ from copygen.training import (
     xavier_init,
 )
 
-from oracles import (batch_gradients, batch_loss, finite_difference_grads, head_rows,
-                     params_astype, random_params, rel_err, scalar_batch_loss, xavier_oracle)
+from oracles import (amsgrad_step, batch_gradients, batch_loss, finite_difference_grads,
+                     head_rows, loss_and_gradients, params_astype, random_params, rel_err,
+                     scalar_batch_loss, xavier_oracle)
 
 
 def traced_peak(run):
@@ -33,7 +34,7 @@ def traced_peak(run):
         tracemalloc.stop()
 
 
-# A float32 step's traced peak less its returned gradients, in (B, N)
+# A float32 step's traced peak, its gradient blocks kept by no one, in (B, N)
 # float32 arrays, at B=64 and N=3000 (see test_peak_allocation).
 STEP_PEAK_ARRAYS = 4.0
 
@@ -329,7 +330,7 @@ class TestBatchGradients:
         batch[:, 3] = [0, 9, 60, 9]
         for seed in range(10):
             params = random_params(np.random.default_rng(seed), 7, 4, 3, dtype=dtype)
-            loss, grads = training._loss_and_grads(params, batch, small_vocab(), alpha)
+            loss, grads = loss_and_gradients(params, batch, small_vocab(), alpha)
             ref_loss, ref = whole_batch_reference(params, batch, small_vocab(), alpha,
                                                   factored=False)
             assert loss == pytest.approx(ref_loss, rel=tolerance)
@@ -347,8 +348,8 @@ class TestBatchGradients:
             rng = np.random.default_rng(seed)
             params = random_params(rng, n, 4, 3)
             batch = block_batch(rng, n)
-            loss, grads = training._loss_and_grads(params, batch, small_vocab(), alpha,
-                                                   reduction=reduction)
+            loss, grads = loss_and_gradients(params, batch, small_vocab(), alpha,
+                                             reduction=reduction)
             ref_loss, ref = whole_batch_reference(params, batch, small_vocab(), alpha,
                                                   reduction)
             assert loss == ref_loss
@@ -371,8 +372,8 @@ class TestBatchGradients:
             one_pair[:, :2] = 0
             one_pair[:, 2] %= 5
             for batch in (block_batch(rng, n), one_pair):
-                loss, grads = training._loss_and_grads(params, batch, small_vocab(), alpha,
-                                                       reduction=reduction)
+                loss, grads = loss_and_gradients(params, batch, small_vocab(), alpha,
+                                                 reduction=reduction)
                 ref_loss, ref = whole_batch_reference(params, batch, small_vocab(), alpha,
                                                       reduction)
                 assert loss == ref_loss
@@ -381,12 +382,13 @@ class TestBatchGradients:
             assert not grads["w_copy"][5:].any()  # truths are 0..4, the history 1..3
 
     def test_peak_allocation(self):
-        """The traced peak of a float32 step at B=64, N=3000, d=32, less the
-        returned gradients, in units of one (B, N) float32 array: the two
-        head GEMM outputs, which end up holding the deltas, plus the block
-        buffers and smaller temporaries. No timing test can catch a
-        reintroduced (B, N) float64 temporary, which costs a few percent of
-        a step, so this counts the bytes (the whole-batch step read 7.45)."""
+        """The traced peak of a float32 step at B=64, N=3000, d=32 whose
+        gradient blocks go to a sink that keeps none, in units of one (B, N)
+        float32 array: the two head GEMM outputs, which end up holding the
+        deltas, plus the block buffers and smaller temporaries. No timing
+        test can catch a reintroduced (B, N) float64 temporary, which costs
+        a few percent of a step, so this counts the bytes (the whole-batch
+        step read 7.45, less its gradients)."""
         rng = np.random.default_rng(3)
         b, n = 64, 3000
         params = random_params(rng, n, 4, 32, dtype=np.float32)
@@ -394,10 +396,8 @@ class TestBatchGradients:
                                  rng.integers(0, n, 3000), rng.integers(0, 5, 3000)])
         vocab = vocab_from_quads(facts).freeze()
         batch = facts[:b] + [0, 0, 0, 5]
-        (_, grads), peak = traced_peak(
-            lambda: training._loss_and_grads(params, batch, vocab, 0.8))
-        gradient_bytes = sum(g.nbytes for g in grads.values())
-        assert (peak - gradient_bytes) / (b * n * 4) <= STEP_PEAK_ARRAYS
+        _, peak = traced_peak(lambda: batch_loss(params, batch, vocab, 0.8))
+        assert peak / (b * n * 4) <= STEP_PEAK_ARRAYS
 
     def test_non_finite_raises(self):
         params = random_params(np.random.default_rng(10), 5, 2, 3)
@@ -406,23 +406,65 @@ class TestBatchGradients:
             with pytest.raises(GradientError, match="w_gen|entity_emb"):
                 batch_gradients(params, [[0, 0, 1, 0]], HistVocab(), alpha=0.0)
 
+    @pytest.mark.parametrize("head, alpha", [("w_gen", 0.0), ("w_copy", 1.0)])
+    def test_non_finite_head_block_raises_before_it_is_applied(self, head, alpha):
+        """A non-finite head-weight block raises, naming its tensor, before
+        the sink gets it; the blocks before it are applied, none after.
+        Here τ is so large that the time columns of a head's weights
+        overflow in the row of the truth alone, in their second block. The
+        mixture weight gives the other head zero deltas, and with zero time
+        columns of W the forward and every other block stay finite."""
+        n, height = training.GRAD_BLOCK_ROWS + 300, training.GRAD_BLOCK_ROWS
+        params = random_params(np.random.default_rng(16), n, 2, 3, scale=0.1,
+                               dtype=np.float32)
+        params.time_unit[:] = np.finfo(np.float32).max
+        params.w_copy[:, 6:] = params.w_gen[:, 6:] = 0.0
+        truth = height + 5
+        batch = [[0, 0, truth, 0], [1, 1, truth, 0], [2, 0, truth, 0]]
+        before = {k: v.copy() for k, v in params.tensors().items()}
+        optimizer = AmsGrad(params, lr=0.01)
+        applied = []
+
+        def apply(name, first_row, block):
+            applied.append((name, first_row))
+            optimizer.step(name, first_row, block)
+
+        with np.errstate(over="ignore"):
+            with pytest.raises(GradientError, match=f"^non-finite gradient in {head}$"):
+                training._loss_and_grads(params, batch, HistVocab(), alpha, apply=apply)
+        # the generation head's blocks come first
+        expected = [("w_gen", 0)] if head == "w_gen" else [
+            ("w_gen", 0), ("w_gen", height), ("w_copy", 0)]
+        assert applied == expected
+        # zero blocks leave the other head as it was
+        changed = {k for k, v in params.tensors().items() if v.tobytes() != before[k].tobytes()}
+        assert changed == {head}
+        tensor = getattr(params, head)
+        assert tensor[height:].tobytes() == before[head][height:].tobytes()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_check_finite_names_the_first_bad_tensor(self, bad):
-        """A NaN or an infinity anywhere in a tensor fails it, whatever the
-        finite extremes around it; finite gradients, up to the dtype's
-        largest values, pass."""
+        """A NaN or an infinity anywhere in a gradient fails it, whatever the
+        finite extremes around it, and the error names its tensor, so a walk
+        over the tensors stops at the first bad one; finite gradients, up to
+        the dtype's largest values, pass."""
         params = random_params(np.random.default_rng(15), 6, 2, 3, dtype=np.float32)
         grads = batch_gradients(params, [[0, 0, 1, 0], [2, 1, 3, 1]], HistVocab(), alpha=0.5)
         grads["w_copy"][0, 0] = np.finfo(np.float32).max
         grads["w_copy"][-1, -1] = np.finfo(np.float32).min
-        training.check_finite(grads)
+
+        def check_all():
+            for name, grad in grads.items():
+                training.check_finite(name, grad)
+
+        check_all()
         grads["b_gen"][-1] = bad
         grads["w_copy"][3, 1] = bad
         with pytest.raises(GradientError, match="^non-finite gradient in w_copy$"):
-            training.check_finite(grads)
+            check_all()
         grads["w_copy"][3, 1] = 0.0
         with pytest.raises(GradientError, match="^non-finite gradient in b_gen$"):
-            training.check_finite(grads)
+            check_all()
 
 
 def flush_edges() -> np.ndarray:
@@ -490,7 +532,7 @@ class TestAmsGrad:
         for _ in range(3):
             grads = {k: rng.standard_normal(a.shape).astype(np.float32)
                      for k, a in arrays.items()}
-            opt.step(params, grads)
+            amsgrad_step(opt, grads)
             for name, g in grads.items():
                 m[name] *= opt.beta1
                 m[name] += (1.0 - opt.beta1) * g
@@ -510,7 +552,7 @@ class TestAmsGrad:
         grads = batch_gradients(params, [[0, 0, 1, 0]], HistVocab(), alpha=0.0)
         for arr in grads.values():
             arr[:] = 0.0
-        opt.step(params, grads)
+        amsgrad_step(opt, grads)
         for name, arr in params.tensors().items():
             assert np.array_equal(arr, before[name]), name
 
@@ -523,7 +565,7 @@ class TestAmsGrad:
         for arr in grads.values():
             arr[:] = 0.0
         grads["b_gen"][0] = 1.0
-        opt.step(params, grads)
+        amsgrad_step(opt, grads)
         expected = -lr * 0.1 / (math.sqrt(0.001) + 1e-8)
         assert params.b_gen[0] == pytest.approx(expected, rel=1e-12)
 
@@ -537,7 +579,7 @@ class TestAmsGrad:
                 params, [[int(rng.integers(4)), int(rng.integers(2)),
                           int(rng.integers(4)), int(rng.integers(3))]],
                 HistVocab(), alpha=0.0)
-            opt.step(params, grads)
+            amsgrad_step(opt, grads)
             snapshot = {k: v.copy() for k, v in opt._vhat.items()}
             if previous is not None:
                 for name in snapshot:
@@ -551,7 +593,68 @@ def two_snapshot_quads():
     return np.asarray(rows, dtype=np.int64)
 
 
+def whole_set_fit(quads, num_entities, num_relations_aug, num_snapshots, config):
+    """``fit`` with whole gradient sets: each step collects the batch's
+    gradient dict, then applies the published AMSGrad formula to each whole
+    tensor. Returns the parameters and every epoch's snapshot losses."""
+    rng = np.random.default_rng(config.seed)
+    params = init_params(num_entities, num_relations_aug, num_snapshots, config, rng)
+    tensors = params.tensors()
+    m, v, vhat = ({k: np.zeros_like(t) for k, t in tensors.items()} for _ in range(3))
+    facts = dedupe(quads[:, [3, 0, 1, 2]])[:, [1, 2, 3, 0]]  # by (t, s, p, o)
+    index = FactIndex(quads)
+    reduction = "mean" if config.mean_loss else "sum"
+    losses = []
+    for _ in range(config.epochs):
+        for k in range(int(facts[:, 3].max()) + 1):
+            snapshot = facts[facts[:, 3] == k]
+            snapshot = snapshot[rng.permutation(len(snapshot))] if len(snapshot) else snapshot
+            snap_loss = 0.0
+            for start in range(0, len(snapshot), config.batch_size):
+                loss, grads = loss_and_gradients(params, snapshot[start:start + config.batch_size],
+                                                 HistVocab(index, k), config.alpha,
+                                                 reduction=reduction)
+                for name, g in grads.items():
+                    m[name] *= AmsGrad.beta1
+                    m[name] += (1.0 - AmsGrad.beta1) * g
+                    v[name] *= AmsGrad.beta2
+                    v[name] += (1.0 - AmsGrad.beta2) * g * g
+                    np.maximum(vhat[name], v[name], out=vhat[name])
+                    tensors[name] -= config.learning_rate * m[name] / (np.sqrt(vhat[name])
+                                                                       + AmsGrad.eps)
+                snap_loss += loss
+            losses.append(snap_loss)
+    return params, losses
+
+
 class TestFit:
+    @pytest.mark.parametrize("n", [7, 2 * training.GRAD_BLOCK_ROWS + 37])
+    @pytest.mark.parametrize("mean_loss", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_update_is_the_whole_set_update(self, dtype, mean_loss, n):
+        """Applying each gradient block as the backward makes it gives
+        bitwise the losses and parameters of whole gradient sets applied
+        after the backward, over 2 epochs of 4 snapshots (one of them
+        empty) in several steps each: nothing is updated before the
+        backward has read it. N lies below one block, or is not a multiple
+        of the block height."""
+        rng = np.random.default_rng(17)
+        r_aug, per_snapshot = 3, 20
+        quads = np.column_stack([rng.integers(0, n, 4 * per_snapshot),
+                                 rng.integers(0, r_aug, 4 * per_snapshot),
+                                 rng.integers(0, n, 4 * per_snapshot),
+                                 np.repeat([0, 1, 3, 4], per_snapshot)])
+        quads[::3, :3] = quads[0, :3]  # one pair with history in every snapshot
+        config = TrainConfig(alpha=0.6, dim=4, batch_size=6, epochs=2, seed=5,
+                             learning_rate=0.01, mean_loss=mean_loss, dtype=dtype)
+        params, log = fit(quads, n, r_aug, 5, config)
+        want, losses = whole_set_fit(quads, n, r_aug, 5, config)
+        assert log.epochs[0].steps >= 9
+        assert [x for e in log.epochs for x in e.snapshot_losses] == losses
+        expected = want.tensors()
+        for name, tensor in params.tensors().items():
+            assert tensor.dtype == dtype and tensor.tobytes() == expected[name].tobytes(), name
+
     def test_history_built_once(self, monkeypatch):
         """One fact index per call, read at each snapshot's frontier: no
         per-epoch rebuild and no snapshot absorbed."""
@@ -580,22 +683,28 @@ class TestFit:
         _, log = fit(quads, 4, 1, 2, config)
         assert log.epochs[0].steps == sum(math.ceil(m / 2) for m in sizes)
 
-    def test_peak_holds_one_gradient_set(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_peak_holds_no_gradient_set(self, dtype):
         """Over several steps and snapshots, ``fit`` holds the parameters,
-        AMSGrad's three moments, one gradient set and one step's
-        temporaries: a step's gradients are gone before the next step
-        builds its own."""
+        AMSGrad's three moments and one step's temporaries: at most
+        ``STEP_PEAK_ARRAYS`` (B, N) arrays at parameter dtype and one
+        head-weight gradient block. No gradient set is ever alive, as each
+        block is applied as the backward makes it; one set alone would not
+        fit in that budget."""
         rng = np.random.default_rng(3)
-        n, r_aug, b = 3000, 4, 64
+        n, r_aug, b, d = 3000, 4, 64, 64
         facts = np.column_stack([rng.integers(0, n, 400), rng.integers(0, r_aug, 400),
                                  rng.integers(0, n, 400), rng.integers(0, 3, 400)])
-        config = TrainConfig(dim=64, batch_size=b, epochs=1, seed=0)
+        config = TrainConfig(dim=d, batch_size=b, epochs=1, seed=0, dtype=dtype)
         (params, log), peak = traced_peak(lambda: fit(facts, n, r_aug, 3, config))
         assert log.epochs[0].steps >= 6 and len(log.epochs[0].snapshot_losses) == 3
         parameter_bytes = sum(t.nbytes for t in params.tensors().values())
-        # parameters and three moments; a gradient set has the parameters' bytes
-        held = peak - 4 * parameter_bytes
-        assert (held - parameter_bytes) / (b * n * 4) <= STEP_PEAK_ARRAYS
+        itemsize = np.dtype(dtype).itemsize
+        budget = (STEP_PEAK_ARRAYS * b * n * itemsize
+                  + min(training.GRAD_BLOCK_ROWS, n) * 3 * d * itemsize)
+        assert parameter_bytes > budget
+        # less the parameters and three moments
+        assert peak - 4 * parameter_bytes <= budget
 
     def test_duplicates_train_once(self):
         """A fact repeated within a snapshot is one training fact: the fit is
