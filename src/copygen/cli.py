@@ -28,12 +28,6 @@ SPLIT_RATIOS = {"80/10/10": (0.8, 0.1, 0.1), "80/20": (0.8, 0.2)}
 MODE_CHOICES = ("full", "copy-only", "gen-only", "gen-new")
 REGIME_CHOICES = ("raw", "static", "time-aware")
 
-# The options naming a file a command writes, per command. Their directories
-# must exist before any data is read, so a bad path fails at once, not after
-# training.
-OUTPUT_FILES = {"train": ("out", "log_csv"), "stats": ("csv",), "eval": ("per_snapshot_csv",),
-                "ablate": ("out",), "sweep-alpha": ("out",)}
-
 # per-dataset mixture weights from the benchmark tuning
 DATASET_ALPHA = (("icews", 0.8), ("gdelt", 0.7), ("wiki", 0.5), ("yago", 0.5))
 
@@ -64,6 +58,10 @@ class Opt:
     required: bool = False
     flag: bool = False  # valueless switch; config files set it with key = true
     choices: tuple | None = None
+    # names a file the command writes; its directory must exist before any
+    # data is read, so a bad path fails at once, not after training
+    writes: bool = False
+    least: int | None = None  # smallest value accepted
 
     @property
     def option(self) -> str:
@@ -71,10 +69,11 @@ class Opt:
 
 
 _COMMON = [Opt("config", str, None, "line-based key = value config file")]
+_THREADS = Opt("threads", int, None, "cap BLAS thread pools", least=1)
 
 _TRAIN_OPTS = [
     Opt("data", str, help="dataset directory (train/valid/test/stat.txt)", required=True),
-    Opt("out", str, "checkpoint.cyg", "checkpoint output path"),
+    Opt("out", str, "checkpoint.cyg", "checkpoint output path", writes=True),
     Opt("alpha", float, None, "copy/generation mixture weight (default: per-dataset)"),
     Opt("dim", int, 200, "embedding dimension"),
     Opt("lr", float, 0.001, "learning rate"),
@@ -86,8 +85,8 @@ _TRAIN_OPTS = [
     Opt("reciprocal", _parse_bool, True, "add inverse facts for subject prediction"),
     Opt("mean_loss", None, False, "average instead of sum the batch loss", flag=True),
     Opt("patience", int, None, "stop after this many epochs without improvement"),
-    Opt("log_csv", str, None, "write the per-epoch training log here"),
-    Opt("threads", int, None, "cap BLAS thread pools"),
+    Opt("log_csv", str, None, "write the per-epoch training log here", writes=True),
+    _THREADS,
 ]
 
 _EVAL_COMMON = [
@@ -100,7 +99,7 @@ _EVAL_COMMON = [
     Opt("granularity", int, 1, "raw time units per snapshot"),
     Opt("absorb_valid", None, False, "extend the vocabulary with validation facts",
         flag=True),
-    Opt("threads", int, None, "cap BLAS thread pools"),
+    _THREADS,
 ]
 
 COMMANDS: dict[str, list[Opt]] = {
@@ -116,7 +115,7 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("granularity", int, 1, "raw time units per snapshot"),
         Opt("probe", str, "test", "split whose recurrence is measured",
             choices=("test", "valid")),
-        Opt("csv", str, None, "also write metric,value rows here"),
+        Opt("csv", str, None, "also write metric,value rows here", writes=True),
     ],
     "synth": [
         Opt("out", str, required=True, help="output dataset directory"),
@@ -134,14 +133,15 @@ COMMANDS: dict[str, list[Opt]] = {
     "train": _TRAIN_OPTS,
     "eval": _EVAL_COMMON + [
         Opt("mode", str, "full", "inference mode", choices=MODE_CHOICES),
-        Opt("per_snapshot_csv", str, None, "write a per-snapshot breakdown here"),
+        Opt("per_snapshot_csv", str, None, "write a per-snapshot breakdown here",
+            writes=True),
     ],
     "ablate": _EVAL_COMMON + [
-        Opt("out", str, None, "ablation CSV path (stdout when omitted)"),
+        Opt("out", str, None, "ablation CSV path (stdout when omitted)", writes=True),
     ],
     "sweep-alpha": [Opt("checkpoint", str, None, "trained checkpoint (unless --retrain)")]
     + [opt for opt in _EVAL_COMMON if opt.key not in ("checkpoint", "alpha")] + [
-        Opt("out", str, None, "sweep CSV path (stdout when omitted)"),
+        Opt("out", str, None, "sweep CSV path (stdout when omitted)", writes=True),
         Opt("retrain", None, False, "retrain per alpha instead of re-mixing (the "
             "training options below apply only then)", flag=True),
     ] + [opt for opt in _TRAIN_OPTS if opt.key in (
@@ -152,13 +152,13 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("subject", int, required=True, help="subject entity id"),
         Opt("relation", int, required=True, help="relation id (>= R queries subjects)"),
         Opt("time", int, required=True, help="snapshot index of the query"),
-        Opt("topk", int, 5, "entities to print"),
+        Opt("topk", int, 5, "entities to print", least=1),
         Opt("mode", str, "full", "inference mode", choices=MODE_CHOICES),
         Opt("alpha", float, None, "override the checkpoint's mixture weight"),
         Opt("granularity", int, 1, "raw time units per snapshot"),
         Opt("absorb_valid", None, False, "extend the vocabulary with validation facts",
             flag=True),
-        Opt("threads", int, None, "cap BLAS thread pools"),
+        _THREADS,
     ],
 }
 
@@ -316,14 +316,17 @@ def dispatch(argv) -> int:
         parser.print_usage(sys.stderr)
         return 2
     run = resolve(args.command, args, parser)
-    for key in ("threads", "topk"):
-        value = run.values.get(key)
-        if value is not None and value < 1:
-            parser.error(f"{args.command}: --{key} must be at least 1, got {value}")
-    for key in OUTPUT_FILES.get(args.command, ()):
-        out = run.values[key]
-        if out is not None and not Path(out).parent.is_dir():
-            raise FileNotFoundError(f"{args.command}: --{key.replace('_', '-')} {out}: "
+    opts = COMMANDS[args.command]
+    # every usage error (exit 2) comes before any missing directory (exit 1)
+    for opt in opts:
+        value = run.values[opt.key]
+        if opt.least is not None and value is not None and value < opt.least:
+            parser.error(f"{args.command}: {opt.option} must be at least {opt.least}, "
+                         f"got {value}")
+    for opt in opts:
+        out = run.values[opt.key]
+        if opt.writes and out is not None and not Path(out).parent.is_dir():
+            raise FileNotFoundError(f"{args.command}: {opt.option} {out}: "
                                     f"no directory {Path(out).parent}")
     threads = run.values.get("threads")
     if threads:
@@ -398,21 +401,6 @@ def _emit_csv(out, header: str, rows: list[str], run: RunConfig) -> None:
         sys.stdout.write(text)
 
 
-def _write_splits(out: Path, named) -> None:
-    """Write the split files ``named`` maps to their facts into the directory
-    ``out``, made if missing, and delete its other split files, so that no
-    split of an earlier dataset there is read as part of this one."""
-    from . import data
-
-    out.mkdir(parents=True, exist_ok=True)
-    for name in ("train", "valid", "test"):
-        path = out / f"{name}.txt"
-        if name in named:
-            data.write_quadruple_file(path, named[name])
-        else:
-            path.unlink(missing_ok=True)
-
-
 def _report_lines(prefix: str, report) -> list[str]:
     if not report.defined:
         return [f"{prefix}count=0", f"{prefix}metrics=undefined"]
@@ -446,19 +434,13 @@ def _cmd_prepare(run: RunConfig) -> int:
         chunks = [data.read_quadruple_file(src / f"{name}.txt", meta) for name in present]
         merged = data.dedupe(data.normalize_timestamps(np.concatenate(chunks),
                                                        run.granularity))
-        ratios = SPLIT_RATIOS[run.split or "80/10/10"]
-        split = data.chronological_split(merged, ratios)
-        named = {"train": split.train, "test": split.test}
-        if len(ratios) == 3:
-            named["valid"] = split.valid
+        split = data.chronological_split(merged, SPLIT_RATIOS[run.split or "80/10/10"])
+        named = split.files()
         boundaries = split.boundaries
 
-    out = Path(run.out)
-    _write_splits(out, named)
-    (out / "stat.txt").write_text(f"{meta.num_entities} {meta.num_relations}\n",
-                                  encoding="utf-8")
+    data.write_dataset(run.out, meta, named)
     extra = f"boundaries = {','.join(map(str, boundaries))}\n" if boundaries else ""
-    (out / "prepared.cfg").write_text(run.text() + extra, encoding="utf-8")
+    (Path(run.out) / "prepared.cfg").write_text(run.text() + extra, encoding="utf-8")
     for name, quads in sorted(named.items()):
         print(f"{name}_facts={len(quads)}")
     if boundaries:
@@ -506,14 +488,8 @@ def _cmd_synth(run: RunConfig) -> int:
     )
     quads, rate = synth.generate(config)
     split = data.chronological_split(quads, SPLIT_RATIOS[run.split])
-
-    named = {"train": split.train, "test": split.test}
-    if len(SPLIT_RATIOS[run.split]) == 3:
-        named["valid"] = split.valid
-    out = Path(run.out)
-    _write_splits(out, named)
-    (out / "stat.txt").write_text(f"{run.entities} {run.relations}\n", encoding="utf-8")
-    (out / "synth.cfg").write_text(
+    data.write_dataset(run.out, data.DatasetMeta(run.entities, run.relations), split.files())
+    (Path(run.out) / "synth.cfg").write_text(
         run.text() + f"realized_fact_repeat_rate = {rate:.6f}\n"
         f"boundaries = {','.join(map(str, split.boundaries))}\n",
         encoding="utf-8")
@@ -565,6 +541,8 @@ def _cmd_train(run: RunConfig) -> int:
 
 
 def _eval_inputs(run):
+    """The inputs of an evaluator; the last, a dict, holds the keyword
+    arguments every evaluator takes: relation count, filter and regime."""
     from . import evaluation
 
     if run.absorb_valid and run.split == "valid":
@@ -577,20 +555,17 @@ def _eval_inputs(run):
     else:
         filter_index = evaluation.build_filter(train, valid, test)
     quads = {"test": test, "valid": valid}[run.split]
-    return params, ds, train, r_aug, quads, vocab, filter_index
+    shared = {"num_relations": ds.meta.num_relations, "filter_index": filter_index,
+              "regime": run.filter}
+    return params, ds, train, r_aug, quads, vocab, shared
 
 
 def _cmd_eval(run: RunConfig) -> int:
     from . import evaluation
 
-    params, ds, _, _, quads, vocab, filter_index = _eval_inputs(run)
-    result = evaluation.evaluate(
-        params, quads, vocab,
-        num_relations=ds.meta.num_relations,
-        alpha=run.alpha, mode=run.mode,
-        filter_index=filter_index, regime=run.filter,
-        per_snapshot=bool(run.per_snapshot_csv),
-    )
+    params, _, _, _, quads, vocab, shared = _eval_inputs(run)
+    result = evaluation.evaluate(params, quads, vocab, alpha=run.alpha, mode=run.mode,
+                                 per_snapshot=bool(run.per_snapshot_csv), **shared)
     alpha = run.alpha if run.alpha is not None else params.alpha
     print(f"split={run.split}")
     print(f"mode={run.mode}")
@@ -611,11 +586,8 @@ def _cmd_eval(run: RunConfig) -> int:
 def _cmd_ablate(run: RunConfig) -> int:
     from . import evaluation
 
-    params, ds, _, _, quads, vocab, filter_index = _eval_inputs(run)
-    rows = evaluation.ablate(params, quads, vocab,
-                             num_relations=ds.meta.num_relations,
-                             alpha=run.alpha, filter_index=filter_index,
-                             regime=run.filter)
+    params, _, _, _, quads, vocab, shared = _eval_inputs(run)
+    rows = evaluation.ablate(params, quads, vocab, alpha=run.alpha, **shared)
     csv_rows = [f"{mode},{_metric_cells(r)}" for mode, r in rows]
     _emit_csv(run.values.get("out"), "mode,mrr,hits1,hits3,hits10", csv_rows, run)
     return 0
@@ -628,23 +600,17 @@ def _cmd_sweep_alpha(run: RunConfig) -> int:
         raise ValueError("sweep-alpha: --checkpoint is required without --retrain")
     if run.retrain:
         run.values["checkpoint"] = None  # never read, so not echoed as the rows' source
-    params, ds, train, r_aug, quads, vocab, filter_index = _eval_inputs(run)
+    params, ds, train, r_aug, quads, vocab, shared = _eval_inputs(run)
     if run.retrain:
         rows = []
         for alpha in evaluation.SWEEP_ALPHAS:
             retrained, _ = training.fit(train, ds.meta.num_entities, r_aug,
                                         ds.meta.num_snapshots, _train_config(run, alpha))
-            result = evaluation.evaluate(retrained, quads, vocab,
-                                         num_relations=ds.meta.num_relations,
-                                         alpha=alpha, mode="full",
-                                         filter_index=filter_index,
-                                         regime=run.filter)
+            result = evaluation.evaluate(retrained, quads, vocab, alpha=alpha, mode="full",
+                                         **shared)
             rows.append((alpha, result.overall))
     else:
-        rows = evaluation.sweep_alpha(params, quads, vocab,
-                                      num_relations=ds.meta.num_relations,
-                                      filter_index=filter_index,
-                                      regime=run.filter)
+        rows = evaluation.sweep_alpha(params, quads, vocab, **shared)
     csv_rows = [f"{alpha:.1f},{_metric_cells(r)}" for alpha, r in rows]
     _emit_csv(run.values.get("out"), "alpha,mrr,hits1,hits3,hits10", csv_rows, run)
     return 0

@@ -1,10 +1,12 @@
-"""Loading, normalization, augmentation, and splitting of temporal facts.
+"""Reading and writing, normalization, augmentation, and splitting of
+temporal facts.
 
 A fact is one row (subject, relation, object, time). Bulk operations work on
 int64 arrays of shape (n, 4). Files follow the common benchmark layout: one
 tab-separated fact per line in ``train.txt`` / ``valid.txt`` / ``test.txt``
 plus a sidecar ``stat.txt`` holding the entity and relation counts, so
-public event-graph dumps load unmodified.
+public event-graph dumps load unmodified. :func:`load_dataset` reads that
+layout and :func:`write_dataset` writes it.
 """
 
 from __future__ import annotations
@@ -233,6 +235,12 @@ class Split:
     test: np.ndarray
     boundaries: tuple[int, ...]
 
+    def files(self) -> dict[str, np.ndarray]:
+        """The parts by split file name; a two-way split, with one boundary,
+        has no ``valid``."""
+        names = ("train", "valid", "test") if len(self.boundaries) == 2 else ("train", "test")
+        return {name: getattr(self, name) for name in names}
+
 
 def chronological_split(quads, ratios: tuple[float, ...] = (0.8, 0.1, 0.1)) -> Split:
     """Split on snapshot boundaries, matching fact-count ratios as closely as
@@ -326,3 +334,20 @@ def load_dataset(root, granularity: int = 1) -> Dataset:
     }
     meta.num_snapshots = 1 + max(int(q[:, 3].max()) for q in splits.values() if len(q))
     return Dataset(meta, splits["train"], splits["valid"], splits["test"])
+
+
+def write_dataset(root, meta: DatasetMeta, splits: dict[str, np.ndarray]) -> None:
+    """Write the facts ``splits`` maps split names to as their split files,
+    and ``meta``'s counts as ``stat.txt``, into the directory ``root``, made
+    if missing. Any other split file there is deleted, so that no split of an
+    earlier dataset is read as part of this one."""
+    root = Path(root)
+    root.mkdir(parents=True, exist_ok=True)
+    for name in ("train", "valid", "test"):
+        path = root / f"{name}.txt"
+        if name in splits:
+            write_quadruple_file(path, splits[name])
+        else:
+            path.unlink(missing_ok=True)
+    (root / "stat.txt").write_text(f"{meta.num_entities} {meta.num_relations}\n",
+                                   encoding="utf-8")

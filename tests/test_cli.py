@@ -57,6 +57,21 @@ def plain_checkpoint(synth_dir, tmp_path_factory):
     return path
 
 
+def declared(rule):
+    """``(command, option)`` of every option whose ``Opt`` in ``cli.COMMANDS``
+    satisfies ``rule``, so that an option declared later is tested too."""
+    return [(command, opt.option) for command, opts in cli.COMMANDS.items()
+            for opt in opts if rule(opt)]
+
+
+def command_args(command, data, checkpoint):
+    """The arguments that run ``command`` on ``data``: its options among
+    ``--data``, ``--checkpoint`` and a ``predict`` query."""
+    values = {"data": data, "checkpoint": checkpoint, "subject": 0, "relation": 0, "time": 7}
+    return [str(arg) for opt in cli.COMMANDS[command] if opt.key in values
+            for arg in (opt.option, values[opt.key])]
+
+
 def lines_of(capsys):
     return capsys.readouterr().out.strip().splitlines()
 
@@ -497,49 +512,48 @@ class TestUsageAndErrors:
                 f"error: mask_magnitude is {float(value)}, expected a finite float32 > 0\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_threads_below_one_is_usage_error(self, synth_dir, tmp_path, monkeypatch,
-                                              capsys):
-        """Refused before any thread variable is exported, whether the value
-        comes from a flag or from a config file."""
+    @pytest.mark.parametrize("command, option", declared(lambda opt: opt.least is not None))
+    def test_value_below_least_is_usage_error(self, synth_dir, checkpoint, tmp_path,
+                                              monkeypatch, command, option, capsys):
+        """A value below an option's ``least`` is refused before any thread
+        variable is exported or any file is written, whether it comes from
+        a flag or from a config file, and before an output file in a
+        missing directory (``train --out nodir/out --threads 0``) is
+        reported."""
         for var in cli._THREAD_ENV:
             monkeypatch.delenv(var, raising=False)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out").mkdir()
+        opts = cli.COMMANDS[command]
+        least = next(opt.least for opt in opts if opt.option == option)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("threads = -1\n")
-        out = tmp_path / "m.cyg"
-        for extra, value in ((["--threads", "0"], 0), (["--threads", "-1"], -1),
-                             (["--config", str(cfg)], -1)):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(["train", "--data", str(synth_dir), "--out", str(out), *extra])
-            assert exc.value.code == 2
-            assert (f"train: --threads must be at least 1, got {value}"
-                    in capsys.readouterr().err)
-            assert not any(var in os.environ for var in cli._THREAD_ENV)
-        assert not out.exists()
+        cfg.write_text(f"{option[2:]} = {least - 2}\n")
+        for extra, value in (([option, str(least - 1)], least - 1),
+                             ([option, str(least - 2)], least - 2),
+                             (["--config", str(cfg)], least - 2)):
+            for folder in ("out", "nodir"):
+                outputs = [arg for opt in opts if opt.writes
+                           for arg in (opt.option, f"{folder}/{opt.key}")]
+                with pytest.raises(SystemExit) as exc:
+                    cli.main([command, *command_args(command, synth_dir, checkpoint),
+                              *outputs, *extra])
+                assert exc.value.code == 2
+                captured = capsys.readouterr()
+                assert captured.err.endswith(f"copygen: error: {command}: {option} must be "
+                                             f"at least {least}, got {value}\n")
+                assert captured.out == ""
+                assert not any(var in os.environ for var in cli._THREAD_ENV)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "run.cfg"]
+        assert list((tmp_path / "out").iterdir()) == []
 
-    def test_topk_below_one_is_usage_error(self, synth_dir, checkpoint, capsys):
-        for value in (0, -3):
-            with pytest.raises(SystemExit) as exc:
-                cli.main(["predict", "--checkpoint", str(checkpoint), "--data", str(synth_dir),
-                          "--subject", "0", "--relation", "0", "--time", "7",
-                          "--topk", str(value)])
-            assert exc.value.code == 2
-            captured = capsys.readouterr()
-            assert f"predict: --topk must be at least 1, got {value}" in captured.err
-            assert captured.out == ""
-
-    @pytest.mark.parametrize("command, option", [
-        ("train", "--out"), ("train", "--log-csv"), ("stats", "--csv"),
-        ("eval", "--per-snapshot-csv"), ("ablate", "--out"), ("sweep-alpha", "--out")])
+    @pytest.mark.parametrize("command, option", declared(lambda opt: opt.writes))
     def test_output_directory_checked_before_any_work(self, synth_dir, checkpoint, tmp_path,
                                                       monkeypatch, command, option, capsys):
         """An output file in a missing directory fails at once, naming the
         option and the path as given, before any data is read (training
         used to run every epoch, then fail on the checkpoint's temp file)."""
         monkeypatch.chdir(tmp_path)
-        extra = {"eval": ["--checkpoint", str(checkpoint)],
-                 "ablate": ["--checkpoint", str(checkpoint)],
-                 "sweep-alpha": ["--retrain", "--dim", "4", "--epochs", "1"]}.get(command, [])
-        assert cli.main([command, "--data", str(synth_dir), *extra,
+        assert cli.main([command, *command_args(command, synth_dir, checkpoint),
                          option, "nodir/m.cyg"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

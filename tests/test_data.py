@@ -17,6 +17,7 @@ from copygen.data import (
     parse_quadruple_file,
     read_quadruple_file,
     serialize_quadruples,
+    write_dataset,
 )
 
 from oracles import dedupe_oracle, split_oracle
@@ -395,3 +396,36 @@ class TestLoadDataset:
         (tmp_path / "stat.txt").write_text("10\n")
         with pytest.raises(DataError, match="stat"):
             load_dataset(tmp_path)
+
+
+class TestWriteDataset:
+    FACTS = dedupe(quads(*[(i % 5, i % 2, (i + t) % 7, t) for t in range(10)
+                           for i in range(6)]))
+    META = DatasetMeta(num_entities=7, num_relations=2)
+
+    @pytest.mark.parametrize("ratios, names", [
+        ((0.8, 0.1, 0.1), ["train", "valid", "test"]), ((0.8, 0.2), ["train", "test"])],
+        ids=["three-way", "two-way"])
+    def test_load_reads_back_what_it_writes(self, tmp_path, ratios, names):
+        """A two-way split has no ``valid`` part, so it writes no
+        ``valid.txt``, and loads with an empty validation split."""
+        split = chronological_split(self.FACTS, ratios)
+        assert list(split.files()) == names
+        write_dataset(tmp_path / "ds", self.META, split.files())
+        assert sorted(path.name for path in (tmp_path / "ds").iterdir()) == sorted(
+            ["stat.txt"] + [f"{name}.txt" for name in names])
+        ds = load_dataset(tmp_path / "ds")
+        assert (ds.meta.num_entities, ds.meta.num_relations) == (7, 2)
+        for name in ("train", "valid", "test"):
+            np.testing.assert_array_equal(ds.split(name), getattr(split, name))
+
+    def test_two_way_over_three_way_leaves_no_stale_split(self, tmp_path):
+        write_dataset(tmp_path, self.META, chronological_split(self.FACTS).files())
+        split = chronological_split(self.FACTS, (0.8, 0.2))
+        write_dataset(tmp_path, DatasetMeta(8, 3), split.files())
+        assert not (tmp_path / "valid.txt").exists()
+        ds = load_dataset(tmp_path)
+        assert (ds.meta.num_entities, ds.meta.num_relations) == (8, 3)
+        assert len(ds.valid) == 0
+        np.testing.assert_array_equal(ds.train, split.train)
+        np.testing.assert_array_equal(ds.test, split.test)
