@@ -378,7 +378,7 @@ def _load_inputs(run):
         raise ValueError(f"{run.command}: --absorb-valid needs validation facts after the last "
                          f"training snapshot, {train[:, 3].max()}, not from {valid[:, 3].min()}")
     vocab = history.vocab_from_quads(np.concatenate([train, valid]) if run.absorb_valid else train)
-    return params, ds, train, valid, test, r_aug, vocab.freeze()
+    return params, ds, train, valid, test, r_aug, vocab
 
 
 def _percent(x: float) -> str:

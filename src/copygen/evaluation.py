@@ -164,8 +164,7 @@ def evaluate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int
 
     ``num_relations`` is the raw relation count: queries with relation ids
     below it predict objects, the rest are reciprocal (subject) queries. The
-    vocabulary is used read-only and should be frozen at the training
-    horizon.
+    vocabulary is only read; it usually sits at the training horizon.
     """
     return _evaluate_mixes(params, quads, vocab, [(mode, alpha)],
                            num_relations=num_relations, filter_index=filter_index,
@@ -186,10 +185,9 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
     history pairs are selected once. The chunk is then walked in blocks of
     ``block_rows(N)`` rows: ``build_heads`` adds each block's time terms
     (from the heads' ``time_directions``, computed once per call) and biases
-    to its GEMM rows, in one more reused block buffer, takes the copy head's
-    tanh, and turns the rows into float64 heads in reused block buffers,
-    whose finiteness is checked
-    (a convex mix of finite heads is finite), and each mix is written from
+    to its GEMM rows, takes the copy head's tanh, and turns the rows into
+    float64 heads in reused block buffers, whose finiteness is checked (a
+    convex mix of finite heads is finite), and each mix is written from
     them into one more buffer and ranked, all while the block is in cache.
     Every step is row-wise, so the ranks are bitwise those of whole-chunk
     heads. A non-finite head row raises, naming the first such query; ranks
@@ -215,7 +213,6 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
     beats = np.empty((height, n), dtype=bool)
     ties = np.empty_like(beats)
     directions = time_directions(params)
-    term = np.empty((height, n), dtype=params.time_unit.dtype)
     index = logits = keep = None
     for start in range(0, len(q), CHUNK_ROWS):
         chunk = q[start:start + CHUNK_ROWS]
@@ -236,7 +233,7 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
             heads = {name: buffer[:b] for name, buffer in blocks.items()}
             build_heads(heads, params, directions, chunk[block, 3],
                         None if index is None else index[block],
-                        None if logits is None else logits[block], *pairs, term[:b])
+                        None if logits is None else logits[block], *pairs)
             # a head row is finite or all NaN, so its first entry tells which
             finite = np.ones(b, dtype=bool)
             for head in heads.values():

@@ -36,28 +36,24 @@ _HEADER = struct.Struct("<4siiiiff")
 _F32 = np.finfo(np.float32)
 # The learnable tensors, in checkpoint order.
 TENSOR_NAMES = ("entity_emb", "relation_emb", "time_unit", "w_copy", "b_copy", "w_gen", "b_gen")
-# The fewest rows of (B, N) head arrays worked on together, in the blocks
-# that evaluation scores and ranks and that the train step turns into
-# deltas. At ~7k entities a block's float64 rows of three heads plus their
-# scratch take about 1 MB, so they stay in L2 cache while they are worked on
-# (on a 2-core VM with 2 MB of L2 per core, 8-row blocks ran the remix 6%
-# slower than 4-row ones; the train step ran 4- and 9-row blocks within
-# noise).
-BLOCK_ROWS = 4
-# Elements worked on together by a block of float64 head rows and by the
-# AMSGrad update (rows of each tensor): 32k float64 elements are 256 KB, so
-# a block's buffers and temporaries stay in L2 cache, where whole-array ones
-# (4.3M elements for w_copy at the ICEWS14 shape) do not. At ~7k entities a
-# block is BLOCK_ROWS rows; at a few hundred entities, 4-row blocks spent
-# more time in their numpy calls than in arithmetic (a 100-entity fit ran
-# 4.4x slower, and ablate at 100 entities 1.6-2.2x slower).
+# Elements worked on together by a block of (B, N) float64 head rows, by a
+# block of Xavier draws and by the AMSGrad update (rows of each tensor): 32k
+# float64 elements are 256 KB, so a block's buffers and temporaries stay in
+# L2 cache, where whole-array ones (4.3M elements for w_copy at the ICEWS14
+# shape) do not. At ~7k entities a head block is 4 rows (on a 2-core VM with
+# 2 MB of L2 per core, 8-row blocks ran the remix 6% slower than 4-row ones;
+# the train step ran 4- and 9-row blocks within noise); at a few hundred
+# entities, 4-row blocks spent more time in their numpy calls than in
+# arithmetic (a 100-entity fit ran 4.4x slower, and ablate at 100 entities
+# 1.6-2.2x slower).
 CACHE_ELEMENTS = 1 << 15
 
 
-def block_rows(num_entities: int) -> int:
-    """Rows of a block of (B, N) head arrays: about ``CACHE_ELEMENTS``
-    float64 entries, and at least ``BLOCK_ROWS``."""
-    return max(BLOCK_ROWS, CACHE_ELEMENTS // num_entities)
+def block_rows(row_elements: int) -> int:
+    """Rows of a cache-sized block of an array whose rows hold
+    ``row_elements`` entries: about ``CACHE_ELEMENTS`` entries, and at least
+    one row."""
+    return max(1, CACHE_ELEMENTS // row_elements)
 
 
 def tensor_shapes(n: int, r_aug: int, d: int) -> dict[str, tuple]:
@@ -233,10 +229,11 @@ def check_mix(mode: str, alpha: float = 0.0) -> None:
 def build_heads(heads: dict[str, np.ndarray], params: ModelParams,
                 directions: tuple[np.ndarray, np.ndarray], times,
                 index: np.ndarray | None, logits: np.ndarray | None,
-                rows: np.ndarray, objects: np.ndarray, term: np.ndarray) -> None:
+                rows: np.ndarray, objects: np.ndarray) -> None:
     """Turn a block of queries' head GEMM rows into their float64 softmax
     heads, written in place into ``heads`` (any of ``pc``, ``pg`` and
-    ``pg_new``, each a (b, N) float64 array).
+    ``pg_new``, at least one, each a (b, N) float64 array with contiguous
+    rows that shares no memory with ``index`` or ``logits``).
 
     ``index`` (for ``pc``) and ``logits`` (for ``pg`` / ``pg_new``) are the
     block's (b, N) rows of ``copy_index_batch`` and
@@ -244,20 +241,22 @@ def build_heads(heads: dict[str, np.ndarray], params: ModelParams,
     ``times``; either is None when no head needs it. They are finished in
     place first: each row gains the term (k + 1)·direction + bias of its
     head (``directions`` from ``time_directions``), rounded before it is
-    added and built in ``term``, a (b, N) buffer at parameter dtype
-    that the caller reuses across blocks; the copy rows then take their
-    tanh, so that afterwards ``index`` holds the tanh copy index and
-    ``logits`` the generation logits. ``rows`` and
-    ``objects`` are the block's history pairs, (row within the block,
-    object), in which a pair may repeat. ``pc`` is the index cast and
-    lowered by the mask magnitude, its candidates then restored from the
-    index; ``pg`` is softmaxed straight from the logits, which the softmax
-    casts; ``pg_new`` is the logits cast and lowered at the candidates. Each
-    head row is finite or entirely NaN (see ``stable_softmax``).
+    added; the copy rows then take their tanh, so that afterwards ``index``
+    holds the tanh copy index and ``logits`` the generation logits. The
+    term is built in the first head's rows, viewed at parameter dtype: their
+    contents are free until a head is written, and no head is written before
+    both terms have been added. ``rows`` and ``objects`` are the block's history
+    pairs, (row within the block, object), in which a pair may repeat.
+    ``pc`` is the index cast and lowered by the mask magnitude, its
+    candidates then restored from the index; ``pg`` is softmaxed straight
+    from the logits, which the softmax casts; ``pg_new`` is the logits cast
+    and lowered at the candidates. Each head row is finite or entirely NaN
+    (see ``stable_softmax``).
     """
     magnitude = params.mask_magnitude
     if not 0 < magnitude < np.inf:
         raise ValueError(f"mask magnitude must be finite and positive, got {magnitude}")
+    term = next(iter(heads.values())).view(params.time_unit.dtype)[:, :params.num_entities]
     if index is not None:
         _add_time_and_bias(index, times, directions[0], params.b_copy, term)
         np.tanh(index, out=index)
@@ -287,9 +286,9 @@ def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVoca
     The query inputs are built once and each head is computed once, however
     many modes (or alphas) are later mixed from them with ``mix``. Each head
     GEMM is turned into its heads by ``build_heads``, in blocks of
-    ``BLOCK_ROWS`` rows, before the next runs, so next to the heads only one
-    GEMM output and a (BLOCK_ROWS, N) time-term buffer are alive. Ids out of
-    range are rejected, naming the first such query row.
+    ``block_rows(N)`` rows, before the next runs, so next to the heads only
+    one GEMM output is alive. Ids out of range are rejected, naming the
+    first such query row.
     """
     for mode in modes:
         check_mix(mode)
@@ -300,22 +299,19 @@ def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVoca
     n = params.num_entities
     heads = {name: np.empty((len(inputs), n)) for name in need}
     directions = time_directions(params)
-    term = np.empty((BLOCK_ROWS, n), dtype=params.time_unit.dtype)
-    blocks = list(block_pairs(vocab, subjects, relations, BLOCK_ROWS))
+    blocks = list(block_pairs(vocab, subjects, relations, block_rows(n)))
     if "pc" in need:
         index = copy_index_batch(params, inputs)
         for block, *pairs in blocks:
-            b = len(times[block])
             build_heads({"pc": heads["pc"][block]}, params, directions, times[block],
-                        index[block], None, *pairs, term[:b])
+                        index[block], None, *pairs)
         del index
     generation = [name for name in ("pg", "pg_new") if name in need]
     if generation:
         logits = generation_logits_batch(params, inputs)
         for block, *pairs in blocks:
-            b = len(times[block])
             build_heads({name: heads[name][block] for name in generation}, params,
-                        directions, times[block], None, logits[block], *pairs, term[:b])
+                        directions, times[block], None, logits[block], *pairs)
     return heads
 
 

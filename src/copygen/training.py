@@ -35,7 +35,6 @@ import numpy as np
 from .data import checked_quads, dedupe
 from .history import FactIndex, HistVocab, block_pairs
 from .model import (
-    CACHE_ELEMENTS,
     ModelParams,
     all_finite,
     block_rows,
@@ -111,7 +110,7 @@ def xavier_init(shape, rng: np.random.Generator, dtype=np.float32) -> np.ndarray
         raise ValueError(f"expected a 1-D or 2-D shape, got {shape}")
     bound = np.sqrt(6.0 / (fan_in + fan_out))
     out = np.empty(shape, dtype=dtype)
-    rows = max(1, CACHE_ELEMENTS // math.prod(shape[1:]))
+    rows = block_rows(math.prod(shape[1:]))
     for lo in range(0, len(out), rows):
         part = out[lo:lo + rows]
         part[...] = rng.uniform(-bound, bound, size=part.shape)
@@ -197,7 +196,6 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
     # Row 0 of each head buffer carries the running bias gradient (below).
     pc, pg = np.empty((height + 1, n)), np.empty((height + 1, n))
     tanh_grad = np.empty((height, n))
-    term = np.empty((height, n), dtype=params.time_unit.dtype)
     inputs = query_inputs(params, subjects, relations)  # (m, 2d)
     directions = time_directions(params)
     # (m, N) at parameter dtype; build_heads turns each block's rows into the
@@ -212,7 +210,7 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
         rows = np.arange(b)
         c, g = pc[1:b + 1], pg[1:b + 1]
         build_heads({"pc": c, "pg": g}, params, directions, steps[block], index[block],
-                    logits[block], *pairs, term[:b])
+                    logits[block], *pairs)
         floored = np.maximum(alpha * c[rows, t] + (1.0 - alpha) * g[rows, t], LOSS_FLOOR)
         losses[block] = -np.log(floored)
 
@@ -244,7 +242,7 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
     loss = float(losses.mean() if reduction == "mean" else losses.sum())
     b_copy, b_gen = pc[0].astype(dt), pg[0].astype(dt)
     d_copy, d_gen = index, logits
-    del index, logits, pc, pg, tanh_grad, term
+    del index, logits, pc, pg, tanh_grad
 
     def emit(name, first_row, grad):
         check_finite(name, grad)
@@ -309,7 +307,7 @@ class AmsGrad:
         elements so that its temporaries stay in cache. The slices are row
         blocks, views even of a non-contiguous tensor (where ``reshape(-1)``
         would copy and lose the update)."""
-        rows = max(1, CACHE_ELEMENTS // math.prod(grad.shape[1:]))
+        rows = block_rows(math.prod(grad.shape[1:]))
         for lo in range(0, len(grad), rows):
             g = grad[lo:lo + rows]
             part = slice(first_row + lo, first_row + lo + len(g))
@@ -372,7 +370,7 @@ def fit(train_quads, num_entities: int, num_relations_aug: int, num_snapshots: i
         steps = 0
         snapshot_losses = []
         for k in range(horizon):
-            vocab = HistVocab(facts_index, frontier=k).freeze()
+            vocab = HistVocab(facts_index, frontier=k)
             snapshot = facts[bounds[k]:bounds[k + 1]]
             snap_loss = 0.0
             if len(snapshot):

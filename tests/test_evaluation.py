@@ -356,12 +356,14 @@ class TestNonFiniteQuery:
         """A NaN embedding for a subject that first asks a query mid-split
         stops every driver at that query, with the full message."""
         params, _, test, vocab, index, r = eval_setup(seed=13)
-        # a subject whose first query lies past the first BLOCK_ROWS rows and
-        # before the last query
+        # a subject whose first query lies past the first 5-row chunk of the
+        # in_chunks(5) run and before the last query, so queries are ranked
+        # before it and left after it (at N=12 a block holds a whole chunk,
+        # so no block edge bounds the position)
         firsts = {}
         for i, s in enumerate(test[:, 0].tolist()):
             firsts.setdefault(s, i)
-        position = max(i for i in firsts.values() if model.BLOCK_ROWS < i < len(test) - 1)
+        position = max(i for i in firsts.values() if 4 < i < len(test) - 1)
         subject, relation, truth, time = test[position].tolist()
         params.entity_emb[subject] = np.nan
         message = (f"non-finite score vector for query ({subject}, {relation}, {time}) "
@@ -489,10 +491,10 @@ class TestBlockedEvaluation:
                         for row, (s, p, o, t) in zip(rows, chunk.tolist())]
         return ranks
 
-    @pytest.mark.parametrize("n", [12, 8200])
+    @pytest.mark.parametrize("n", [12, 8192])
     @pytest.mark.parametrize("chunk_rows", [1, 7, 256])
     def test_ranks_equal_whole_chunk_heads(self, n, chunk_rows):
-        """At N=12 a block is the whole chunk; at N=8200 blocks of 4 rows
+        """At N=12 a block is the whole chunk; at N=8192 blocks of 4 rows
         split chunks of 7 and 256 (the last block of each 7-row chunk has
         3 rows)."""
         assert (model.block_rows(n) >= 256) == (n == 12)
@@ -512,9 +514,10 @@ class TestBlockedEvaluation:
     @pytest.mark.parametrize("n", [12, 8200])
     def test_first_non_finite_row_in_a_later_block(self, n):
         """Rows 9 and 13 ask about a subject with a NaN embedding; at N=8200
-        row 9 sits in the third 4-row block of the first 256-row chunk, and
-        in the first block of the second 7-row chunk. Every evaluator names row
-        9's query."""
+        row 9 starts the fourth 3-row block of the first 256-row chunk, and
+        sits in the first block of the second 7-row chunk. Every evaluator
+        names row 9's query."""
+        assert n == 12 or model.block_rows(n) == 3
         params, test, vocab, index, r = self.setup(n)
         test[[9, 13], 0] = 5
         params.entity_emb[5] = np.nan

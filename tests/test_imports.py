@@ -145,6 +145,45 @@ def test_every_public_definition_is_referenced():
     assert unreferenced(program, bench) == set(UNREFERENCED_ALLOWED)
 
 
+def reads_of(name: str, source: str) -> set[str | None]:
+    """The innermost functions (by name; None for module level) in which
+    ``source`` reads ``name`` as a ``Name`` or ``Attribute`` load."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Load)
+                    and getattr(child, "id", getattr(child, "attr", None)) == name):
+                found.add(scope)
+            visit(child, child.name if isinstance(child, _FUNCTIONS) else scope)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_finds_reads_by_function():
+    source = textwrap.dedent("""
+        X = 1
+        Y = X
+
+        def f():
+            return m.X
+
+        class C:
+            def g(self, X=2):
+                X = 3
+        """)
+    assert reads_of("X", source) == {None, "f"}
+
+
+def test_block_rows_is_the_one_block_formula():
+    """Cache-blocked loops take their height from ``model.block_rows``; a
+    second formula over ``CACHE_ELEMENTS`` would decide it in two places."""
+    found = {(path.stem, scope) for path in sorted(SRC.glob("*.py"))
+             for scope in reads_of("CACHE_ELEMENTS", path.read_text(encoding="utf-8"))}
+    assert found == {("model", "block_rows")}
+
+
 HEAP_PROBE = textwrap.dedent("""
     import ctypes
     {setup}

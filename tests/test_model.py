@@ -1,9 +1,11 @@
+import itertools
 import math
 import struct
 import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from copygen import model
 from copygen.evaluation import rank_of_truth
-from copygen.history import HistVocab, masks_for, vocab_from_quads
+from copygen.history import HistVocab, block_pairs, masks_for, vocab_from_quads
 from copygen.model import (
     ModelParams,
     load_checkpoint,
@@ -304,6 +306,61 @@ class TestInPlaceHeads:
                 heads = score_heads(params, subjects, relations, times, vocab, modes)
                 for name, head in heads.items():
                     assert np.array_equal(bits(head), bits(expected[name])), (name, modes)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_build_heads_in_any_order_and_in_row_blocks(self, dtype):
+        """build_heads builds each time term in its first head's rows. Every
+        order of the three heads (the evaluator's follow a set, whose order
+        varies with PYTHONHASHSEED) gives the out-of-place heads bitwise,
+        also when the heads are rows 1..b of larger buffers, as in the train
+        step, whose other rows stay untouched."""
+        rng = np.random.default_rng(23)
+        n = 6
+        vocab = vocab_from_quads([(1, 0, o, 0) for o in range(n)]
+                                 + [(2, 1, 3, t) for t in range(3)] + [(2, 1, 5, 1)])
+        subjects, relations, times = [0, 1, 2, 2, 1], [0, 0, 1, 1, 0], [3, 3, 4, 9, 5]
+        b = len(subjects)
+        params = random_params(rng, n, 2, 3, dtype=dtype)
+        expected = out_of_place_heads(params, subjects, relations, times, vocab)
+        inputs = model.query_inputs(params, subjects, relations)
+        ((_, rows, objects),) = block_pairs(vocab, subjects, relations, b)
+        for order in itertools.permutations(expected):
+            for offset in (0, 1):
+                buffers = {name: rng.normal(size=(b + 2 * offset, n)) for name in order}
+                before = {name: buffer.copy() for name, buffer in buffers.items()}
+                heads = {name: buffers[name][offset:offset + b] for name in order}
+                model.build_heads(heads, params, model.time_directions(params), times,
+                                  model.copy_index_batch(params, inputs),
+                                  model.generation_logits_batch(params, inputs), rows, objects)
+                for name, head in heads.items():
+                    assert np.array_equal(bits(head), bits(expected[name])), (name, order)
+                    outside = np.ones(b + 2 * offset, dtype=bool)
+                    outside[offset:offset + b] = False
+                    assert np.array_equal(bits(buffers[name][outside]),
+                                          bits(before[name][outside])), (name, order)
+
+    def test_score_heads_blocks_at_block_rows(self):
+        """score_heads builds each GEMM's heads in blocks of block_rows(N)
+        rows (at N=100, 4 blocks per head pass where 4-row blocks made 256),
+        and its heads are bitwise those of one whole-batch block."""
+        rng = np.random.default_rng(24)
+        n, b = 100, 1024
+        params = random_params(rng, n, 4, 8, dtype=np.float32)
+        facts = np.column_stack([rng.integers(0, n, 3000), rng.integers(0, 4, 3000),
+                                 rng.integers(0, n, 3000), rng.integers(0, 5, 3000)])
+        args = (params, facts[:b, 0], facts[:b, 1], facts[:b, 3] + 5, vocab_from_quads(facts),
+                model.MODES)
+        with mock.patch.object(model, "build_heads", wraps=model.build_heads) as spy:
+            heads = score_heads(*args)
+        height = model.block_rows(n)
+        per_pass = [min(height, b - lo) for lo in range(0, b, height)]
+        assert len(per_pass) == math.ceil(b / height) == 4
+        # one pass for the copy head, one for both generation heads
+        assert [len(call.args[3]) for call in spy.call_args_list] == 2 * per_pass
+        with mock.patch.object(model, "block_rows", return_value=b):
+            whole = score_heads(*args)
+        for name, head in heads.items():
+            assert np.array_equal(bits(head), bits(whole[name])), name
 
     @pytest.mark.parametrize("dtype, tolerance", [(np.float64, 1e-12), (np.float32, 1e-4)])
     def test_factored_heads_match_concatenated_formula(self, dtype, tolerance):
