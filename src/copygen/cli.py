@@ -623,7 +623,7 @@ def _cmd_predict(run: RunConfig) -> int:
 
     params, *_, vocab = _load_inputs(run)
     # the history the query at --time sees: facts before it, none after
-    vocab = history.HistVocab(vocab.facts, frontier=min(run.time, vocab.frontier))
+    vocab = history.HistVocab(vocab.facts, frontier=run.time)
     alpha = run.alpha if run.alpha is not None else params.alpha
     heads = model.score_heads(params, [run.subject], [run.relation], [run.time], vocab,
                               (run.mode,))

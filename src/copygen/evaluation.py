@@ -38,13 +38,20 @@ def build_filter(*splits) -> FactIndex:
     return FactIndex(np.concatenate([as_quads(()), *map(as_quads, splits)]))
 
 
+def _check_regime(regime: str, filter_index: FactIndex | None) -> None:
+    """Reject an unknown regime, or a filtered one without a filter index."""
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    if regime != "raw" and filter_index is None:
+        raise ValueError(f"regime {regime!r} needs a filter index")
+
+
 def _candidates(filter_index: FactIndex | None, regime: str, queries: np.ndarray,
-                num_entities: int, out: np.ndarray | None = None) -> np.ndarray:
+                num_entities: int) -> np.ndarray:
     """(B, N) keep-rows: the entities each (s, p, o, t) query ranks its truth
-    o against, written into ``out`` when it is given. Filtered regimes drop
-    every known-true object but the truth."""
-    keep = np.empty((len(queries), num_entities), dtype=bool) if out is None else out
-    keep.fill(True)
+    o against, in a new array. Filtered regimes drop every known-true object
+    but the truth."""
+    keep = np.ones((len(queries), num_entities), dtype=bool)
     if regime != "raw":
         at = queries[:, 3] if regime == "time-aware" else None
         rows, objects = filter_index.select(queries[:, 0], queries[:, 1], at=at)
@@ -81,13 +88,13 @@ def rank_of_truth(scores, truth: int, query=None, filter_index: FactIndex | None
     The filtered regimes remove every known-true entity other than the truth
     before ranking; ties are broken by ascending entity id, matching the
     model's prediction rule. ``query`` is the (subject, relation, time)
-    triple the scores answer (required for filtering). Scores must be one
-    vector over the N entities and the truth an integer id in [0, N). A
-    score vector with a NaN or infinite entry is rejected: it would rank the
-    truth arbitrarily (an all-NaN vector ranks it first).
+    triple the scores answer; the filtered regimes need it and the filter
+    index, as ``evaluate`` does. Scores must be one vector over the N
+    entities and the truth an integer id in [0, N). A score vector with a
+    NaN or infinite entry is rejected: it would rank the truth arbitrarily
+    (an all-NaN vector ranks it first).
     """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
+    _check_regime(regime, filter_index)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ValueError(f"scores must be a 1-D vector, got shape {scores.shape}")
@@ -97,7 +104,7 @@ def rank_of_truth(scores, truth: int, query=None, filter_index: FactIndex | None
         raise ValueError(f"truth must be an integer entity id in [0, {n}), got {truth!r}")
     truth = int(truth)
     scores = scores[None]
-    if regime == "raw" or filter_index is None:
+    if regime == "raw":
         keep = np.ones((1, n), dtype=bool)
     elif query is None:
         raise ValueError("filtered ranking needs the query (s, p, t)")
@@ -180,8 +187,8 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
     against them.
 
     Per chunk of ``CHUNK_ROWS`` queries, the K=2d head GEMMs run on the
-    whole chunk into two arrays at parameter dtype, and its keep-rows into a
-    third, which the first chunk allocates and the rest reuse; the chunk's
+    whole chunk into two new arrays at parameter dtype, and its keep-rows
+    into a third, all freed before the next chunk's are made; the chunk's
     history pairs are selected once. The chunk is then walked in blocks of
     ``block_rows(N)`` rows: ``build_heads`` adds each block's time terms
     (from the heads' ``time_directions``, computed once per call) and biases
@@ -194,10 +201,7 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
     already computed for earlier blocks of its chunk are discarded with the
     rest.
     """
-    if regime not in REGIMES:
-        raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
-    if regime != "raw" and filter_index is None:
-        raise ValueError(f"regime {regime!r} needs a filter index")
+    _check_regime(regime, filter_index)
     mixes = [(mode, params.alpha if alpha is None else alpha) for mode, alpha in mixes]
     for mode, alpha in mixes:
         check_mix(mode, alpha)
@@ -213,20 +217,14 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
     beats = np.empty((height, n), dtype=bool)
     ties = np.empty_like(beats)
     directions = time_directions(params)
-    index = logits = keep = None
     for start in range(0, len(q), CHUNK_ROWS):
         chunk = q[start:start + CHUNK_ROWS]
         subjects, relations = chunk[:, 0], chunk[:, 1]
         inputs = model.query_inputs(params, subjects, relations)
-        # Only the last chunk is shorter than the first, whose arrays it reuses.
-        if "pc" in need:
-            index = model.copy_index_batch(
-                params, inputs, out=None if index is None else index[:len(chunk)])
-        if need & {"pg", "pg_new"}:
-            logits = model.generation_logits_batch(
-                params, inputs, out=None if logits is None else logits[:len(chunk)])
-        keep = _candidates(filter_index, regime, chunk, n,
-                           out=None if keep is None else keep[:len(chunk)])
+        index = model.copy_index_batch(params, inputs) if "pc" in need else None
+        logits = model.generation_logits_batch(params, inputs) if need - {"pc"} else None
+        del inputs
+        keep = _candidates(filter_index, regime, chunk, n)
         for block, *pairs in block_pairs(vocab, subjects, relations, height):
             truths = chunk[block, 2]
             b = len(truths)
@@ -246,6 +244,8 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
             for j, (mode, alpha) in enumerate(mixes):
                 scores = mix(heads, mode, alpha, out=mixed[:b])
                 ranks[j, done:done + b] = _rank_block(scores, truths, *masks)
+        # free the chunk's arrays (masks holds a view of keep) before the next one's
+        del index, logits, keep, masks
     return [_result(q, mode_ranks, mode, regime, num_relations, per_snapshot)
             for mode_ranks, mode in zip(ranks, modes)]
 

@@ -105,21 +105,22 @@ def vocab_from_quads(quads) -> HistVocab:
     return HistVocab(facts, int(facts.quads[:, 3].max()) + 1 if len(facts.quads) else 0)
 
 
-def masks_for(vocab: HistVocab, subjects, relations, logits: np.ndarray,
-              magnitude: float = 100.0, *, invert: bool = False) -> None:
-    """Apply the copy masks of a batch of (subject, relation) pairs in place
-    to float64 ``logits`` of shape (B, N): subtract ``magnitude`` from every
-    entry outside each pair's historical candidates, so the masks only
-    suppress. On zeros this writes the dense additive masks.
-
-    ``invert=True`` suppresses the candidates instead (used by the
-    generation-new ablation).
-    """
+def check_magnitude(magnitude: float) -> None:
+    """Reject a copy-mask magnitude that is not finite and positive."""
     if not 0 < magnitude < np.inf:
         raise ValueError(f"mask magnitude must be finite and positive, got {magnitude}")
+
+
+def apply_mask(logits: np.ndarray, rows, objects, magnitude: float, *,
+               invert: bool = False) -> None:
+    """Apply copy masks in place to float64 ``logits`` (B, N), given the
+    batch's history pairs, (row, object) as ``FactIndex.select`` returns
+    them: subtract ``magnitude`` from every entry but each row's candidates
+    (with ``invert``, from the candidates only), so the masks only suppress.
+    On zeros this writes the dense additive masks."""
+    check_magnitude(magnitude)
     # A (row, object) pair repeats once per time its fact was seen; the
     # buffered fancy-index read and write below touch it once however often.
-    rows, objects = vocab.facts.select(subjects, relations, before=vocab.frontier)
     if invert:
         logits[rows, objects] -= magnitude
     else:
@@ -128,10 +129,18 @@ def masks_for(vocab: HistVocab, subjects, relations, logits: np.ndarray,
         logits[rows, objects] = candidates
 
 
+def masks_for(vocab: HistVocab, subjects, relations, logits: np.ndarray,
+              magnitude: float = 100.0, *, invert: bool = False) -> None:
+    """``apply_mask`` with the history pairs of a batch of (subject,
+    relation) queries at the vocabulary's frontier."""
+    rows, objects = vocab.facts.select(subjects, relations, before=vocab.frontier)
+    apply_mask(logits, rows, objects, magnitude, invert=invert)
+
+
 def block_pairs(vocab: HistVocab, subjects, relations, height: int):
     """Yield each block of ``height`` queries of a batch as its row slice and
     its history pairs, (row within the block, object) arrays as
-    ``masks_for`` applies them. The batch's pairs are selected once; they
+    ``apply_mask`` takes them. The batch's pairs are selected once; they
     come in row order, so each block's are one slice of them."""
     rows, objects = vocab.facts.select(subjects, relations, before=vocab.frontier)
     starts = np.arange(0, len(subjects), height)

@@ -27,7 +27,7 @@ from .data import checked_queries
 # The forward stages are called through this module's namespace, where the
 # benchmark's tracer (bench/spans.py) wraps them; it also wraps masks_for
 # here, which this module does not call.
-from .history import HistVocab, block_pairs, masks_for  # noqa: F401
+from .history import HistVocab, apply_mask, block_pairs, check_magnitude, masks_for  # noqa: F401
 
 CHECKPOINT_MAGIC = b"CYG1"
 _CONFIG_MAGIC = b"CFG1"
@@ -180,21 +180,18 @@ def time_directions(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
             params.w_gen[:, time_cols] @ params.time_unit)
 
 
-def copy_index_batch(params: ModelParams, inputs: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
+def copy_index_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """The copy head's GEMM rows, (B, N): ``query_inputs`` rows times the
-    first 2d columns of ``w_copy`` (a view), written into a new array or
-    ``out``. ``build_heads`` adds the time term and the bias and takes the
-    tanh."""
-    return np.matmul(inputs, params.w_copy[:, :2 * params.dim].T, out=out)
+    first 2d columns of ``w_copy`` (a view), in a new array.
+    ``build_heads`` adds the time term and the bias and takes the tanh."""
+    return inputs @ params.w_copy[:, :2 * params.dim].T
 
 
-def generation_logits_batch(params: ModelParams, inputs: np.ndarray,
-                            out: np.ndarray | None = None) -> np.ndarray:
+def generation_logits_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarray:
     """The generation head's GEMM rows, (B, N), as ``copy_index_batch``
     computes the copy head's; ``build_heads`` adds the time term and the
     bias."""
-    return np.matmul(inputs, params.w_gen[:, :2 * params.dim].T, out=out)
+    return inputs @ params.w_gen[:, :2 * params.dim].T
 
 
 def _add_time_and_bias(rows: np.ndarray, times, direction: np.ndarray, bias: np.ndarray,
@@ -247,35 +244,28 @@ def build_heads(heads: dict[str, np.ndarray], params: ModelParams,
     contents are free until a head is written, and no head is written before
     both terms have been added. ``rows`` and ``objects`` are the block's history
     pairs, (row within the block, object), in which a pair may repeat.
-    ``pc`` is the index cast and lowered by the mask magnitude, its
-    candidates then restored from the index; ``pg`` is softmaxed straight
-    from the logits, which the softmax casts; ``pg_new`` is the logits cast
-    and lowered at the candidates. Each head row is finite or entirely NaN
-    (see ``stable_softmax``).
+    ``pg`` is softmaxed straight from the logits, which the softmax casts;
+    ``pc`` is the index and ``pg_new`` the logits cast, masked by
+    ``apply_mask`` (``pg_new`` at the candidates, with ``invert``) and
+    softmaxed. The mask magnitude is checked before anything is written,
+    whichever heads are built. Each head row is finite or entirely NaN (see
+    ``stable_softmax``).
     """
     magnitude = params.mask_magnitude
-    if not 0 < magnitude < np.inf:
-        raise ValueError(f"mask magnitude must be finite and positive, got {magnitude}")
+    check_magnitude(magnitude)
     term = next(iter(heads.values())).view(params.time_unit.dtype)[:, :params.num_entities]
     if index is not None:
         _add_time_and_bias(index, times, directions[0], params.b_copy, term)
         np.tanh(index, out=index)
     if logits is not None:
         _add_time_and_bias(logits, times, directions[1], params.b_gen, term)
-    if "pc" in heads:
-        pc = heads["pc"]
-        np.copyto(pc, index)
-        pc -= magnitude
-        pc[rows, objects] = index[rows, objects]
-        stable_softmax(pc, out=pc)
     if "pg" in heads:
         stable_softmax(logits, out=heads["pg"])
-    if "pg_new" in heads:
-        pg_new = heads["pg_new"]
-        np.copyto(pg_new, logits)
-        # buffered: a repeated pair is lowered once
-        pg_new[rows, objects] -= magnitude
-        stable_softmax(pg_new, out=pg_new)
+    for name, source, invert in (("pc", index, False), ("pg_new", logits, True)):
+        if name in heads:
+            np.copyto(heads[name], source)
+            apply_mask(heads[name], rows, objects, magnitude, invert=invert)
+            stable_softmax(heads[name], out=heads[name])
 
 
 def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVocab,

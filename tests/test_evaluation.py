@@ -110,6 +110,13 @@ class TestRankOfTruth:
             with pytest.raises(ValueError, match="non-finite"):
                 rank_of_truth(scores, 3, regime="raw")
 
+    @pytest.mark.parametrize("regime", ["static", "time-aware"])
+    def test_filtered_regime_needs_filter_index(self, regime):
+        """Without a filter index a filtered regime raises the message
+        ``evaluate`` raises; it used to fall back to the raw rank."""
+        with pytest.raises(ValueError, match=rf"^regime '{regime}' needs a filter index$"):
+            rank_of_truth([0.1, 0.7, 0.2], 2, (0, 0, 0), regime=regime)
+
     def test_needs_query_for_filtering(self):
         with pytest.raises(ValueError):
             rank_of_truth([0.1, 0.2], 0, None, build_filter(quads((0, 0, 1, 0))))
@@ -533,12 +540,15 @@ class TestBlockedEvaluation:
             assert str(raised.value) == message
 
     def test_peak_allocation(self):
-        """The traced peak of evaluate and ablate over 600 queries at N=3000
-        in 256-row chunks with float32 parameters, in units of one (chunk, N)
-        float64 array: the two float32 GEMM outputs (1.0), the keep-rows
-        (0.125) and the block buffers. No timing test catches a reintroduced
-        (chunk, N) temporary, which costs a few percent of a round, so this
-        counts the bytes (whole-chunk float64 heads read 2.66 and 3.66)."""
+        """The traced peak of evaluate, ablate and sweep_alpha over 600
+        queries at N=3000 in 256-row chunks with float32 parameters, in units
+        of one (chunk, N) float64 array: one chunk's two float32 GEMM outputs
+        (1.0) and keep-rows (0.125), which are freed before the next chunk's
+        are made, plus the (block, N) buffers. No timing test catches a
+        reintroduced (chunk, N) temporary, which costs a few percent of a
+        round, so this counts the bytes (whole-chunk float64 heads read 2.66
+        and 3.66; a chunk's arrays kept alive over the next chunk's GEMMs
+        read 1.77, its keep-rows alone 1.40)."""
         rng = np.random.default_rng(4)
         n, r, chunk = 3000, 4, 256
         params = random_params(rng, n, 2 * r, 8, dtype=np.float32)
@@ -549,7 +559,7 @@ class TestBlockedEvaluation:
         test[:300, :2] = facts[:300, :2]
         vocab = vocab_from_quads(facts).freeze()
         index = build_filter(facts, test)
-        for run in (evaluate, ablate):
+        for run in (evaluate, ablate, sweep_alpha):
             tracemalloc.start()
             try:
                 run(params, test, vocab, num_relations=r, filter_index=index)

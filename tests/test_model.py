@@ -217,6 +217,17 @@ class TestScoreHeads:
                     score_batch(params, [0, 1], [0, 1], [1, 1], vocab, alpha=0.3,
                                 mode=mode))
 
+    @pytest.mark.parametrize("magnitude", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_magnitude_rejected_in_every_mode(self, magnitude):
+        """gen-only masks nothing and still rejects the magnitude, with the
+        message of the mask itself."""
+        params = zero_params(mask_magnitude=magnitude)
+        vocab = vocab_from_quads([(0, 0, 1, 0)])
+        for mode in model.MODES:
+            with pytest.raises(ValueError, match=rf"^mask magnitude must be finite and "
+                                                 rf"positive, got {magnitude}$"):
+                score_heads(params, [0], [0], [1], vocab, (mode,))
+
     @pytest.mark.parametrize("column, value", [(0, -1), (0, 6), (1, -2), (1, 2), (2, -1)])
     def test_out_of_range_ids(self, column, value):
         """Subject -1 used to score as entity N-1, relation -2 read the
