@@ -5,7 +5,8 @@ prediction.
 Option precedence is flag > config file > built-in default; the resolved
 configuration (with per-key provenance) is echoed into every artifact.
 Heavy imports happen inside the handlers so ``--threads`` can cap the BLAS
-thread pools before numpy loads.
+thread pools before numpy loads; the option defaults and choices are read
+from ``copygen.options`` and ``SynthConfig``, which load no numpy.
 """
 
 from __future__ import annotations
@@ -17,16 +18,13 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .options import MODES, REGIMES, TrainConfig
+from .synth import SynthConfig
 
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
 
 SPLIT_RATIOS = {"80/10/10": (0.8, 0.1, 0.1), "80/20": (0.8, 0.2)}
-
-# literal copies of model.MODES and evaluation.REGIMES: importing either
-# module would load numpy before --threads is applied
-MODE_CHOICES = ("full", "copy-only", "gen-only", "gen-new")
-REGIME_CHOICES = ("raw", "static", "time-aware")
 
 # per-dataset mixture weights from the benchmark tuning
 DATASET_ALPHA = (("icews", 0.8), ("gdelt", 0.7), ("wiki", 0.5), ("yago", 0.5))
@@ -37,7 +35,7 @@ def default_alpha_for(name: str) -> float:
     for token, alpha in DATASET_ALPHA:
         if token in lowered:
             return alpha
-    return 0.8
+    return TrainConfig.alpha
 
 
 def _parse_bool(text: str) -> bool:
@@ -62,6 +60,13 @@ class Opt:
     # data is read, so a bad path fails at once, not after training
     writes: bool = False
     least: int | None = None  # smallest value accepted
+    # (config class, field) the option sets; it then defaults to the field's default
+    feeds: tuple | None = None
+
+    def __post_init__(self):
+        if self.feeds:
+            cls, name = self.feeds
+            self.default = {f.name: f.default for f in dataclasses.fields(cls)}[name]
 
     @property
     def option(self) -> str:
@@ -75,16 +80,19 @@ _TRAIN_OPTS = [
     Opt("data", str, help="dataset directory (train/valid/test/stat.txt)", required=True),
     Opt("out", str, "checkpoint.cyg", "checkpoint output path", writes=True),
     Opt("alpha", float, None, "copy/generation mixture weight (default: per-dataset)"),
-    Opt("dim", int, 200, "embedding dimension"),
-    Opt("lr", float, 0.001, "learning rate"),
-    Opt("batch_size", int, 1024, "facts per optimizer step"),
-    Opt("epochs", int, 30, "training epochs"),
-    Opt("seed", int, 0, "random seed"),
-    Opt("mask_magnitude", float, 100.0, "copy-mask suppression magnitude"),
+    Opt("dim", int, help="embedding dimension", feeds=(TrainConfig, "dim")),
+    Opt("lr", float, help="learning rate", feeds=(TrainConfig, "learning_rate")),
+    Opt("batch_size", int, help="facts per optimizer step", feeds=(TrainConfig, "batch_size")),
+    Opt("epochs", int, help="training epochs", feeds=(TrainConfig, "epochs")),
+    Opt("seed", int, help="random seed", feeds=(TrainConfig, "seed")),
+    Opt("mask_magnitude", float, help="copy-mask suppression magnitude",
+        feeds=(TrainConfig, "mask_magnitude")),
     Opt("granularity", int, 1, "raw time units per snapshot"),
     Opt("reciprocal", _parse_bool, True, "add inverse facts for subject prediction"),
-    Opt("mean_loss", None, False, "average instead of sum the batch loss", flag=True),
-    Opt("patience", int, None, "stop after this many epochs without improvement"),
+    Opt("mean_loss", None, help="average instead of sum the batch loss", flag=True,
+        feeds=(TrainConfig, "mean_loss")),
+    Opt("patience", int, help="stop after this many epochs without improvement",
+        feeds=(TrainConfig, "patience")),
     Opt("log_csv", str, None, "write the per-epoch training log here", writes=True),
     _THREADS,
 ]
@@ -93,7 +101,7 @@ _EVAL_COMMON = [
     Opt("checkpoint", str, required=True, help="trained checkpoint"),
     Opt("data", str, required=True, help="dataset directory"),
     Opt("split", str, "test", "evaluation split", choices=("test", "valid")),
-    Opt("filter", str, "static", "ranking regime", choices=REGIME_CHOICES),
+    Opt("filter", str, "static", "ranking regime", choices=REGIMES),
     Opt("filter_from", str, "all", "splits feeding the filter", choices=("all", "train")),
     Opt("alpha", float, None, "override the checkpoint's mixture weight"),
     Opt("granularity", int, 1, "raw time units per snapshot"),
@@ -119,20 +127,22 @@ COMMANDS: dict[str, list[Opt]] = {
     ],
     "synth": [
         Opt("out", str, required=True, help="output dataset directory"),
-        Opt("entities", int, 100, "entity count"),
-        Opt("relations", int, 5, "relation count"),
-        Opt("snapshots", int, 20, "snapshot count"),
-        Opt("facts_per_snapshot", int, 200, "fact draws per snapshot"),
-        Opt("recurrence", float, 0.5, "per-fact copy-from-history probability"),
-        Opt("seed", int, 0, "random seed"),
-        Opt("fixed_objects", None, False, "pin each (s, p) pair to one object",
-            flag=True),
+        Opt("entities", int, help="entity count", feeds=(SynthConfig, "num_entities")),
+        Opt("relations", int, help="relation count", feeds=(SynthConfig, "num_relations")),
+        Opt("snapshots", int, help="snapshot count", feeds=(SynthConfig, "num_snapshots")),
+        Opt("facts_per_snapshot", int, help="fact draws per snapshot",
+            feeds=(SynthConfig, "facts_per_snapshot")),
+        Opt("recurrence", float, help="per-fact copy-from-history probability",
+            feeds=(SynthConfig, "recurrence")),
+        Opt("seed", int, help="random seed", feeds=(SynthConfig, "seed")),
+        Opt("fixed_objects", None, help="pin each (s, p) pair to one object", flag=True,
+            feeds=(SynthConfig, "fixed_objects")),
         Opt("split", str, "80/10/10", "chronological split ratios",
             choices=tuple(SPLIT_RATIOS)),
     ],
     "train": _TRAIN_OPTS,
     "eval": _EVAL_COMMON + [
-        Opt("mode", str, "full", "inference mode", choices=MODE_CHOICES),
+        Opt("mode", str, "full", "inference mode", choices=MODES),
         Opt("per_snapshot_csv", str, None, "write a per-snapshot breakdown here",
             writes=True),
     ],
@@ -153,7 +163,7 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("relation", int, required=True, help="relation id (>= R queries subjects)"),
         Opt("time", int, required=True, help="snapshot index of the query"),
         Opt("topk", int, 5, "entities to print", least=1),
-        Opt("mode", str, "full", "inference mode", choices=MODE_CHOICES),
+        Opt("mode", str, "full", "inference mode", choices=MODES),
         Opt("alpha", float, None, "override the checkpoint's mixture weight"),
         Opt("granularity", int, 1, "raw time units per snapshot"),
         Opt("absorb_valid", None, False, "extend the vocabulary with validation facts",
@@ -302,8 +312,6 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         return 130
     except Exception as exc:  # runtime failure contract: one line, exit 1
-        if os.environ.get("COPYGEN_DEBUG"):
-            raise
         message = str(exc).replace("\n", " ") or exc.__class__.__name__
         print(f"error: {message}", file=sys.stderr)
         return 1
@@ -474,19 +482,18 @@ def _cmd_stats(run: RunConfig) -> int:
     return 0
 
 
+def _config(run: RunConfig, cls, **fields):
+    """A ``cls`` of ``fields`` and of the values of the command's options that
+    feed it; a field that neither sets keeps its class default."""
+    fed = {opt.feeds[1]: run.values[opt.key] for opt in COMMANDS[run.command]
+           if opt.feeds and opt.feeds[0] is cls}
+    return cls(**fed, **fields)
+
+
 def _cmd_synth(run: RunConfig) -> int:
     from . import data, synth
 
-    config = synth.SynthConfig(
-        num_entities=run.entities,
-        num_relations=run.relations,
-        num_snapshots=run.snapshots,
-        facts_per_snapshot=run.facts_per_snapshot,
-        recurrence=run.recurrence,
-        seed=run.seed,
-        fixed_objects=bool(run.fixed_objects),
-    )
-    quads, rate = synth.generate(config)
+    quads, rate = synth.generate(_config(run, SynthConfig))
     split = data.chronological_split(quads, SPLIT_RATIOS[run.split])
     data.write_dataset(run.out, data.DatasetMeta(run.entities, run.relations), split.files())
     (Path(run.out) / "synth.cfg").write_text(
@@ -499,31 +506,13 @@ def _cmd_synth(run: RunConfig) -> int:
     return 0
 
 
-def _train_config(run: RunConfig, alpha: float):
-    """The ``TrainConfig`` of ``train``'s options; ``sweep-alpha --retrain``
-    has no ``--mean-loss`` or ``--patience`` and trains with their defaults."""
-    from . import training
-
-    return training.TrainConfig(
-        alpha=alpha,
-        dim=run.dim,
-        learning_rate=run.lr,
-        batch_size=run.batch_size,
-        epochs=run.epochs,
-        seed=run.seed,
-        mask_magnitude=run.mask_magnitude,
-        mean_loss=bool(run.values.get("mean_loss")),
-        patience=run.values.get("patience"),
-    )
-
-
 def _cmd_train(run: RunConfig) -> int:
     from . import data, model, training
 
     ds = data.load_dataset(run.data, granularity=run.granularity)
     train, _, _, r_aug = _augmented(ds, run.reciprocal)
     alpha = run.alpha if run.alpha is not None else default_alpha_for(Path(run.data).name)
-    config = _train_config(run, alpha)
+    config = _config(run, TrainConfig, alpha=alpha)
     run.set("alpha", alpha, run.sources.get("alpha", "default"))
 
     def progress(stats):
@@ -604,8 +593,9 @@ def _cmd_sweep_alpha(run: RunConfig) -> int:
     if run.retrain:
         rows = []
         for alpha in evaluation.SWEEP_ALPHAS:
+            config = _config(run, TrainConfig, alpha=alpha)
             retrained, _ = training.fit(train, ds.meta.num_entities, r_aug,
-                                        ds.meta.num_snapshots, _train_config(run, alpha))
+                                        ds.meta.num_snapshots, config)
             result = evaluation.evaluate(retrained, quads, vocab, alpha=alpha, mode="full",
                                          **shared)
             rows.append((alpha, result.overall))

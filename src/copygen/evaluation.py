@@ -14,14 +14,12 @@ import numpy as np
 from . import model
 from .data import as_quads, checked_quads
 from .history import FactIndex, HistVocab, block_pairs
-from .model import (MODE_HEADS, ModelParams, block_rows, build_heads, check_mix, mix,
-                    time_directions)
+from .model import ModelParams, block_rows, build_heads, check_mix, mix, time_directions
+from .options import MODE_HEADS, REGIMES
 # score_batch is unused here. It stays bound because the benchmark's tracer
 # wraps evaluation.score_batch, like rank_of_truth and evaluate, by looking
 # the name up in this module's namespace.
 from .model import score_batch  # noqa: F401
-
-REGIMES = ("raw", "static", "time-aware")
 
 HITS_AT = (1, 3, 10)
 
@@ -38,12 +36,17 @@ def build_filter(*splits) -> FactIndex:
     return FactIndex(np.concatenate([as_quads(()), *map(as_quads, splits)]))
 
 
-def _check_regime(regime: str, filter_index: FactIndex | None) -> None:
-    """Reject an unknown regime, or a filtered one without a filter index."""
+def _check_regime(regime: str | None, filter_index: FactIndex | None) -> str:
+    """The regime to rank under: ``regime``, or for None ``static`` with a
+    filter index and ``raw`` without. Reject an unknown regime, or a filtered
+    one without a filter index."""
+    if regime is None:
+        return "raw" if filter_index is None else "static"
     if regime not in REGIMES:
         raise ValueError(f"unknown regime {regime!r}; expected one of {REGIMES}")
     if regime != "raw" and filter_index is None:
         raise ValueError(f"regime {regime!r} needs a filter index")
+    return regime
 
 
 def _candidates(filter_index: FactIndex | None, regime: str, queries: np.ndarray,
@@ -82,19 +85,20 @@ def _non_finite(query, truth) -> ValueError:
 
 
 def rank_of_truth(scores, truth: int, query=None, filter_index: FactIndex | None = None,
-                  regime: str = "static") -> int:
+                  regime: str | None = None) -> int:
     """1-based rank of the truth among surviving entities.
 
     The filtered regimes remove every known-true entity other than the truth
     before ranking; ties are broken by ascending entity id, matching the
     model's prediction rule. ``query`` is the (subject, relation, time)
     triple the scores answer; the filtered regimes need it and the filter
-    index, as ``evaluate`` does. Scores must be one vector over the N
-    entities and the truth an integer id in [0, N). A score vector with a
-    NaN or infinite entry is rejected: it would rank the truth arbitrarily
+    index, as ``evaluate`` does. The regime defaults to ``static`` with a
+    filter index and to ``raw`` without one. Scores must be one vector over
+    the N entities and the truth an integer id in [0, N). A score vector with
+    a NaN or infinite entry is rejected: it would rank the truth arbitrarily
     (an all-NaN vector ranks it first).
     """
-    _check_regime(regime, filter_index)
+    regime = _check_regime(regime, filter_index)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.ndim != 1:
         raise ValueError(f"scores must be a 1-D vector, got shape {scores.shape}")
@@ -165,13 +169,14 @@ class EvalResult:
 
 def evaluate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
              alpha: float | None = None, mode: str = "full",
-             filter_index: FactIndex | None = None, regime: str = "static",
+             filter_index: FactIndex | None = None, regime: str | None = None,
              per_snapshot: bool = False) -> EvalResult:
     """Rank the truth of every query quadruple and aggregate the metrics.
 
     ``num_relations`` is the raw relation count: queries with relation ids
     below it predict objects, the rest are reciprocal (subject) queries. The
-    vocabulary is only read; it usually sits at the training horizon.
+    regime defaults as in ``rank_of_truth``. The vocabulary is only read; it
+    usually sits at the training horizon.
     """
     return _evaluate_mixes(params, quads, vocab, [(mode, alpha)],
                            num_relations=num_relations, filter_index=filter_index,
@@ -180,7 +185,7 @@ def evaluate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int
 
 def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
                     num_relations: int, filter_index: FactIndex | None,
-                    regime: str, per_snapshot: bool = False) -> list[EvalResult]:
+                    regime: str | None, per_snapshot: bool = False) -> list[EvalResult]:
     """One ``EvalResult`` per ``(mode, alpha)`` mix (alpha None means the
     checkpoint's). Neither head nor the filter depends on alpha, so each
     query's heads and keep-row are built once and every mix is ranked
@@ -201,7 +206,7 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
     already computed for earlier blocks of its chunk are discarded with the
     rest.
     """
-    _check_regime(regime, filter_index)
+    regime = _check_regime(regime, filter_index)
     mixes = [(mode, params.alpha if alpha is None else alpha) for mode, alpha in mixes]
     for mode, alpha in mixes:
         check_mix(mode, alpha)
@@ -270,7 +275,7 @@ ABLATION_ORDER = ("copy-only", "gen-only", "gen-new", "full")
 
 def ablate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
            alpha: float | None = None, filter_index: FactIndex | None = None,
-           regime: str = "static") -> list[tuple[str, EvalReport]]:
+           regime: str | None = None) -> list[tuple[str, EvalReport]]:
     """Evaluate all four inference modes on one checkpoint, scoring each
     chunk's heads once."""
     results = _evaluate_mixes(params, quads, vocab,
@@ -281,7 +286,7 @@ def ablate(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
 
 
 def sweep_alpha(params: ModelParams, quads, vocab: HistVocab, *, num_relations: int,
-                filter_index: FactIndex | None = None, regime: str = "static"
+                filter_index: FactIndex | None = None, regime: str | None = None
                 ) -> list[tuple[float, EvalReport]]:
     """Re-mix one checkpoint at each of ``SWEEP_ALPHAS`` and evaluate the
     full mode, scoring each chunk's heads once."""

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import checked_queries
+from .options import MODE_HEADS, MODES
 # The forward stages are called through this module's namespace, where the
 # benchmark's tracer (bench/spans.py) wraps them; it also wraps masks_for
 # here, which this module does not call.
@@ -202,15 +203,6 @@ def _add_time_and_bias(rows: np.ndarray, times, direction: np.ndarray, bias: np.
     np.multiply.outer((np.asarray(times) + 1).astype(rows.dtype), direction, out=term)
     term += bias
     rows += term
-
-
-# The softmax heads each mode mixes, over inputs x = [s; p; t_k]: pc is the
-# copy head softmax(tanh(W_c x + b_c) + copy mask), pg the generation head
-# softmax(W_g x + b_g), pg_new the generation head restricted to entities
-# outside the history.
-MODE_HEADS = {"full": ("pc", "pg"), "copy-only": ("pc",), "gen-only": ("pg",),
-              "gen-new": ("pc", "pg_new")}
-MODES = tuple(MODE_HEADS)
 
 
 def check_mix(mode: str, alpha: float = 0.0) -> None:

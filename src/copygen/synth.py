@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 
 class CapacityError(ValueError):
     """More distinct facts demanded per snapshot than the id space holds."""
@@ -49,6 +47,8 @@ def generate(config: SynthConfig) -> tuple[np.ndarray, float]:
     by time, then by triple. The repeat rate is the fraction of kept facts
     (after the first snapshot) whose triple already occurred.
     """
+    import numpy as np  # here, so the CLI can read SynthConfig before --threads applies
+
     rng = np.random.default_rng(config.seed)
     n, r = config.num_entities, config.num_relations
 

@@ -3,12 +3,12 @@
 Backpropagation is closed-form (the model is two affine maps, a tanh, two
 softmaxes and a convex mixture), so there is no autodiff dependency; the
 analytic gradients are checked against central finite differences in the
-test suite. Parameters are float32 by default. The softmax heads, the loss,
-the truth probabilities and the gradient deltas are computed in float64, a
-cache-sized block of rows at a time; each delta is then cast once to the
-parameters' dtype, its entries below that dtype's smallest normal flushed to
-exactly zero first, and the backward GEMMs run at parameter precision.
-Float64 parameters thus take an all-float64 path.
+test suite. ``fit`` trains float32 parameters; the train step takes float64
+ones too. The softmax heads, the loss, the truth probabilities and the
+gradient deltas are computed in float64, a cache-sized block of rows at a
+time; each delta is then cast once to the parameters' dtype, its entries
+below that dtype's smallest normal flushed to exactly zero first, and the
+backward GEMMs run at parameter precision (all-float64 for float64 ones).
 
 Like the forward heads (see ``copygen.model``), the backward treats the
 time third of each head's weights as the rank-one term (k + 1)·(W_t τ): the
@@ -42,11 +42,11 @@ from .model import (
     check_mix,
     copy_index_batch,
     generation_logits_batch,
-    hyperparameter_problem,
     query_inputs,
     tensor_shapes,
     time_directions,
 )
+from .options import TrainConfig
 # Unused here. They stay bound because the benchmark's tracer
 # (bench/spans.py) wraps them in this module's namespace.
 from .history import masks_for  # noqa: F401
@@ -59,38 +59,6 @@ GRAD_BLOCK_ROWS = 1024
 
 class GradientError(RuntimeError):
     """A gradient buffer picked up non-finite entries."""
-
-
-@dataclasses.dataclass
-class TrainConfig:
-    alpha: float = 0.8
-    dim: int = 200
-    learning_rate: float = 0.001
-    batch_size: int = 1024
-    epochs: int = 30
-    seed: int = 0
-    mask_magnitude: float = 100.0
-    mean_loss: bool = False  # reduction over a batch; sum is the definition
-    patience: int | None = None  # stop after this many epochs without improvement
-    dtype: type = np.float32
-
-    def __post_init__(self):
-        # the values the trained checkpoint's header will store
-        problem = hyperparameter_problem(self.mask_magnitude, self.alpha)
-        if problem:
-            raise ValueError(problem)
-        for name in ("dim", "batch_size", "epochs", "patience"):
-            value = getattr(self, name)
-            if name == "patience" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("dim", "learning_rate", "batch_size", "epochs"):
-            value = getattr(self, name)
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.patience is not None and self.patience <= 0:
-            raise ValueError("patience must be positive when set")
 
 
 def xavier_init(shape, rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
@@ -121,11 +89,10 @@ def init_params(num_entities: int, num_relations_aug: int, num_snapshots: int,
                 config: TrainConfig, rng: np.random.Generator) -> ModelParams:
     """Xavier-initialized weights and embeddings, drawn from ``rng`` in
     checkpoint order; affine biases start at zero."""
-    dt = config.dtype
     shapes = tensor_shapes(num_entities, num_relations_aug, config.dim)
     return ModelParams(
-        **{name: np.zeros(shape, dtype=dt) if name.startswith("b_")
-           else xavier_init(shape, rng, dt) for name, shape in shapes.items()},
+        **{name: np.zeros(shape, dtype=np.float32) if name.startswith("b_")
+           else xavier_init(shape, rng) for name, shape in shapes.items()},
         num_snapshots=num_snapshots,
         mask_magnitude=config.mask_magnitude,
         alpha=config.alpha,

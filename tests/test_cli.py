@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import io
 import itertools
 import os
@@ -21,6 +22,8 @@ from copygen.data import augment_reciprocal, load_dataset, write_quadruple_file
 from copygen.evaluation import ablate, build_filter, evaluate, rank_of_truth, sweep_alpha
 from copygen.history import vocab_from_quads
 from copygen.model import ModelParams, load_checkpoint, save_checkpoint, score_batch
+from copygen.options import REGIMES, TrainConfig
+from copygen.synth import SynthConfig
 
 from oracles import checkpoint_config_text, lookup
 
@@ -570,41 +573,21 @@ class TestUsageAndErrors:
             assert "train: --out " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_literal_choices_match_the_library(self):
-        from copygen import evaluation, model
-
-        expected = {"mode": model.MODES, "filter": evaluation.REGIMES}
-        seen = set()
-        for opts in cli.COMMANDS.values():
-            for opt in opts:
-                if opt.key in expected:
-                    assert opt.choices == expected[opt.key], opt.key
-                    seen.add(opt.key)
-        assert seen == set(expected)
-
-    def test_literal_defaults_match_the_library(self):
-        """The CLI keeps its own copies of the library defaults it feeds
-        (importing the library would load numpy before --threads applies)."""
-        from copygen import evaluation, model, synth, training
-
-        assert cli.MODE_CHOICES == model.MODES
-        assert cli.REGIME_CHOICES == evaluation.REGIMES
-
-        fields = {
-            "train": (training.TrainConfig(), {
-                "dim": "dim", "lr": "learning_rate", "batch_size": "batch_size",
-                "epochs": "epochs", "seed": "seed", "mask_magnitude": "mask_magnitude",
-                "mean_loss": "mean_loss", "patience": "patience"}),
-            "synth": (synth.SynthConfig(), {
-                "entities": "num_entities", "relations": "num_relations",
-                "snapshots": "num_snapshots", "facts_per_snapshot": "facts_per_snapshot",
-                "recurrence": "recurrence", "seed": "seed",
-                "fixed_objects": "fixed_objects"}),
-        }
-        for command, (config, mapping) in fields.items():
-            defaults = {opt.key: opt.default for opt in cli.COMMANDS[command]}
-            for key, field in mapping.items():
-                assert defaults[key] == getattr(config, field), (command, key)
+    def test_options_feed_distinct_config_fields(self):
+        """Each command's options feed distinct fields of their configs;
+        ``train``'s feed every ``TrainConfig`` field but ``alpha``, which
+        ``train`` resolves per dataset, and ``synth``'s every ``SynthConfig``
+        field, so a config cannot gain a field the CLI cannot set."""
+        fields = {cls: {(cls, field.name) for field in dataclasses.fields(cls)}
+                  for cls in (TrainConfig, SynthConfig)}
+        fed = {}
+        for command, opts in cli.COMMANDS.items():
+            feeds = [opt.feeds for opt in opts if opt.feeds]
+            assert len(feeds) == len(set(feeds)), command
+            assert set(feeds) <= fields[TrainConfig] | fields[SynthConfig], command
+            fed[command] = set(feeds)
+        assert fed["train"] == fields[TrainConfig] - {(TrainConfig, "alpha")}
+        assert fed["synth"] == fields[SynthConfig]
 
     @pytest.mark.parametrize("name, alpha", [
         ("ICEWS14", 0.8), ("icews05-15", 0.8), ("GDELT", 0.7), ("WIKI", 0.5),
@@ -785,7 +768,7 @@ class TestConfigFile:
             cli.main(["eval", "--checkpoint", str(checkpoint), "--data", str(synth_dir),
                       "--config", str(cfg)])
         assert exc.value.code == 2
-        assert (f"config file: filter must be one of {cli.REGIME_CHOICES}"
+        assert (f"config file: filter must be one of {REGIMES}"
                 in capsys.readouterr().err)
 
 

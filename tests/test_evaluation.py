@@ -242,6 +242,17 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="filter"):
             evaluate(params, test, vocab, num_relations=r, regime="static")
 
+    def test_default_regime_follows_the_filter(self):
+        """Without a regime, ranking is raw without a filter index and static
+        with one; both calls with no filter used to raise."""
+        params, _, test, vocab, index, r = eval_setup()
+        assert rank_of_truth([0.1, 0.7, 0.2], 2) == 2
+        assert (evaluate(params, test, vocab, num_relations=r)
+                == evaluate(params, test, vocab, num_relations=r, regime="raw"))
+        assert (evaluate(params, test, vocab, num_relations=r, filter_index=index)
+                == evaluate(params, test, vocab, num_relations=r, filter_index=index,
+                            regime="static"))
+
     @pytest.mark.parametrize("column, value", [(0, -1), (2, -1), (2, 12), (1, 6), (3, -1)])
     def test_out_of_range_ids(self, column, value):
         """A negative id used to be answered as one counted from the end,
@@ -548,7 +559,8 @@ class TestBlockedEvaluation:
         reintroduced (chunk, N) temporary, which costs a few percent of a
         round, so this counts the bytes (whole-chunk float64 heads read 2.66
         and 3.66; a chunk's arrays kept alive over the next chunk's GEMMs
-        read 1.77, its keep-rows alone 1.40)."""
+        read 1.77, its keep-rows alone 1.40 to 1.44; freed in time, they
+        read 1.31 to 1.35)."""
         rng = np.random.default_rng(4)
         n, r, chunk = 3000, 4, 256
         params = random_params(rng, n, 2 * r, 8, dtype=np.float32)
@@ -566,4 +578,4 @@ class TestBlockedEvaluation:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak / (chunk * n * 8) <= 1.5, run.__name__
+            assert peak / (chunk * n * 8) <= 1.38, run.__name__
