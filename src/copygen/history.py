@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import as_quads
+from .options import magnitude_problem, require
 
 
 class SequencingError(ValueError):
@@ -105,20 +106,15 @@ def vocab_from_quads(quads) -> HistVocab:
     return HistVocab(facts, int(facts.quads[:, 3].max()) + 1 if len(facts.quads) else 0)
 
 
-def check_magnitude(magnitude: float) -> None:
-    """Reject a copy-mask magnitude that is not finite and positive."""
-    if not 0 < magnitude < np.inf:
-        raise ValueError(f"mask magnitude must be finite and positive, got {magnitude}")
-
-
 def apply_mask(logits: np.ndarray, rows, objects, magnitude: float, *,
                invert: bool = False) -> None:
     """Apply copy masks in place to float64 ``logits`` (B, N), given the
     batch's history pairs, (row, object) as ``FactIndex.select`` returns
     them: subtract ``magnitude`` from every entry but each row's candidates
     (with ``invert``, from the candidates only), so the masks only suppress.
-    On zeros this writes the dense additive masks."""
-    check_magnitude(magnitude)
+    On zeros this writes the dense additive masks; a bad magnitude raises
+    first."""
+    require(magnitude_problem(magnitude))
     # A (row, object) pair repeats once per time its fact was seen; the
     # buffered fancy-index read and write below touch it once however often.
     if invert:

@@ -24,17 +24,17 @@ from pathlib import Path
 import numpy as np
 
 from .data import checked_queries
-from .options import MODE_HEADS, MODES
+from .options import (MODE_HEADS, MODES, alpha_problem, hyperparameter_problem,
+                      magnitude_problem, require)
 # The forward stages are called through this module's namespace, where the
 # benchmark's tracer (bench/spans.py) wraps them; it also wraps masks_for
 # here, which this module does not call.
-from .history import HistVocab, apply_mask, block_pairs, check_magnitude, masks_for  # noqa: F401
+from .history import HistVocab, apply_mask, block_pairs, masks_for  # noqa: F401
 
 CHECKPOINT_MAGIC = b"CYG1"
 _CONFIG_MAGIC = b"CFG1"
 # magic, N, R_aug, T, d, mask magnitude, alpha
 _HEADER = struct.Struct("<4siiiiff")
-_F32 = np.finfo(np.float32)
 # The learnable tensors, in checkpoint order.
 TENSOR_NAMES = ("entity_emb", "relation_emb", "time_unit", "w_copy", "b_copy", "w_gen", "b_gen")
 # Elements worked on together by a block of (B, N) float64 head rows, by a
@@ -60,25 +60,6 @@ def block_rows(row_elements: int) -> int:
 def tensor_shapes(n: int, r_aug: int, d: int) -> dict[str, tuple]:
     """Each learnable tensor's shape for N entities, R_aug relations and dim d."""
     return dict(zip(TENSOR_NAMES, [(n, d), (r_aug, d), (d,), (n, 3 * d), (n,), (n, 3 * d), (n,)]))
-
-
-def alpha_problem(alpha: float) -> str | None:
-    """What is wrong with a mixture weight, or None: alpha must lie in
-    [0, 1] (NaN does not)."""
-    if not 0.0 <= alpha <= 1.0:
-        return f"alpha must lie in [0, 1], got {alpha}"
-    return None
-
-
-def hyperparameter_problem(mask_magnitude: float, alpha: float) -> str | None:
-    """What is wrong with the hyperparameters a checkpoint header stores, or
-    None: the mask magnitude must be finite and positive as a float32 (a
-    larger value does not fit the header, a smaller one rounds to 0), alpha
-    as ``alpha_problem`` says."""
-    with np.errstate(over="ignore"):  # a value past float32 compares as inf
-        if not _F32.smallest_subnormal <= mask_magnitude <= _F32.max:
-            return f"mask_magnitude is {mask_magnitude}, expected a finite float32 > 0"
-    return alpha_problem(alpha)
 
 
 def all_finite(arr: np.ndarray) -> bool:
@@ -136,9 +117,7 @@ class ModelParams:
                 raise ValueError(f"{name}: shape {arr.shape}, expected {expected[name]}")
             if not all_finite(arr):
                 raise ValueError(f"{name}: non-finite entries")
-        problem = hyperparameter_problem(self.mask_magnitude, self.alpha)
-        if problem:
-            raise ValueError(problem)
+        require(hyperparameter_problem(self.mask_magnitude, self.alpha))
 
 
 def stable_softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -195,12 +174,17 @@ def generation_logits_batch(params: ModelParams, inputs: np.ndarray) -> np.ndarr
     return inputs @ params.w_gen[:, :2 * params.dim].T
 
 
+def time_multipliers(times, dtype) -> np.ndarray:
+    """The multipliers k + 1 of W_t τ of queries at snapshots ``times``."""
+    return (np.asarray(times) + 1).astype(dtype)
+
+
 def _add_time_and_bias(rows: np.ndarray, times, direction: np.ndarray, bias: np.ndarray,
                        term: np.ndarray) -> None:
     """Add the term (k + 1)·``direction`` + ``bias``, rounded at the rows'
     dtype, to each (N,) GEMM row of a query at snapshot k, in place;
     ``term``, of the rows' shape and dtype, is overwritten with it."""
-    np.multiply.outer((np.asarray(times) + 1).astype(rows.dtype), direction, out=term)
+    np.multiply.outer(time_multipliers(times, rows.dtype), direction, out=term)
     term += bias
     rows += term
 
@@ -210,9 +194,8 @@ def check_mix(mode: str, alpha: float = 0.0) -> None:
     mixes two heads (``copy-only`` and ``gen-only`` ignore alpha)."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    problem = alpha_problem(alpha) if len(MODE_HEADS[mode]) == 2 else None
-    if problem:
-        raise ValueError(problem)
+    if len(MODE_HEADS[mode]) == 2:
+        require(alpha_problem(alpha))
 
 
 def build_heads(heads: dict[str, np.ndarray], params: ModelParams,
@@ -244,7 +227,7 @@ def build_heads(heads: dict[str, np.ndarray], params: ModelParams,
     ``stable_softmax``).
     """
     magnitude = params.mask_magnitude
-    check_magnitude(magnitude)
+    require(magnitude_problem(magnitude))
     term = next(iter(heads.values())).view(params.time_unit.dtype)[:, :params.num_entities]
     if index is not None:
         _add_time_and_bias(index, times, directions[0], params.b_copy, term)
@@ -299,21 +282,17 @@ def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVoca
 
 def mix(heads: dict[str, np.ndarray], mode: str, alpha: float,
         out: np.ndarray | None = None) -> np.ndarray:
-    """Probability rows of one mode from ``score_heads`` output (or from
-    row slices of it).
-
-    ``copy-only`` / ``gen-only`` return one head unchanged (identical to
-    ``full`` at alpha 1 / 0); ``full`` and ``gen-new`` take the convex
-    mixture ``alpha * pc + (1 - alpha) * pg`` of the copy head with ``pg`` /
-    ``pg_new``, written into ``out`` when it is given.
-    """
+    """Probability rows of one mode from the heads ``MODE_HEADS[mode]``
+    names in ``score_heads`` output (or in row slices of it): one head
+    unchanged (``copy-only`` / ``gen-only`` are ``full`` at alpha 1 / 0), or
+    the convex mixture ``alpha * pc + (1 - alpha) * pg`` (``pg_new`` for
+    ``gen-new``), written into ``out`` when it is given."""
     check_mix(mode, alpha)
-    if mode == "copy-only":
-        return heads["pc"]
-    if mode == "gen-only":
-        return heads["pg"]
-    mixed = np.multiply(heads["pc"], alpha, out=out)
-    mixed += (1.0 - alpha) * heads["pg_new" if mode == "gen-new" else "pg"]
+    first, *second = (heads[name] for name in MODE_HEADS[mode])
+    if not second:
+        return first
+    mixed = np.multiply(first, alpha, out=out)
+    mixed += (1.0 - alpha) * second[0]
     return mixed
 
 

@@ -1,6 +1,8 @@
-"""The training configuration, the inference modes and the ranking regimes.
-The CLI reads its defaults and choices from here; this module imports no
-numpy, so ``--threads`` still caps the BLAS thread pools before numpy loads.
+"""The training configuration, the inference modes, the ranking regimes and
+the rules on hyperparameter values: each ``*_problem`` function says what is
+wrong with a value, or returns None. The CLI reads its defaults and choices
+from here; this module imports no numpy, so ``--threads`` still caps the
+BLAS thread pools before numpy loads.
 """
 
 from __future__ import annotations
@@ -8,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+import struct
 
 # The softmax heads each mode mixes, over inputs x = [s; p; t_k]: pc is the
 # copy head softmax(tanh(W_c x + b_c) + copy mask), pg the generation head
@@ -18,6 +21,41 @@ MODE_HEADS = {"full": ("pc", "pg"), "copy-only": ("pc",), "gen-only": ("pg",),
 MODES = tuple(MODE_HEADS)
 
 REGIMES = ("raw", "static", "time-aware")
+
+
+def require(problem: str | None) -> None:
+    """Raise ``ValueError(problem)`` when a rule found one."""
+    if problem:
+        raise ValueError(problem)
+
+
+def count_problem(name: str, value) -> str | None:
+    """The count ``name`` must be a positive integer, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        return f"{name} must be an integer, got {value!r}"
+    return None if value > 0 else f"{name} must be positive, got {value}"
+
+
+def alpha_problem(alpha: float) -> str | None:
+    """A mixture weight must lie in [0, 1] (NaN does not)."""
+    return None if 0.0 <= alpha <= 1.0 else f"alpha must lie in [0, 1], got {alpha}"
+
+
+def magnitude_problem(mask_magnitude: float) -> str | None:
+    """A copy-mask magnitude is judged as the checkpoint header stores it: a
+    float32 that must be finite and positive (a larger value does not fit
+    the header, a smaller one rounds to 0)."""
+    try:
+        (stored,) = struct.unpack("<f", struct.pack("<f", mask_magnitude))
+    except OverflowError:
+        stored = math.inf
+    return (None if 0 < stored < math.inf
+            else f"mask_magnitude is {mask_magnitude}, expected a finite float32 > 0")
+
+
+def hyperparameter_problem(mask_magnitude: float, alpha: float) -> str | None:
+    """The two hyperparameters a checkpoint header stores."""
+    return magnitude_problem(mask_magnitude) or alpha_problem(alpha)
 
 
 @dataclasses.dataclass
@@ -33,21 +71,10 @@ class TrainConfig:
     patience: int | None = None  # stop after this many epochs without improvement
 
     def __post_init__(self):
-        from .model import hyperparameter_problem  # loads numpy, so not at module level
-
         # the values the trained checkpoint's header will store
-        problem = hyperparameter_problem(self.mask_magnitude, self.alpha)
-        if problem:
-            raise ValueError(problem)
+        require(hyperparameter_problem(self.mask_magnitude, self.alpha))
         for name in ("dim", "batch_size", "epochs", "patience"):
-            value = getattr(self, name)
-            if name == "patience" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        for name in ("dim", "learning_rate", "batch_size", "epochs"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if self.patience is not None and self.patience <= 0:
-            raise ValueError("patience must be positive when set")
+            if name != "patience" or self.patience is not None:
+                require(count_problem(name, getattr(self, name)))
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from .options import count_problem, require
+
 
 class CapacityError(ValueError):
     """More distinct facts demanded per snapshot than the id space holds."""
@@ -23,8 +25,7 @@ class SynthConfig:
     def __post_init__(self):
         for name in ("num_entities", "num_relations", "num_snapshots",
                      "facts_per_snapshot"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            require(count_problem(name, getattr(self, name)))
         if not 0.0 <= self.recurrence <= 1.0:
             raise ValueError(f"recurrence must lie in [0, 1], got {self.recurrence}")
         capacity = self.num_entities ** 2 * self.num_relations

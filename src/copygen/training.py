@@ -34,18 +34,9 @@ import numpy as np
 
 from .data import checked_quads, dedupe
 from .history import FactIndex, HistVocab, block_pairs
-from .model import (
-    ModelParams,
-    all_finite,
-    block_rows,
-    build_heads,
-    check_mix,
-    copy_index_batch,
-    generation_logits_batch,
-    query_inputs,
-    tensor_shapes,
-    time_directions,
-)
+from .model import (ModelParams, all_finite, block_rows, build_heads, check_mix,
+                    copy_index_batch, generation_logits_batch, query_inputs, tensor_shapes,
+                    time_directions, time_multipliers)
 from .options import TrainConfig
 # Unused here. They stay bound because the benchmark's tracer
 # (bench/spans.py) wraps them in this module's namespace.
@@ -61,12 +52,12 @@ class GradientError(RuntimeError):
     """A gradient buffer picked up non-finite entries."""
 
 
-def xavier_init(shape, rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
-    """Uniform on [-b, b] with b = sqrt(6 / (fan_in + fan_out)).
+def xavier_init(shape, rng: np.random.Generator) -> np.ndarray:
+    """Float32 uniform on [-b, b] with b = sqrt(6 / (fan_in + fan_out)).
 
     For a 2-D shape the fans are the two axes; a 1-D shape (n,) is treated
     as a single row (fans 1 and n). The float64 draws are made and cast into
-    the ``dtype`` tensor a row block of about ``CACHE_ELEMENTS`` at a time,
+    the float32 tensor a row block of about ``CACHE_ELEMENTS`` at a time,
     so no whole-tensor float64 array exists; the generator yields its
     values in order, so the tensor is bitwise the whole-tensor draw's.
     """
@@ -77,7 +68,7 @@ def xavier_init(shape, rng: np.random.Generator, dtype=np.float32) -> np.ndarray
     else:
         raise ValueError(f"expected a 1-D or 2-D shape, got {shape}")
     bound = np.sqrt(6.0 / (fan_in + fan_out))
-    out = np.empty(shape, dtype=dtype)
+    out = np.empty(shape, dtype=np.float32)
     rows = block_rows(math.prod(shape[1:]))
     for lo in range(0, len(out), rows):
         part = out[lo:lo + rows]
@@ -221,7 +212,7 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
     # reads the head weights runs before their first block is passed on.
     input_cols = slice(0, 2 * d)
     time_cols = slice(2 * d, None)
-    weighted = (steps + 1).astype(dt)
+    weighted = time_multipliers(steps, dt)
     d_inputs = d_copy @ params.w_copy[:, input_cols] + d_gen @ params.w_gen[:, input_cols]
     time_sums = {"w_copy": weighted @ d_copy, "w_gen": weighted @ d_gen}  # (N,) each
     time_unit = np.zeros(d, dtype=dt)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -132,8 +134,10 @@ class TestCopyMask:
         assert mask.tolist() == [0, 0, -100, 0]
 
     def test_bad_magnitude(self):
-        for magnitude in (0.0, -1.0, np.inf, np.nan):
-            with pytest.raises(ValueError, match="finite and positive"):
+        """The magnitude rule of the checkpoint header, with its message."""
+        for magnitude in (0.0, -1.0, np.inf, np.nan, 1e39, 1e-50):
+            message = f"mask_magnitude is {magnitude}, expected a finite float32 > 0"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 dense_masks(HistVocab(), [0], [0], num_entities=3, magnitude=magnitude)
 
     def test_batch_stack(self):

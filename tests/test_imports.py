@@ -184,6 +184,59 @@ def test_block_rows_is_the_one_block_formula():
     assert found == {("model", "block_rows")}
 
 
+def messages_of(fragment: str, source: str) -> int:
+    """How many string pieces of ``source`` that are not docstrings hold
+    ``fragment``; an f-string's literal parts count one by one."""
+    tree = ast.parse(source)
+    docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    return sum(fragment in node.value for node in ast.walk(tree)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and id(node) not in docstrings)
+
+
+def test_finds_message_pieces():
+    source = textwrap.dedent('''
+        def f(x):
+            """x must be an integer, got it"""
+            return f"{x!r} must be an integer, got {x}", "must be an integer"
+        ''')
+    assert messages_of("must be an integer, got", source) == 1
+
+
+# A message fragment of each value rule in ``copygen.options``. ("must be an
+# integer, got" and not "must be an integer": evaluation's "truth must be an
+# integer entity id in [0, N)" is a rule about entity ids, not a count.)
+RULE_MESSAGES = ("mask_magnitude is", "alpha must lie in", "must be an integer, got")
+
+
+@pytest.mark.parametrize("fragment", RULE_MESSAGES)
+def test_hyperparameter_rules_are_written_once(fragment):
+    """The mask-magnitude, alpha and count rules build their messages only
+    in ``options.py``; a second copy could judge a value differently."""
+    found = {path.stem: messages_of(fragment, path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {stem: count for stem, count in found.items() if count} == {"options": 1}
+
+
+def src_env() -> dict[str, str]:
+    """The environment with ``src`` on the path, for a fresh interpreter."""
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent),
+                                                        os.environ.get("PYTHONPATH")]))}
+
+
+def test_configs_load_no_numpy():
+    """Building the default training and synthesis configs, as the CLI does
+    before ``--threads`` applies, loads neither numpy nor the model."""
+    code = ("import sys; from copygen.options import TrainConfig; "
+            "from copygen.synth import SynthConfig; TrainConfig(); SynthConfig(); "
+            "print(sorted({'numpy', 'copygen.model'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 HEAP_PROBE = textwrap.dedent("""
     import ctypes
     {setup}
@@ -207,9 +260,7 @@ HEAP_PROBE = textwrap.dedent("""
 def _heap_probe(setup: str) -> str:
     """Whether a fresh 6 MiB array gets a mapping of its own, and whether
     the heap keeps its pages once it is freed."""
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent),
-                                                       os.environ.get("PYTHONPATH")]))}
+    env = src_env()
     for var in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
         env.pop(var, None)
     proc = subprocess.run([sys.executable, "-c", HEAP_PROBE.format(setup=setup)],

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -25,6 +26,7 @@ from copygen.model import (
     score_heads,
     stable_softmax,
 )
+from copygen.options import TrainConfig
 
 from oracles import (checkpoint_config_text, head_rows, lookup, params_astype, random_params,
                      rel_err, scalar_copy_probs, scalar_generation_probs)
@@ -217,15 +219,16 @@ class TestScoreHeads:
                     score_batch(params, [0, 1], [0, 1], [1, 1], vocab, alpha=0.3,
                                 mode=mode))
 
-    @pytest.mark.parametrize("magnitude", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("magnitude", [0.0, -1.0, np.inf, np.nan, 1e39, 1e-50])
     def test_bad_magnitude_rejected_in_every_mode(self, magnitude):
         """gen-only masks nothing and still rejects the magnitude, with the
-        message of the mask itself."""
+        message of the mask itself: values past float32 or rounding to 0
+        too, as the checkpoint header would."""
         params = zero_params(mask_magnitude=magnitude)
         vocab = vocab_from_quads([(0, 0, 1, 0)])
+        message = f"mask_magnitude is {magnitude}, expected a finite float32 > 0"
         for mode in model.MODES:
-            with pytest.raises(ValueError, match=rf"^mask magnitude must be finite and "
-                                                 rf"positive, got {magnitude}$"):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 score_heads(params, [0], [0], [1], vocab, (mode,))
 
     @pytest.mark.parametrize("column, value", [(0, -1), (0, 6), (1, -2), (1, 2), (2, -1)])
@@ -618,11 +621,25 @@ class TestCheckpoint:
         (7e-46, False), (1e39, False), (math.inf, False), (math.nan, False)])
     def test_mask_magnitude_stored_as_float32(self, value, accepted):
         """Accepted exactly when float32 stores it finite and positive; a
-        value past float32 is judged without an overflow warning."""
+        value past float32 is judged without an overflow warning. The
+        config, the parameters' validation (which saving and loading run),
+        the mask and the heads in every mode judge it by the one rule."""
+        params = zero_params(mask_magnitude=value)
+        vocab = vocab_from_quads([(0, 0, 1, 0)])
+        checks = [lambda: TrainConfig(mask_magnitude=value), params.validate,
+                  lambda: masks_for(vocab, [0], [0], np.zeros((1, 4)), value),
+                  *(lambda mode=mode: score_heads(params, [0], [0], [1], vocab, (mode,))
+                    for mode in model.MODES)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             problem = model.hyperparameter_problem(value, 0.5)
-        assert (problem is None) == accepted
+            assert (problem is None) == accepted
+            for check in checks:
+                if accepted:
+                    check()
+                else:
+                    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+                        check()
 
     # N=6, R_aug=4, d=3: the tensors end at byte 100, 148, 160, 376, 400, 616, 640
     @pytest.mark.parametrize("size, where", [(20, "header"), (28, "tensor entity_emb"),

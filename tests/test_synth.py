@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -87,3 +89,15 @@ class TestGenerate:
             SynthConfig(recurrence=1.5)
         with pytest.raises(ValueError):
             SynthConfig(num_entities=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"num_entities": 2.5}, {"facts_per_snapshot": 3.0}, {"num_entities": True},
+        {"num_relations": "5"}, {"num_snapshots": None},
+    ])
+    def test_counts_must_be_integers(self, kwargs):
+        """A float count used to fail later in ``generate`` (a ``CapacityError``
+        about 31.25 combinations, or a bare ``TypeError``), and True ran as 1."""
+        ((name, value),) = kwargs.items()
+        message = f"{name} must be an integer, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SynthConfig(**kwargs)
