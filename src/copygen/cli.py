@@ -3,10 +3,13 @@ synthesis, training, evaluation, ablations, alpha sweeps, and single-query
 prediction.
 
 Option precedence is flag > config file > built-in default; the resolved
-configuration (with per-key provenance) is echoed into every artifact.
-Heavy imports happen inside the handlers so ``--threads`` can cap the BLAS
-thread pools before numpy loads; the option defaults and choices are read
-from ``copygen.options`` and ``SynthConfig``, which load no numpy.
+configuration (with per-key provenance) is echoed into every artifact. An
+option several commands take is one ``Opt`` they share. The commands that
+read a dataset with inverse facts load it through ``_dataset`` and copy
+from the history ``_history`` builds. Heavy imports happen inside the
+handlers so ``--threads`` can cap the BLAS thread pools before numpy loads;
+the option defaults and choices are read from ``copygen.options`` and
+``SynthConfig``, which load no numpy.
 """
 
 from __future__ import annotations
@@ -31,11 +34,8 @@ DATASET_ALPHA = (("icews", 0.8), ("gdelt", 0.7), ("wiki", 0.5), ("yago", 0.5))
 
 
 def default_alpha_for(name: str) -> float:
-    lowered = name.lower()
-    for token, alpha in DATASET_ALPHA:
-        if token in lowered:
-            return alpha
-    return TrainConfig.alpha
+    return next((alpha for token, alpha in DATASET_ALPHA if token in name.lower()),
+                TrainConfig.alpha)
 
 
 def _parse_bool(text: str) -> bool:
@@ -74,10 +74,22 @@ class Opt:
 
 
 _COMMON = [Opt("config", str, None, "line-based key = value config file")]
+# options several commands share, each declared once
 _THREADS = Opt("threads", int, None, "cap BLAS thread pools", least=1)
+_GRANULARITY = Opt("granularity", int, 1, "raw time units per snapshot", least=1)
+_DATA = Opt("data", str, required=True, help="dataset directory")
+_DATASET_OUT = Opt("out", str, required=True, help="output dataset directory")
+_CSV_OUT = Opt("out", str, None, "CSV path (stdout when omitted)", writes=True)
+_CHECKPOINT = Opt("checkpoint", str, required=True, help="trained checkpoint")
+_ALPHA = Opt("alpha", float, None, "override the checkpoint's mixture weight")
+_ABSORB_VALID = Opt("absorb_valid", None, False, "extend the vocabulary with validation facts",
+                    flag=True)
+_MODE = Opt("mode", str, "full", "inference mode", choices=MODES)
+_RATIOS = Opt("split", str, "80/10/10", "chronological split ratios",
+              choices=tuple(SPLIT_RATIOS))
 
 _TRAIN_OPTS = [
-    Opt("data", str, help="dataset directory (train/valid/test/stat.txt)", required=True),
+    _DATA,
     Opt("out", str, "checkpoint.cyg", "checkpoint output path", writes=True),
     Opt("alpha", float, None, "copy/generation mixture weight (default: per-dataset)"),
     Opt("dim", int, help="embedding dimension", feeds=(TrainConfig, "dim")),
@@ -87,7 +99,7 @@ _TRAIN_OPTS = [
     Opt("seed", int, help="random seed", feeds=(TrainConfig, "seed")),
     Opt("mask_magnitude", float, help="copy-mask suppression magnitude",
         feeds=(TrainConfig, "mask_magnitude")),
-    Opt("granularity", int, 1, "raw time units per snapshot"),
+    _GRANULARITY,
     Opt("reciprocal", _parse_bool, True, "add inverse facts for subject prediction"),
     Opt("mean_loss", None, help="average instead of sum the batch loss", flag=True,
         feeds=(TrainConfig, "mean_loss")),
@@ -98,35 +110,34 @@ _TRAIN_OPTS = [
 ]
 
 _EVAL_COMMON = [
-    Opt("checkpoint", str, required=True, help="trained checkpoint"),
-    Opt("data", str, required=True, help="dataset directory"),
+    _CHECKPOINT,
+    _DATA,
     Opt("split", str, "test", "evaluation split", choices=("test", "valid")),
     Opt("filter", str, "static", "ranking regime", choices=REGIMES),
     Opt("filter_from", str, "all", "splits feeding the filter", choices=("all", "train")),
-    Opt("alpha", float, None, "override the checkpoint's mixture weight"),
-    Opt("granularity", int, 1, "raw time units per snapshot"),
-    Opt("absorb_valid", None, False, "extend the vocabulary with validation facts",
-        flag=True),
+    _ALPHA,
+    _GRANULARITY,
+    _ABSORB_VALID,
     _THREADS,
 ]
 
 COMMANDS: dict[str, list[Opt]] = {
     "prepare": [
-        Opt("data", str, required=True, help="input directory"),
-        Opt("out", str, required=True, help="output directory"),
-        Opt("granularity", int, 1, "raw time units per snapshot"),
-        Opt("split", str, None, "re-split ratios (omit to keep existing files)",
-            choices=tuple(SPLIT_RATIOS)),
+        _DATA,
+        _DATASET_OUT,
+        _GRANULARITY,
+        dataclasses.replace(_RATIOS, default=None,
+                            help="re-split ratios (omit to keep existing files)"),
     ],
     "stats": [
-        Opt("data", str, required=True, help="dataset directory"),
-        Opt("granularity", int, 1, "raw time units per snapshot"),
+        _DATA,
+        _GRANULARITY,
         Opt("probe", str, "test", "split whose recurrence is measured",
             choices=("test", "valid")),
         Opt("csv", str, None, "also write metric,value rows here", writes=True),
     ],
     "synth": [
-        Opt("out", str, required=True, help="output dataset directory"),
+        _DATASET_OUT,
         Opt("entities", int, help="entity count", feeds=(SynthConfig, "num_entities")),
         Opt("relations", int, help="relation count", feeds=(SynthConfig, "num_relations")),
         Opt("snapshots", int, help="snapshot count", feeds=(SynthConfig, "num_snapshots")),
@@ -137,37 +148,33 @@ COMMANDS: dict[str, list[Opt]] = {
         Opt("seed", int, help="random seed", feeds=(SynthConfig, "seed")),
         Opt("fixed_objects", None, help="pin each (s, p) pair to one object", flag=True,
             feeds=(SynthConfig, "fixed_objects")),
-        Opt("split", str, "80/10/10", "chronological split ratios",
-            choices=tuple(SPLIT_RATIOS)),
+        _RATIOS,
     ],
     "train": _TRAIN_OPTS,
     "eval": _EVAL_COMMON + [
-        Opt("mode", str, "full", "inference mode", choices=MODES),
+        _MODE,
         Opt("per_snapshot_csv", str, None, "write a per-snapshot breakdown here",
             writes=True),
     ],
-    "ablate": _EVAL_COMMON + [
-        Opt("out", str, None, "ablation CSV path (stdout when omitted)", writes=True),
-    ],
+    "ablate": _EVAL_COMMON + [_CSV_OUT],
     "sweep-alpha": [Opt("checkpoint", str, None, "trained checkpoint (unless --retrain)")]
-    + [opt for opt in _EVAL_COMMON if opt.key not in ("checkpoint", "alpha")] + [
-        Opt("out", str, None, "sweep CSV path (stdout when omitted)", writes=True),
+    + [opt for opt in _EVAL_COMMON if opt not in (_CHECKPOINT, _ALPHA)] + [
+        _CSV_OUT,
         Opt("retrain", None, False, "retrain per alpha instead of re-mixing (the "
             "training options below apply only then)", flag=True),
     ] + [opt for opt in _TRAIN_OPTS if opt.key in (
         "dim", "lr", "batch_size", "epochs", "seed", "mask_magnitude", "reciprocal")],
     "predict": [
-        Opt("checkpoint", str, required=True, help="trained checkpoint"),
-        Opt("data", str, required=True, help="dataset directory (historical vocabulary)"),
+        _CHECKPOINT,
+        _DATA,
         Opt("subject", int, required=True, help="subject entity id"),
         Opt("relation", int, required=True, help="relation id (>= R queries subjects)"),
         Opt("time", int, required=True, help="snapshot index of the query"),
         Opt("topk", int, 5, "entities to print", least=1),
-        Opt("mode", str, "full", "inference mode", choices=MODES),
-        Opt("alpha", float, None, "override the checkpoint's mixture weight"),
-        Opt("granularity", int, 1, "raw time units per snapshot"),
-        Opt("absorb_valid", None, False, "extend the vocabulary with validation facts",
-            flag=True),
+        _MODE,
+        _ALPHA,
+        _GRANULARITY,
+        _ABSORB_VALID,
         _THREADS,
     ],
 }
@@ -245,11 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                 sub.add_argument(opt.option, dest=opt.key, action="store_const",
                                  const=True, default=None, help=opt.help)
             else:
-                kwargs = {"dest": opt.key, "type": opt.type, "default": None,
-                          "help": opt.help}
-                if opt.choices:
-                    kwargs["choices"] = opt.choices
-                sub.add_argument(opt.option, **kwargs)
+                sub.add_argument(opt.option, dest=opt.key, type=opt.type, default=None,
+                                 choices=opt.choices, help=opt.help)
     return parser
 
 
@@ -307,8 +311,6 @@ def resolve(command: str, args: argparse.Namespace,
 def main(argv=None) -> int:
     try:
         return dispatch(sys.argv[1:] if argv is None else list(argv))
-    except SystemExit:
-        raise
     except KeyboardInterrupt:
         return 130
     except Exception as exc:  # runtime failure contract: one line, exit 1
@@ -340,36 +342,19 @@ def dispatch(argv) -> int:
     if threads:
         for var in _THREAD_ENV:  # must precede the numpy import
             os.environ[var] = str(threads)
-    handler = _HANDLERS[args.command]
-    return handler(run)
+    return _HANDLERS[args.command](run)
 
 
 # ---------------------------------------------------------------------------
 # shared helpers (import numpy lazily)
 
 
-def _augmented(ds, reciprocal: bool):
-    """``ds``'s train, valid and test facts and relation count, with the
-    inverse facts added when ``reciprocal`` is set."""
+def _dataset(run, params=None):
+    """The dataset, whose splits carry their inverse facts exactly when the
+    checkpoint ``params`` has twice the dataset's relations or, with no
+    checkpoint, when ``--reciprocal`` is set; ``meta`` keeps its R relations."""
     from . import data
 
-    if not reciprocal:
-        return ds.train, ds.valid, ds.test, ds.meta.num_relations
-    train, r_aug = data.augment_reciprocal(ds.train, ds.meta)
-    valid, _ = data.augment_reciprocal(ds.valid, ds.meta)
-    test, _ = data.augment_reciprocal(ds.test, ds.meta)
-    return train, valid, test, r_aug
-
-
-def _load_inputs(run):
-    """Checkpoint, dataset, train/valid/test facts, relation count and history
-    vocabulary. The facts get their inverses exactly when the checkpoint has twice
-    the dataset's relations, or, under ``--retrain`` (no checkpoint), ``--reciprocal``."""
-    import numpy as np
-
-    from . import data, history, model
-
-    params = None if run.values.get("retrain") else model.load_checkpoint(run.checkpoint)
     ds = data.load_dataset(run.data, granularity=run.granularity)
     n, r = ds.meta.num_entities, ds.meta.num_relations
     if params is None:
@@ -381,12 +366,24 @@ def _load_inputs(run):
             f"checkpoint shape ({params.num_entities} entities, "
             f"{params.num_relations} relations) does not match the dataset "
             f"({n} entities, {r} relations or {2 * r} with inverses); check --data")
-    train, valid, test, r_aug = _augmented(ds, reciprocal)
-    if run.absorb_valid and len(valid) and valid[:, 3].min() <= train[:, 3].max():
+    if not reciprocal:
+        return ds
+    return dataclasses.replace(ds, **{name: data.augment_reciprocal(ds.split(name), ds.meta)[0]
+                                      for name in ("train", "valid", "test")})
+
+
+def _history(run, ds):
+    """The facts a query may copy from: the training facts and, under
+    ``--absorb-valid``, the validation facts, which must all come later."""
+    import numpy as np
+
+    if not run.absorb_valid:
+        return ds.train
+    if len(ds.valid) and ds.valid[:, 3].min() <= ds.train[:, 3].max():
         raise ValueError(f"{run.command}: --absorb-valid needs validation facts after the last "
-                         f"training snapshot, {train[:, 3].max()}, not from {valid[:, 3].min()}")
-    vocab = history.vocab_from_quads(np.concatenate([train, valid]) if run.absorb_valid else train)
-    return params, ds, train, valid, test, r_aug, vocab
+                         f"training snapshot, {ds.train[:, 3].max()}, not from "
+                         f"{ds.valid[:, 3].min()}")
+    return np.concatenate([ds.train, ds.valid])
 
 
 def _percent(x: float) -> str:
@@ -399,9 +396,7 @@ def _metric_cells(report) -> str:
 
 
 def _emit_csv(out, header: str, rows: list[str], run: RunConfig) -> None:
-    lines = [f"# {line}" for line in run.echo_lines()]
-    lines.append(header)
-    lines.extend(rows)
+    lines = [f"# {line}" for line in run.echo_lines()] + [header, *rows]
     text = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -496,31 +491,37 @@ def _cmd_synth(run: RunConfig) -> int:
     quads, rate = synth.generate(_config(run, SynthConfig))
     split = data.chronological_split(quads, SPLIT_RATIOS[run.split])
     data.write_dataset(run.out, data.DatasetMeta(run.entities, run.relations), split.files())
+    boundaries = ",".join(map(str, split.boundaries))
     (Path(run.out) / "synth.cfg").write_text(
-        run.text() + f"realized_fact_repeat_rate = {rate:.6f}\n"
-        f"boundaries = {','.join(map(str, split.boundaries))}\n",
+        run.text() + f"realized_fact_repeat_rate = {rate:.6f}\nboundaries = {boundaries}\n",
         encoding="utf-8")
     print(f"facts={len(quads)}")
     print(f"realized_fact_repeat_rate={rate:.4f}")
-    print(f"boundaries={','.join(map(str, split.boundaries))}")
+    print(f"boundaries={boundaries}")
     return 0
 
 
-def _cmd_train(run: RunConfig) -> int:
-    from . import data, model, training
+def _fit(run: RunConfig, ds, alpha: float, progress=None):
+    """``training.fit`` on ``ds``'s training facts under the command's training
+    options and ``alpha``: R relations, or 2R under ``--reciprocal``."""
+    from . import training
 
-    ds = data.load_dataset(run.data, granularity=run.granularity)
-    train, _, _, r_aug = _augmented(ds, run.reciprocal)
+    m = ds.meta
+    return training.fit(ds.train, m.num_entities, m.num_relations * (1 + run.reciprocal),
+                        m.num_snapshots, _config(run, TrainConfig, alpha=alpha), progress=progress)
+
+
+def _cmd_train(run: RunConfig) -> int:
+    from . import model
+
     alpha = run.alpha if run.alpha is not None else default_alpha_for(Path(run.data).name)
-    config = _config(run, TrainConfig, alpha=alpha)
     run.set("alpha", alpha, run.sources.get("alpha", "default"))
 
     def progress(stats):
         print(f"epoch={stats.epoch} loss={stats.loss:.6f} "
               f"seconds={stats.seconds:.2f}", flush=True)
 
-    params, log = training.fit(train, ds.meta.num_entities, r_aug,
-                               ds.meta.num_snapshots, config, progress=progress)
+    params, log = _fit(run, _dataset(run), alpha, progress)
     model.save_checkpoint(params, run.out, config_text=run.text())
     if run.log_csv:
         rows = [f"{e.epoch},{e.loss:.6f},{e.seconds:.3f}" for e in log.epochs]
@@ -529,42 +530,39 @@ def _cmd_train(run: RunConfig) -> int:
     return 0
 
 
-def _eval_inputs(run):
-    """The inputs of an evaluator; the last, a dict, holds the keyword
-    arguments every evaluator takes: relation count, filter and regime."""
-    from . import evaluation
+def _evaluator_args(run: RunConfig, ds=None) -> dict:
+    """The arguments every evaluator takes: the ``--checkpoint``'s parameters,
+    the queried split of its dataset, the history, the relation count, the
+    filter and the regime. Given ``ds``, no checkpoint is read and the
+    parameters are None (``sweep-alpha --retrain`` trains its own)."""
+    from . import evaluation, history, model
 
     if run.absorb_valid and run.split == "valid":
         raise ValueError(f"{run.command}: --absorb-valid cannot be used with --split valid")
-    params, ds, train, valid, test, r_aug, vocab = _load_inputs(run)
-    if run.filter == "raw":
-        filter_index = None
-    elif run.filter_from == "train":
-        filter_index = evaluation.build_filter(train)
-    else:
-        filter_index = evaluation.build_filter(train, valid, test)
-    quads = {"test": test, "valid": valid}[run.split]
-    shared = {"num_relations": ds.meta.num_relations, "filter_index": filter_index,
-              "regime": run.filter}
-    return params, ds, train, r_aug, quads, vocab, shared
+    params = None if ds else model.load_checkpoint(run.checkpoint)
+    ds = ds or _dataset(run, params)
+    vocab = history.vocab_from_quads(_history(run, ds))
+    splits = [ds.train] if run.filter_from == "train" else [ds.train, ds.valid, ds.test]
+    filter_index = None if run.filter == "raw" else evaluation.build_filter(*splits)
+    return {"params": params, "quads": ds.split(run.split), "vocab": vocab,
+            "num_relations": ds.meta.num_relations, "filter_index": filter_index,
+            "regime": run.filter}
 
 
 def _cmd_eval(run: RunConfig) -> int:
     from . import evaluation
 
-    params, _, _, _, quads, vocab, shared = _eval_inputs(run)
-    result = evaluation.evaluate(params, quads, vocab, alpha=run.alpha, mode=run.mode,
-                                 per_snapshot=bool(run.per_snapshot_csv), **shared)
-    alpha = run.alpha if run.alpha is not None else params.alpha
+    args = _evaluator_args(run)
+    result = evaluation.evaluate(**args, alpha=run.alpha, mode=run.mode,
+                                 per_snapshot=bool(run.per_snapshot_csv))
+    alpha = run.alpha if run.alpha is not None else args["params"].alpha
     print(f"split={run.split}")
     print(f"mode={run.mode}")
     print(f"filter={run.filter}")
     print(f"alpha={alpha:g}")
-    for line in _report_lines("", result.overall):
-        print(line)
-    for prefix, report in (("object_", result.objects), ("subject_", result.subjects)):
-        for line in _report_lines(prefix, report):
-            print(line)
+    for prefix, report in (("", result.overall), ("object_", result.objects),
+                           ("subject_", result.subjects)):
+        print(*_report_lines(prefix, report), sep="\n")
     if run.per_snapshot_csv:
         rows = [f"{t},{r.count},{_metric_cells(r)}" for t, r in result.per_snapshot.items()]
         _emit_csv(run.per_snapshot_csv, "snapshot,count,mrr,hits1,hits3,hits10",
@@ -575,32 +573,26 @@ def _cmd_eval(run: RunConfig) -> int:
 def _cmd_ablate(run: RunConfig) -> int:
     from . import evaluation
 
-    params, _, _, _, quads, vocab, shared = _eval_inputs(run)
-    rows = evaluation.ablate(params, quads, vocab, alpha=run.alpha, **shared)
+    rows = evaluation.ablate(**_evaluator_args(run), alpha=run.alpha)
     csv_rows = [f"{mode},{_metric_cells(r)}" for mode, r in rows]
     _emit_csv(run.values.get("out"), "mode,mrr,hits1,hits3,hits10", csv_rows, run)
     return 0
 
 
 def _cmd_sweep_alpha(run: RunConfig) -> int:
-    from . import evaluation, training
+    from . import evaluation
 
-    if not run.retrain and run.checkpoint is None:
-        raise ValueError("sweep-alpha: --checkpoint is required without --retrain")
-    if run.retrain:
-        run.values["checkpoint"] = None  # never read, so not echoed as the rows' source
-    params, ds, train, r_aug, quads, vocab, shared = _eval_inputs(run)
-    if run.retrain:
-        rows = []
-        for alpha in evaluation.SWEEP_ALPHAS:
-            config = _config(run, TrainConfig, alpha=alpha)
-            retrained, _ = training.fit(train, ds.meta.num_entities, r_aug,
-                                        ds.meta.num_snapshots, config)
-            result = evaluation.evaluate(retrained, quads, vocab, alpha=alpha, mode="full",
-                                         **shared)
-            rows.append((alpha, result.overall))
+    if not run.retrain:
+        if run.checkpoint is None:
+            raise ValueError("sweep-alpha: --checkpoint is required without --retrain")
+        rows = evaluation.sweep_alpha(**_evaluator_args(run))
     else:
-        rows = evaluation.sweep_alpha(params, quads, vocab, **shared)
+        run.values["checkpoint"] = None  # never read, so not echoed as the rows' source
+        ds = _dataset(run)
+        args = _evaluator_args(run, ds)
+        rows = [(alpha, evaluation.evaluate(**{**args, "params": _fit(run, ds, alpha)[0]},
+                                            alpha=alpha, mode="full").overall)
+                for alpha in evaluation.SWEEP_ALPHAS]
     csv_rows = [f"{alpha:.1f},{_metric_cells(r)}" for alpha, r in rows]
     _emit_csv(run.values.get("out"), "alpha,mrr,hits1,hits3,hits10", csv_rows, run)
     return 0
@@ -611,23 +603,20 @@ def _cmd_predict(run: RunConfig) -> int:
 
     from . import history, model
 
-    params, *_, vocab = _load_inputs(run)
+    params = model.load_checkpoint(run.checkpoint)
     # the history the query at --time sees: facts before it, none after
-    vocab = history.HistVocab(vocab.facts, frontier=run.time)
+    vocab = history.HistVocab(history.FactIndex(_history(run, _dataset(run, params))), run.time)
     alpha = run.alpha if run.alpha is not None else params.alpha
     heads = model.score_heads(params, [run.subject], [run.relation], [run.time], vocab,
                               (run.mode,))
     probs = model.mix(heads, run.mode, alpha)[0]
-    pc = heads.get("pc")
+    # the probability the copy head alone contributes: the mix with every other head zeroed
+    copied = model.mix({name: head if name == "pc" else np.zeros_like(head)
+                        for name, head in heads.items()}, run.mode, alpha)[0]
     order = np.argsort(-probs, kind="stable")[:run.topk]
     for rank, entity in enumerate(order.tolist(), start=1):
         p = probs[entity]
-        if run.mode == "copy-only":
-            share = 1.0
-        elif run.mode == "gen-only" or p <= 0.0:
-            share = 0.0
-        else:
-            share = alpha * pc[0][entity] / p
+        share = copied[entity] / p if p > 0 else 0.0
         print(f"{rank},{entity},{p:.6g},{share:.6g}")
     return 0
 

@@ -18,6 +18,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .options import count_problem
+
 
 class DataError(ValueError):
     """Malformed input file or out-of-contract dataset."""
@@ -175,8 +177,8 @@ def normalize_timestamps(quads, granularity: int, *, origin: int | None = None) 
     time); pass the global minimum when normalizing several splits of one
     dataset jointly so their indices stay aligned.
     """
-    if granularity <= 0:
-        raise DataError("granularity must be positive")
+    if problem := count_problem("granularity", granularity):
+        raise DataError(problem)
     q = as_quads(quads).copy()
     if len(q) == 0:
         return q
@@ -315,8 +317,8 @@ def load_dataset(root, granularity: int = 1) -> Dataset:
     ``test.txt`` may be absent (some benchmarks ship without a validation
     set), yielding empty arrays.
     """
-    if granularity <= 0:
-        raise DataError("granularity must be positive")
+    if problem := count_problem("granularity", granularity):
+        raise DataError(problem)
     root = Path(root)
     num_entities, num_relations = load_stat(root / "stat.txt")
     meta = DatasetMeta(num_entities, num_relations)

@@ -15,7 +15,7 @@ from . import model
 from .data import as_quads, checked_quads
 from .history import FactIndex, HistVocab, block_pairs
 from .model import ModelParams, block_rows, build_heads, check_mix, mix, time_directions
-from .options import MODE_HEADS, REGIMES
+from .options import REGIMES, heads_of
 # score_batch is unused here. It stays bound because the benchmark's tracer
 # wraps evaluation.score_batch, like rank_of_truth and evaluate, by looking
 # the name up in this module's namespace.
@@ -212,7 +212,7 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
         check_mix(mode, alpha)
     q = checked_quads(quads, params.num_entities, params.num_relations)
     modes = [mode for mode, _ in mixes]
-    need = {head for mode in modes for head in MODE_HEADS[mode]}
+    need = heads_of(modes)
     n = params.num_entities
     ranks = np.empty((len(mixes), len(q)), dtype=np.int64)
     ids = np.arange(n)
@@ -227,7 +227,7 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
         subjects, relations = chunk[:, 0], chunk[:, 1]
         inputs = model.query_inputs(params, subjects, relations)
         index = model.copy_index_batch(params, inputs) if "pc" in need else None
-        logits = model.generation_logits_batch(params, inputs) if need - {"pc"} else None
+        logits = model.generation_logits_batch(params, inputs) if need != ["pc"] else None
         del inputs
         keep = _candidates(filter_index, regime, chunk, n)
         for block, *pairs in block_pairs(vocab, subjects, relations, height):

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import checked_queries
-from .options import (MODE_HEADS, MODES, alpha_problem, hyperparameter_problem,
+from .options import (MODE_HEADS, MODES, alpha_problem, heads_of, hyperparameter_problem,
                       magnitude_problem, require)
 # The forward stages are called through this module's namespace, where the
 # benchmark's tracer (bench/spans.py) wraps them; it also wraps masks_for
@@ -246,7 +246,7 @@ def build_heads(heads: dict[str, np.ndarray], params: ModelParams,
 def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVocab,
                 modes) -> dict[str, np.ndarray]:
     """The float64 softmax heads that ``modes`` mix, keyed as in
-    ``MODE_HEADS``, each of shape (B, N).
+    ``MODE_HEADS`` and ordered as ``heads_of(modes)``, each of shape (B, N).
 
     The query inputs are built once and each head is computed once, however
     many modes (or alphas) are later mixed from them with ``mix``. Each head
@@ -259,7 +259,7 @@ def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVoca
         check_mix(mode)
     subjects, relations, times = checked_queries(
         subjects, relations, times, params.num_entities, params.num_relations).T
-    need = {head for mode in modes for head in MODE_HEADS[mode]}
+    need = heads_of(modes)
     inputs = query_inputs(params, subjects, relations)
     n = params.num_entities
     heads = {name: np.empty((len(inputs), n)) for name in need}
@@ -271,7 +271,7 @@ def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVoca
             build_heads({"pc": heads["pc"][block]}, params, directions, times[block],
                         index[block], None, *pairs)
         del index
-    generation = [name for name in ("pg", "pg_new") if name in need]
+    generation = [name for name in need if name != "pc"]
     if generation:
         logits = generation_logits_batch(params, inputs)
         for block, *pairs in blocks:

@@ -20,6 +20,12 @@ MODE_HEADS = {"full": ("pc", "pg"), "copy-only": ("pc",), "gen-only": ("pg",),
               "gen-new": ("pc", "pg_new")}
 MODES = tuple(MODE_HEADS)
 
+
+def heads_of(modes) -> list[str]:
+    """The heads ``modes`` mix, each once, in the order ``MODE_HEADS`` names them."""
+    return list(dict.fromkeys(head for heads in MODE_HEADS.values() for head in heads
+                              if any(head in MODE_HEADS[mode] for mode in modes)))
+
 REGIMES = ("raw", "static", "time-aware")
 
 
@@ -29,11 +35,12 @@ def require(problem: str | None) -> None:
         raise ValueError(problem)
 
 
-def count_problem(name: str, value) -> str | None:
-    """The count ``name`` must be a positive integer, and not a bool."""
+def count_problem(name: str, value, least: int = 1) -> str | None:
+    """The count ``name`` must be an integer, not a bool, and at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         return f"{name} must be an integer, got {value!r}"
-    return None if value > 0 else f"{name} must be positive, got {value}"
+    bound = "positive" if least == 1 else f"at least {least}"
+    return None if value >= least else f"{name} must be {bound}, got {value}"
 
 
 def alpha_problem(alpha: float) -> str | None:
@@ -76,5 +83,6 @@ class TrainConfig:
         for name in ("dim", "batch_size", "epochs", "patience"):
             if name != "patience" or self.patience is not None:
                 require(count_problem(name, getattr(self, name)))
+        require(count_problem("seed", self.seed, least=0))
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")

@@ -26,6 +26,7 @@ class SynthConfig:
         for name in ("num_entities", "num_relations", "num_snapshots",
                      "facts_per_snapshot"):
             require(count_problem(name, getattr(self, name)))
+        require(count_problem("seed", self.seed, least=0))
         if not 0.0 <= self.recurrence <= 1.0:
             raise ValueError(f"recurrence must lie in [0, 1], got {self.recurrence}")
         capacity = self.num_entities ** 2 * self.num_relations

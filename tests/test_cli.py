@@ -69,9 +69,11 @@ def declared(rule):
 
 def command_args(command, data, checkpoint):
     """The arguments that run ``command`` on ``data``: its options among
-    ``--data``, ``--checkpoint`` and a ``predict`` query."""
-    values = {"data": data, "checkpoint": checkpoint, "subject": 0, "relation": 0, "time": 7}
-    return [str(arg) for opt in cli.COMMANDS[command] if opt.key in values
+    ``--data``, ``--checkpoint``, a ``predict`` query and an output
+    directory (``prepare``'s ``--out``; output files are left to the caller)."""
+    values = {"data": data, "checkpoint": checkpoint, "subject": 0, "relation": 0, "time": 7,
+              "out": "prepared"}
+    return [str(arg) for opt in cli.COMMANDS[command] if opt.key in values and not opt.writes
             for arg in (opt.option, values[opt.key])]
 
 
@@ -321,6 +323,29 @@ class TestAblateSweepPredict:
         probs = score_batch(load_checkpoint(path), [s], [p], [7], vocab, mode=mode)[0]
         for position, entity, _, _ in rows:
             assert position == rank_of_truth(probs, entity, regime="raw")
+
+    @pytest.mark.parametrize("mode", ["full", "copy-only", "gen-only", "gen-new"])
+    def test_predict_share_is_zero_where_probability_is(self, synth_dir, tmp_path, mode,
+                                                         capsys):
+        """At mask magnitude 1000 a masked probability underflows to 0, and
+        a generation bias of -1000 does the same to the odd entities; where
+        the printed probability is 0 the copy share is 0 too, in every mode
+        (``copy-only`` used to print 1 there)."""
+        ds = load_dataset(synth_dir)
+        n, r_aug, d = ds.meta.num_entities, 2 * ds.meta.num_relations, 2
+        path = tmp_path / "underflow.cyg"
+        save_checkpoint(ModelParams(
+            entity_emb=np.zeros((n, d)), relation_emb=np.zeros((r_aug, d)),
+            time_unit=np.zeros(d), w_copy=np.zeros((n, 3 * d)), b_copy=np.zeros(n),
+            w_gen=np.zeros((n, 3 * d)), b_gen=-1000.0 * (np.arange(n) % 2),
+            num_snapshots=ds.meta.num_snapshots, mask_magnitude=1000.0), path)
+        vocab = train_vocab(synth_dir)
+        s, p = max(((s, p) for s in range(n) for p in range(r_aug)),
+                   key=lambda pair: len(lookup(vocab, *pair)))
+        rows = predict_rows(capsys, path, synth_dir, s, p, 7, "--mode", mode,
+                            "--topk", str(n))
+        assert {share for _, _, prob, share in rows if prob == "0"} == {"0"}
+        assert all(0.0 <= float(share) <= 1.0 for *_, share in rows)
 
     def test_predict_rejects_bad_ids(self, synth_dir, checkpoint, capsys):
         for s, p, t in ((999, 0, 0), (0, 6, 0), (0, 0, -1)):
@@ -588,6 +613,35 @@ class TestUsageAndErrors:
             fed[command] = set(feeds)
         assert fed["train"] == fields[TrainConfig] - {(TrainConfig, "alpha")}
         assert fed["synth"] == fields[SynthConfig]
+
+    # (command, key) of each option that holds its own declaration, though
+    # other commands take an option of that key, and why
+    OWN_DECLARATIONS = {
+        ("train", "alpha"): "its default is per dataset; the others override a checkpoint's",
+        ("sweep-alpha", "checkpoint"): "optional: under --retrain none is read",
+        ("prepare", "split"): "omitted, it keeps the existing split files",
+        ("synth", "split"): "split ratios, where the evaluators name a split",
+        ("synth", "seed"): "it feeds SynthConfig, not TrainConfig",
+        ("prepare", "out"): "an output directory, not a file",
+        ("synth", "out"): "an output directory, not a file",
+        ("train", "out"): "the checkpoint path, which has a default",
+    }
+
+    def test_shared_options_are_declared_once(self):
+        """When several commands take an option, they share one ``Opt``, so
+        its type, default, bounds and help cannot drift apart (``--granularity``
+        was declared five times). Each exception differs from the shared one."""
+        uses = {}
+        for command, opts in cli.COMMANDS.items():
+            for opt in opts:
+                uses.setdefault(opt.key, {})[command] = opt
+        shared = {key: [opt for command, opt in opts.items()
+                        if (command, key) not in self.OWN_DECLARATIONS]
+                  for key, opts in uses.items()}
+        for key, opts in shared.items():
+            assert all(opt is opts[0] for opt in opts), key
+        for command, key in self.OWN_DECLARATIONS:
+            assert shared[key] and shared[key][0] != uses[key][command], (command, key)
 
     @pytest.mark.parametrize("name, alpha", [
         ("ICEWS14", 0.8), ("icews05-15", 0.8), ("GDELT", 0.7), ("WIKI", 0.5),

@@ -243,8 +243,18 @@ class TestNormalize:
         assert q[0, 3] == 24
 
     def test_bad_granularity(self):
-        with pytest.raises(DataError):
-            normalize_timestamps(quads((0, 0, 1, 0)), 0)
+        for granularity in (0, -1):
+            message = f"^granularity must be positive, got {granularity}$"
+            with pytest.raises(DataError, match=message):
+                normalize_timestamps(quads((0, 0, 1, 0)), granularity)
+
+    @pytest.mark.parametrize("granularity", [2.5, True])
+    def test_non_integer_granularity(self, granularity):
+        """The count rule judges it: 2.5 used to floor times 5 and 7 into
+        snapshot 2, and True ran as 1."""
+        message = f"granularity must be an integer, got {granularity!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            normalize_timestamps(quads((0, 0, 1, 0), (0, 0, 1, 5), (0, 0, 1, 7)), granularity)
 
     @pytest.mark.parametrize("times, origin, message", [
         ((3, -1), None, "raw timestamps must be non-negative"),
@@ -389,8 +399,17 @@ class TestLoadDataset:
         (tmp_path / "stat.txt").write_text("10 4\n")
         self._write(tmp_path, "train", [(0, 0, 1, 0)])
         for granularity in (0, -1):
-            with pytest.raises(DataError, match="^granularity must be positive$"):
+            message = f"^granularity must be positive, got {granularity}$"
+            with pytest.raises(DataError, match=message):
                 load_dataset(tmp_path, granularity=granularity)
+
+    @pytest.mark.parametrize("granularity", [2.5, True])
+    def test_non_integer_granularity(self, tmp_path, granularity):
+        (tmp_path / "stat.txt").write_text("10 4\n")
+        self._write(tmp_path, "train", [(0, 0, 1, 0), (0, 0, 1, 5), (0, 0, 1, 7)])
+        message = f"granularity must be an integer, got {granularity!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_dataset(tmp_path, granularity=granularity)
 
     def test_bad_stat(self, tmp_path):
         (tmp_path / "stat.txt").write_text("10\n")

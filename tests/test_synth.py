@@ -101,3 +101,11 @@ class TestGenerate:
         message = f"{name} must be an integer, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SynthConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed, message", [
+        (2.5, "seed must be an integer, got 2.5"), (True, "seed must be an integer, got True"),
+        (-1, "seed must be at least 0, got -1")])
+    def test_seed_checked_when_built(self, seed, message):
+        """-1 used to fail inside ``generate`` with numpy's message."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SynthConfig(seed=seed)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -830,3 +831,11 @@ class TestTrainConfig:
         (name,) = kwargs
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("seed, message", [
+        (2.5, "seed must be an integer, got 2.5"), (True, "seed must be an integer, got True"),
+        (-1, "seed must be at least 0, got -1")])
+    def test_seed_checked_when_built(self, seed, message):
+        """2.5 used to fail inside ``fit`` with numpy's TypeError."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(seed=seed)
