@@ -8,8 +8,8 @@ option several commands take is one ``Opt`` they share. The commands that
 read a dataset with inverse facts load it through ``_dataset`` and copy
 from the history ``_history`` builds. Heavy imports happen inside the
 handlers so ``--threads`` can cap the BLAS thread pools before numpy loads;
-the option defaults and choices are read from ``copygen.options`` and
-``SynthConfig``, which load no numpy.
+the option defaults and choices are read from ``copygen.options``, which
+loads no numpy.
 """
 
 from __future__ import annotations
@@ -21,8 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .options import MODES, REGIMES, TrainConfig
-from .synth import SynthConfig
+from .options import MODES, REGIMES, SynthConfig, TrainConfig
 
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
@@ -430,16 +429,14 @@ def _cmd_prepare(run: RunConfig) -> int:
                  if name in present}
         boundaries = ()
     else:
-        num_entities, num_relations = data.load_stat(src / "stat.txt")
-        meta = data.DatasetMeta(num_entities, num_relations)
+        meta = data.load_stat(src / "stat.txt")
         if not present:
             raise FileNotFoundError(f"{src}: no fact files found")
         chunks = [data.read_quadruple_file(src / f"{name}.txt", meta) for name in present]
         merged = data.dedupe(data.normalize_timestamps(np.concatenate(chunks),
                                                        run.granularity))
-        split = data.chronological_split(merged, SPLIT_RATIOS[run.split or "80/10/10"])
-        named = split.files()
-        boundaries = split.boundaries
+        named, boundaries = data.chronological_split(merged,
+                                                     SPLIT_RATIOS[run.split or "80/10/10"])
 
     data.write_dataset(run.out, meta, named)
     extra = f"boundaries = {','.join(map(str, boundaries))}\n" if boundaries else ""
@@ -489,26 +486,26 @@ def _cmd_synth(run: RunConfig) -> int:
     from . import data, synth
 
     quads, rate = synth.generate(_config(run, SynthConfig))
-    split = data.chronological_split(quads, SPLIT_RATIOS[run.split])
-    data.write_dataset(run.out, data.DatasetMeta(run.entities, run.relations), split.files())
-    boundaries = ",".join(map(str, split.boundaries))
+    parts, boundaries = data.chronological_split(quads, SPLIT_RATIOS[run.split])
+    data.write_dataset(run.out, data.DatasetMeta(run.entities, run.relations), parts)
+    listed = ",".join(map(str, boundaries))
     (Path(run.out) / "synth.cfg").write_text(
-        run.text() + f"realized_fact_repeat_rate = {rate:.6f}\nboundaries = {boundaries}\n",
+        run.text() + f"realized_fact_repeat_rate = {rate:.6f}\nboundaries = {listed}\n",
         encoding="utf-8")
     print(f"facts={len(quads)}")
     print(f"realized_fact_repeat_rate={rate:.4f}")
-    print(f"boundaries={boundaries}")
+    print(f"boundaries={listed}")
     return 0
 
 
-def _fit(run: RunConfig, ds, alpha: float, progress=None):
-    """``training.fit`` on ``ds``'s training facts under the command's training
-    options and ``alpha``: R relations, or 2R under ``--reciprocal``."""
+def _fit(run: RunConfig, ds, config: TrainConfig, progress=None):
+    """``training.fit`` on ``ds``'s training facts under ``config``: R
+    relations, or 2R under ``--reciprocal``."""
     from . import training
 
     m = ds.meta
     return training.fit(ds.train, m.num_entities, m.num_relations * (1 + run.reciprocal),
-                        m.num_snapshots, _config(run, TrainConfig, alpha=alpha), progress=progress)
+                        m.num_snapshots, config, progress=progress)
 
 
 def _cmd_train(run: RunConfig) -> int:
@@ -521,7 +518,8 @@ def _cmd_train(run: RunConfig) -> int:
         print(f"epoch={stats.epoch} loss={stats.loss:.6f} "
               f"seconds={stats.seconds:.2f}", flush=True)
 
-    params, log = _fit(run, _dataset(run), alpha, progress)
+    config = _config(run, TrainConfig, alpha=alpha)  # a bad value fails before any data is read
+    params, log = _fit(run, _dataset(run), config, progress)
     model.save_checkpoint(params, run.out, config_text=run.text())
     if run.log_csv:
         rows = [f"{e.epoch},{e.loss:.6f},{e.seconds:.3f}" for e in log.epochs]
@@ -588,11 +586,14 @@ def _cmd_sweep_alpha(run: RunConfig) -> int:
         rows = evaluation.sweep_alpha(**_evaluator_args(run))
     else:
         run.values["checkpoint"] = None  # never read, so not echoed as the rows' source
+        config = _config(run, TrainConfig)  # a bad value fails before any data is read
         ds = _dataset(run)
         args = _evaluator_args(run, ds)
-        rows = [(alpha, evaluation.evaluate(**{**args, "params": _fit(run, ds, alpha)[0]},
-                                            alpha=alpha, mode="full").overall)
-                for alpha in evaluation.SWEEP_ALPHAS]
+        rows = []
+        for alpha in evaluation.SWEEP_ALPHAS:
+            params, _ = _fit(run, ds, dataclasses.replace(config, alpha=alpha))
+            rows.append((alpha, evaluation.evaluate(**{**args, "params": params}, alpha=alpha,
+                                                    mode="full").overall))
     csv_rows = [f"{alpha:.1f},{_metric_cells(r)}" for alpha, r in rows]
     _emit_csv(run.values.get("out"), "alpha,mrr,hits1,hits3,hits10", csv_rows, run)
     return 0

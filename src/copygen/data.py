@@ -6,7 +6,10 @@ int64 arrays of shape (n, 4). Files follow the common benchmark layout: one
 tab-separated fact per line in ``train.txt`` / ``valid.txt`` / ``test.txt``
 plus a sidecar ``stat.txt`` holding the entity and relation counts, so
 public event-graph dumps load unmodified. :func:`load_dataset` reads that
-layout and :func:`write_dataset` writes it.
+layout, normalizing the timestamps of all its splits as one timeline, and
+:func:`write_dataset` writes it. :func:`chronological_split` cuts one
+timeline into parts keyed by those split file names, which is what
+:func:`write_dataset` takes.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ class DatasetMeta:
     num_snapshots: int = 0
 
     def __post_init__(self):
-        if self.num_entities <= 0 or self.num_relations <= 0:
-            raise DataError("entity and relation counts must be positive")
+        for name in ("num_entities", "num_relations"):
+            if problem := count_problem(name, getattr(self, name)):
+                raise DataError(problem)
 
 
 def as_quads(facts) -> np.ndarray:
@@ -159,23 +163,25 @@ def write_quadruple_file(path, quads) -> None:
     Path(path).write_text(serialize_quadruples(quads), encoding="utf-8")
 
 
-def load_stat(path) -> tuple[int, int]:
-    """Read ``stat.txt``: entity and relation counts (extra tokens ignored)."""
+def load_stat(path) -> DatasetMeta:
+    """Read ``stat.txt``: the entity and relation counts (extra tokens
+    ignored), judged by the count rule; an error names the file."""
     tokens = Path(path).read_text(encoding="utf-8").split()
     if len(tokens) < 2:
         raise DataError(f"{path}: expected 'N R', got {tokens!r}")
     try:
-        return int(tokens[0]), int(tokens[1])
+        return DatasetMeta(*map(int, tokens[:2]))
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
     except ValueError:
         raise DataError(f"{path}: non-integer counts {tokens[:2]!r}") from None
 
 
-def normalize_timestamps(quads, granularity: int, *, origin: int | None = None) -> np.ndarray:
+def normalize_timestamps(quads, granularity: int) -> np.ndarray:
     """Floor raw times to snapshot indices and rebase the smallest to zero.
 
-    ``origin`` overrides the rebasing offset (a snapshot index, not a raw
-    time); pass the global minimum when normalizing several splits of one
-    dataset jointly so their indices stay aligned.
+    The splits of one dataset are normalized as one array, their
+    concatenation, so that their snapshot indices line up.
     """
     if problem := count_problem("granularity", granularity):
         raise DataError(problem)
@@ -185,12 +191,7 @@ def normalize_timestamps(quads, granularity: int, *, origin: int | None = None) 
     if (q[:, 3] < 0).any():
         raise DataError("raw timestamps must be non-negative")
     idx = q[:, 3] // granularity
-    if origin is None:
-        origin = int(idx.min())
-    idx = idx - origin
-    if (idx < 0).any():
-        raise DataError("origin is later than the earliest snapshot")
-    q[:, 3] = idx
+    q[:, 3] = idx - idx.min()
     return q
 
 
@@ -224,74 +225,49 @@ def augment_reciprocal(quads, meta: DatasetMeta) -> tuple[np.ndarray, int]:
     return np.concatenate([q, inv], axis=0), r_aug
 
 
-@dataclasses.dataclass
-class Split:
-    """Chronological split with the chosen boundary snapshot indices.
-
-    ``boundaries`` holds the first snapshot index of each non-train part,
-    exposed so the realized cut can be audited.
-    """
-
-    train: np.ndarray
-    valid: np.ndarray
-    test: np.ndarray
-    boundaries: tuple[int, ...]
-
-    def files(self) -> dict[str, np.ndarray]:
-        """The parts by split file name; a two-way split, with one boundary,
-        has no ``valid``."""
-        names = ("train", "valid", "test") if len(self.boundaries) == 2 else ("train", "test")
-        return {name: getattr(self, name) for name in names}
-
-
-def chronological_split(quads, ratios: tuple[float, ...] = (0.8, 0.1, 0.1)) -> Split:
+def chronological_split(quads, ratios: tuple[float, ...] = (0.8, 0.1, 0.1)
+                        ) -> tuple[dict[str, np.ndarray], tuple[int, ...]]:
     """Split on snapshot boundaries, matching fact-count ratios as closely as
     an exhaustive boundary search permits.
 
-    Deviation is the L1 distance between realized and target fact fractions;
-    ties go to the earliest boundaries. Two ratios give a train/test split
-    with an empty validation part. A snapshot is never divided, so every
-    training snapshot index precedes every validation index, which precedes
-    every test index.
+    Returns the parts by split file name (``train``, ``valid`` and ``test``
+    for three ratios, ``train`` and ``test`` for two), each holding its facts
+    in input order, and the boundaries: the first snapshot index of each part
+    after the first, so the realized cut can be audited. Deviation is the L1
+    distance between realized and target fact fractions; ties go to the
+    earliest boundaries. A snapshot is never divided, so every snapshot
+    index of a part precedes every index of the next.
     """
     q = as_quads(quads)
     if len(ratios) not in (2, 3):
         raise DataError("ratios must have two or three entries")
     if min(ratios) <= 0 or abs(sum(ratios) - 1.0) > 1e-9:
         raise DataError(f"ratios must be positive and sum to 1, got {ratios}")
-    times, sizes = (np.unique(q[:, 3], return_counts=True) if len(q)
-                    else (np.empty(0, np.int64), np.empty(0, np.int64)))
-    parts = len(ratios)
-    if len(times) < parts:
-        raise DataError(f"need at least {parts} non-empty snapshots, got {len(times)}")
+    times, sizes = np.unique(q[:, 3], return_counts=True)
+    if len(times) < len(ratios):
+        raise DataError(f"need at least {len(ratios)} non-empty snapshots, got {len(times)}")
     prefix = np.cumsum(sizes)
     total = float(prefix[-1])
-    fr = prefix / total
-
-    if parts == 2:
-        dev = np.abs(fr[:-1] - ratios[0]) + np.abs((1.0 - fr[:-1]) - ratios[1])
-        i = int(np.argmin(dev)) + 1  # number of train snapshots
-        cut = int(times[i])
-        train = q[q[:, 3] < cut]
-        test = q[q[:, 3] >= cut]
-        return Split(train, np.empty((0, 4), np.int64), test, (cut,))
-
-    best = (np.inf, -1, -1)
-    count = len(times)
-    for i in range(1, count - 1):  # i = number of train snapshots
-        j = np.arange(i + 1, count)  # j = number of train + valid snapshots
-        dev = (abs(fr[i - 1] - ratios[0])
-               + np.abs((prefix[j - 1] - prefix[i - 1]) / total - ratios[1])
-               + np.abs(1.0 - fr[j - 1] - ratios[2]))
-        k = int(np.argmin(dev))
-        if dev[k] < best[0]:
-            best = (float(dev[k]), i, int(j[k]))
-    _, i, j = best
-    valid_start, test_start = int(times[i]), int(times[j])
-    train = q[q[:, 3] < valid_start]
-    valid = q[(q[:, 3] >= valid_start) & (q[:, 3] < test_start)]
-    test = q[q[:, 3] >= test_start]
-    return Split(train, valid, test, (valid_start, test_start))
+    fr = prefix[:-1] / total  # fr[b - 1]: the share of the facts in the first b snapshots
+    # the deviation of the first part ending, and of the last part starting, at each boundary
+    head = np.abs(fr - ratios[0])
+    tail = np.abs(1.0 - fr - ratios[-1])
+    if len(ratios) == 2:
+        cuts = (int(np.argmin(head + tail)) + 1,)  # number of train snapshots
+    else:
+        best = (np.inf, ())
+        for i in range(1, len(times) - 1):  # i = number of train snapshots
+            j = np.arange(i + 1, len(times))  # j = number of train + valid snapshots
+            dev = (head[i - 1] + np.abs((prefix[j - 1] - prefix[i - 1]) / total - ratios[1])
+                   + tail[j - 1])
+            k = int(np.argmin(dev))
+            if dev[k] < best[0]:
+                best = (float(dev[k]), (i, int(j[k])))
+        cuts = best[1]
+    boundaries = tuple(int(times[b]) for b in cuts)
+    part = np.searchsorted(boundaries, q[:, 3], side="right")
+    names = ("train", "valid", "test") if len(ratios) == 3 else ("train", "test")
+    return {name: q[part == k] for k, name in enumerate(names)}, boundaries
 
 
 @dataclasses.dataclass
@@ -312,30 +288,25 @@ class Dataset:
 def load_dataset(root, granularity: int = 1) -> Dataset:
     """Load train/valid/test plus stat.txt from a directory.
 
-    Timestamps are normalized jointly across splits (shared origin) so
-    snapshot indices line up; each split is deduplicated. ``valid.txt`` and
-    ``test.txt`` may be absent (some benchmarks ship without a validation
-    set), yielding empty arrays.
+    The splits' timestamps are normalized as one array, their concatenation,
+    so snapshot indices line up; each split is then deduplicated.
+    ``valid.txt`` and ``test.txt`` may be absent (some benchmarks ship
+    without a validation set), yielding empty arrays.
     """
     if problem := count_problem("granularity", granularity):
         raise DataError(problem)
     root = Path(root)
-    num_entities, num_relations = load_stat(root / "stat.txt")
-    meta = DatasetMeta(num_entities, num_relations)
-    raw = {}
+    meta = load_stat(root / "stat.txt")
+    raw = []
     for name in ("train", "valid", "test"):
         path = root / f"{name}.txt"
-        raw[name] = read_quadruple_file(path, meta) if path.exists() else np.empty((0, 4), np.int64)
-    if len(raw["train"]) == 0:
+        raw.append(read_quadruple_file(path, meta) if path.exists() else np.empty((0, 4), np.int64))
+    if len(raw[0]) == 0:
         raise DataError(f"{root}: train.txt missing or empty")
-
-    origin = min(int(q[:, 3].min()) // granularity for q in raw.values() if len(q))
-    splits = {
-        name: dedupe(normalize_timestamps(q, granularity, origin=origin)) if len(q) else q
-        for name, q in raw.items()
-    }
-    meta.num_snapshots = 1 + max(int(q[:, 3].max()) for q in splits.values() if len(q))
-    return Dataset(meta, splits["train"], splits["valid"], splits["test"])
+    joint = normalize_timestamps(np.concatenate(raw), granularity)
+    meta.num_snapshots = 1 + int(joint[:, 3].max())
+    ends = np.cumsum([len(q) for q in raw[:-1]])
+    return Dataset(meta, *map(dedupe, np.split(joint, ends)))
 
 
 def write_dataset(root, meta: DatasetMeta, splits: dict[str, np.ndarray]) -> None:

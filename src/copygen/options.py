@@ -1,8 +1,8 @@
-"""The training configuration, the inference modes, the ranking regimes and
-the rules on hyperparameter values: each ``*_problem`` function says what is
-wrong with a value, or returns None. The CLI reads its defaults and choices
-from here; this module imports no numpy, so ``--threads`` still caps the
-BLAS thread pools before numpy loads.
+"""The training and synthesis configurations, the inference modes, the
+ranking regimes and the rules on hyperparameter values: each ``*_problem``
+function says what is wrong with a value, or returns None. The CLI reads its
+defaults and choices from here; this module imports no numpy, so
+``--threads`` still caps the BLAS thread pools before numpy loads.
 """
 
 from __future__ import annotations
@@ -86,3 +86,31 @@ class TrainConfig:
         require(count_problem("seed", self.seed, least=0))
         if not 0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+
+
+class CapacityError(ValueError):
+    """More distinct facts demanded per snapshot than the id space holds."""
+
+
+@dataclasses.dataclass
+class SynthConfig:
+    num_entities: int = 100
+    num_relations: int = 5
+    num_snapshots: int = 20
+    facts_per_snapshot: int = 200
+    recurrence: float = 0.5  # per-fact probability of copying from history
+    seed: int = 0
+    fixed_objects: bool = False  # each (s, p) pair keeps one object forever
+
+    def __post_init__(self):
+        for name in ("num_entities", "num_relations", "num_snapshots",
+                     "facts_per_snapshot"):
+            require(count_problem(name, getattr(self, name)))
+        require(count_problem("seed", self.seed, least=0))
+        if not 0.0 <= self.recurrence <= 1.0:
+            raise ValueError(f"recurrence must lie in [0, 1], got {self.recurrence}")
+        capacity = self.num_entities ** 2 * self.num_relations
+        if self.facts_per_snapshot > capacity:
+            raise CapacityError(
+                f"{self.facts_per_snapshot} facts per snapshot exceed the "
+                f"{capacity} distinct (s, p, o) combinations available")

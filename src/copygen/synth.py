@@ -1,39 +1,14 @@
 """Deterministic synthetic temporal-KG generator with a controllable
-recurrence rate, used as the desk-scale testbed for the copy mechanism."""
+recurrence rate, used as the desk-scale testbed for the copy mechanism.
+
+Its configuration, ``SynthConfig``, lives in :mod:`copygen.options`, which
+loads no numpy, so the CLI builds it before ``--threads`` applies."""
 
 from __future__ import annotations
 
-import dataclasses
+import numpy as np
 
-from .options import count_problem, require
-
-
-class CapacityError(ValueError):
-    """More distinct facts demanded per snapshot than the id space holds."""
-
-
-@dataclasses.dataclass
-class SynthConfig:
-    num_entities: int = 100
-    num_relations: int = 5
-    num_snapshots: int = 20
-    facts_per_snapshot: int = 200
-    recurrence: float = 0.5  # per-fact probability of copying from history
-    seed: int = 0
-    fixed_objects: bool = False  # each (s, p) pair keeps one object forever
-
-    def __post_init__(self):
-        for name in ("num_entities", "num_relations", "num_snapshots",
-                     "facts_per_snapshot"):
-            require(count_problem(name, getattr(self, name)))
-        require(count_problem("seed", self.seed, least=0))
-        if not 0.0 <= self.recurrence <= 1.0:
-            raise ValueError(f"recurrence must lie in [0, 1], got {self.recurrence}")
-        capacity = self.num_entities ** 2 * self.num_relations
-        if self.facts_per_snapshot > capacity:
-            raise CapacityError(
-                f"{self.facts_per_snapshot} facts per snapshot exceed the "
-                f"{capacity} distinct (s, p, o) combinations available")
+from .options import SynthConfig
 
 
 def generate(config: SynthConfig) -> tuple[np.ndarray, float]:
@@ -49,8 +24,6 @@ def generate(config: SynthConfig) -> tuple[np.ndarray, float]:
     by time, then by triple. The repeat rate is the fraction of kept facts
     (after the first snapshot) whose triple already occurred.
     """
-    import numpy as np  # here, so the CLI can read SynthConfig before --threads applies
-
     rng = np.random.default_rng(config.seed)
     n, r = config.num_entities, config.num_relations
 

@@ -10,6 +10,7 @@ which no command needs in these shapes.
 """
 
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 
@@ -214,21 +215,23 @@ def recurrence_oracle(history, probe):
 
 
 def split_oracle(quads, ratios):
-    """Exhaustive search over all snapshot boundary pairs (three-way)."""
+    """Exhaustive search over every increasing tuple of snapshot boundaries,
+    one per part after the first, for two or three ratios: the least L1
+    deviation of the parts' fact fractions from ``ratios``, the first
+    boundaries (earliest first) that reach it, and the parts as lists of the
+    facts between consecutive boundaries, in input order."""
     q = np.asarray(quads)
+    rows = q.tolist()
     times = sorted(set(q[:, 3].tolist()))
     total = len(q)
     best = None
-    for i in range(1, len(times) - 1):
-        for j in range(i + 1, len(times)):
-            train = int(np.count_nonzero(q[:, 3] < times[i]))
-            valid = int(np.count_nonzero((q[:, 3] >= times[i]) & (q[:, 3] < times[j])))
-            test = total - train - valid
-            dev = (abs(train / total - ratios[0])
-                   + abs(valid / total - ratios[1])
-                   + abs(test / total - ratios[2]))
-            if best is None or dev < best[0]:
-                best = (dev, times[i], times[j])
+    for cut in itertools.combinations(times[1:], len(ratios) - 1):
+        edges = [-math.inf, *cut, math.inf]
+        parts = [[row for row in rows if lo <= row[3] < hi]
+                 for lo, hi in zip(edges, edges[1:])]
+        dev = sum(abs(len(part) / total - ratio) for part, ratio in zip(parts, ratios))
+        if best is None or dev < best[0]:
+            best = (dev, cut, parts)
     return best
 
 

@@ -17,7 +17,8 @@ from copygen.data import augment_reciprocal, chronological_split, DatasetMeta
 from copygen.evaluation import build_filter, evaluate, rank_of_truth
 from copygen.history import HistVocab, vocab_from_quads
 from copygen.model import score_batch, score_heads
-from copygen.synth import SynthConfig, generate
+from copygen.options import SynthConfig
+from copygen.synth import generate
 from copygen.training import TrainConfig, fit
 
 from oracles import (
@@ -207,10 +208,10 @@ def desk_scale_run(recurrence, seed=13):
                          facts_per_snapshot=200, recurrence=recurrence,
                          seed=seed, fixed_objects=True)
     quads, _ = generate(config)
-    split = chronological_split(quads)
-    train, r_aug = augment_reciprocal(split.train, SYNTH_META)
-    valid, _ = augment_reciprocal(split.valid, SYNTH_META)
-    test, _ = augment_reciprocal(split.test, SYNTH_META)
+    parts, _ = chronological_split(quads)
+    train, r_aug = augment_reciprocal(parts["train"], SYNTH_META)
+    valid, _ = augment_reciprocal(parts["valid"], SYNTH_META)
+    test, _ = augment_reciprocal(parts["test"], SYNTH_META)
     train_config = TrainConfig(alpha=0.8, dim=32, learning_rate=0.001,
                                batch_size=1024, epochs=30, seed=0)
     params, log = fit(train, 100, r_aug, 20, train_config)

@@ -22,8 +22,7 @@ from copygen.data import augment_reciprocal, load_dataset, write_quadruple_file
 from copygen.evaluation import ablate, build_filter, evaluate, rank_of_truth, sweep_alpha
 from copygen.history import vocab_from_quads
 from copygen.model import ModelParams, load_checkpoint, save_checkpoint, score_batch
-from copygen.options import REGIMES, TrainConfig
-from copygen.synth import SynthConfig
+from copygen.options import REGIMES, SynthConfig, TrainConfig
 
 from oracles import checkpoint_config_text, lookup
 
@@ -538,6 +537,19 @@ class TestUsageAndErrors:
             assert code == 1
             assert capsys.readouterr().err == (
                 f"error: mask_magnitude is {float(value)}, expected a finite float32 > 0\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("train", ["--dim", "0"], "dim must be positive, got 0"),
+        ("sweep-alpha", ["--retrain", "--epochs", "0"], "epochs must be positive, got 0")])
+    def test_training_options_checked_before_data_is_read(self, tmp_path, monkeypatch, command,
+                                                           flags, message, capsys):
+        """A bad training count is reported, not the missing dataset: the
+        training config used to be built only after the data was read."""
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([command, "--data", str(tmp_path / "nonexistent"), *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command, option", declared(lambda opt: opt.least is not None))

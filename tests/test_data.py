@@ -31,9 +31,9 @@ def quads(*rows):
 
 class TestParse:
     def test_basic_line_with_granularity_24(self):
-        parsed = parse_quadruple_file(["8\t4\t12\t48"], META)
-        normalized = normalize_timestamps(parsed, 24, origin=0)
-        assert normalized.tolist() == [[8, 4, 12, 2]]
+        parsed = parse_quadruple_file(["1\t0\t2\t0", "8\t4\t12\t48"], META)
+        normalized = normalize_timestamps(parsed, 24)
+        assert normalized.tolist() == [[1, 0, 2, 0], [8, 4, 12, 2]]
 
     def test_empty_input(self):
         assert parse_quadruple_file([], META).shape == (0, 4)
@@ -233,10 +233,6 @@ class TestNormalize:
         q = quads((0, 0, 1, 0), (0, 0, 2, 0), (0, 0, 1, 24))
         assert normalize_timestamps(q, 24)[:, 3].tolist() == [0, 0, 1]
 
-    def test_shared_origin(self):
-        late = quads((0, 0, 1, 48))
-        assert normalize_timestamps(late, 24, origin=0)[:, 3].tolist() == [2]
-
     def test_input_unchanged(self):
         q = quads((0, 0, 1, 24))
         normalize_timestamps(q, 24)
@@ -256,13 +252,9 @@ class TestNormalize:
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             normalize_timestamps(quads((0, 0, 1, 0), (0, 0, 1, 5), (0, 0, 1, 7)), granularity)
 
-    @pytest.mark.parametrize("times, origin, message", [
-        ((3, -1), None, "raw timestamps must be non-negative"),
-        ((24, 48), 2, "origin is later than the earliest snapshot")])
-    def test_bad_times(self, times, origin, message):
-        q = quads(*[(0, 0, 1, t) for t in times])
-        with pytest.raises(DataError, match=f"^{message}$"):
-            normalize_timestamps(q, 24, origin=origin)
+    def test_negative_times(self):
+        with pytest.raises(DataError, match="^raw timestamps must be non-negative$"):
+            normalize_timestamps(quads((0, 0, 1, 3), (0, 0, 1, -1)), 24)
 
 
 class TestAugment:
@@ -303,11 +295,11 @@ class TestAugment:
 class TestSplit:
     def test_ten_equal_snapshots(self):
         rows = [(i % 5, 0, (i + 1) % 5, t) for t in range(10) for i in range(4)]
-        split = chronological_split(quads(*rows))
-        assert split.boundaries == (8, 9)
-        assert sorted(set(split.train[:, 3].tolist())) == list(range(8))
-        assert set(split.valid[:, 3].tolist()) == {8}
-        assert set(split.test[:, 3].tolist()) == {9}
+        parts, boundaries = chronological_split(quads(*rows))
+        assert boundaries == (8, 9)
+        assert sorted(set(parts["train"][:, 3].tolist())) == list(range(8))
+        assert set(parts["valid"][:, 3].tolist()) == {8}
+        assert set(parts["test"][:, 3].tolist()) == {9}
 
     def test_uneven_sizes_match_exhaustive_search(self):
         sizes = [50, 20, 10, 10, 10]
@@ -315,39 +307,55 @@ class TestSplit:
         for t, size in enumerate(sizes):
             rows.extend((i % 7, i % 3, (i + t) % 7, t) for i in range(size))
         q = quads(*rows)
-        split = chronological_split(q)
-        dev, v_start, t_start = split_oracle(q, (0.8, 0.1, 0.1))
-        assert (v_start, t_start) == (3, 4)  # exact 80/10/10 at these boundaries
-        assert split.boundaries == (v_start, t_start)
+        _, boundaries = chronological_split(q)
+        dev, want, _ = split_oracle(q, (0.8, 0.1, 0.1))
+        assert want == (3, 4)  # exact 80/10/10 at these boundaries
+        assert boundaries == want
         assert dev == 0.0
 
     def test_random_against_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            horizon = int(rng.integers(3, 9))
-            rows = []
-            for t in range(horizon):
-                for i in range(int(rng.integers(1, 12))):
-                    rows.append((int(rng.integers(6)), 0, int(rng.integers(6)), t))
-            q = quads(*rows)
-            split = chronological_split(q)
-            _, v_start, t_start = split_oracle(q, (0.8, 0.1, 0.1))
-            assert split.boundaries == (v_start, t_start)
+        """Both ratio counts, on the same inputs: the boundaries, and the
+        parts as the input's facts between them, in input order."""
+        for ratios, names in (((0.8, 0.1, 0.1), ["train", "valid", "test"]),
+                              ((0.8, 0.2), ["train", "test"])):
+            rng = np.random.default_rng(7)
+            for _ in range(10):
+                horizon = int(rng.integers(3, 9))
+                rows = []
+                for t in range(horizon):
+                    for i in range(int(rng.integers(1, 12))):
+                        rows.append((int(rng.integers(6)), 0, int(rng.integers(6)), t))
+                q = quads(*rows)
+                parts, boundaries = chronological_split(q, ratios)
+                _, want, want_parts = split_oracle(q, ratios)
+                assert boundaries == want
+                assert list(parts) == names
+                for got, expected in zip(parts.values(), want_parts):
+                    assert got.dtype == np.int64
+                    assert got.tolist() == expected
 
     def test_chronology_invariant(self):
         rng = np.random.default_rng(11)
         rows = [(int(rng.integers(5)), 0, int(rng.integers(5)), int(rng.integers(7)))
                 for _ in range(60)]
-        split = chronological_split(quads(*rows))
-        assert split.train[:, 3].max() < split.valid[:, 3].min()
-        assert split.valid[:, 3].max() < split.test[:, 3].min()
+        parts, _ = chronological_split(quads(*rows))
+        assert parts["train"][:, 3].max() < parts["valid"][:, 3].min()
+        assert parts["valid"][:, 3].max() < parts["test"][:, 3].min()
 
     def test_two_way_mode(self):
         rows = [(i % 3, 0, i % 5, t) for t in range(10) for i in range(10)]
-        split = chronological_split(quads(*rows), ratios=(0.8, 0.2))
-        assert split.boundaries == (8,)
-        assert len(split.valid) == 0
-        assert len(split.train) == 80 and len(split.test) == 20
+        parts, boundaries = chronological_split(quads(*rows), ratios=(0.8, 0.2))
+        assert boundaries == (8,)
+        assert list(parts) == ["train", "test"]
+        assert len(parts["train"]) == 80 and len(parts["test"]) == 20
+
+    @pytest.mark.parametrize("ratios, sizes, boundaries", [
+        ((0.5, 0.5), (1, 2, 1), (1,)), ((0.25, 0.25, 0.5), (1, 1, 4, 2), (1, 2))])
+    def test_ties_go_to_the_earliest_boundaries(self, ratios, sizes, boundaries):
+        """Fractions exact in binary, so two cuts deviate by exactly as
+        much: (1,) and (2,) for two ratios, (1, 2) and (2, 3) for three."""
+        q = quads(*[(0, 0, 1, t) for t, size in enumerate(sizes) for _ in range(size)])
+        assert chronological_split(q, ratios)[1] == boundaries
 
     @pytest.mark.parametrize("ratios, message", [
         ((1.0,), "two or three entries"), ((0.25, 0.25, 0.25, 0.25), "two or three entries"),
@@ -364,8 +372,8 @@ class TestSplit:
     def test_counts_preserved(self):
         rows = [(i % 3, 0, i % 5, t) for t in range(6) for i in range(9)]
         q = quads(*rows)
-        split = chronological_split(q)
-        assert len(split.train) + len(split.valid) + len(split.test) == len(q)
+        parts, _ = chronological_split(q)
+        assert sum(map(len, parts.values())) == len(q)
 
 
 class TestLoadDataset:
@@ -416,6 +424,24 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="stat"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("counts, message", [
+        ((2.5, 3), "num_entities must be an integer, got 2.5"),
+        ((True, 1), "num_entities must be an integer, got True")])
+    def test_meta_counts_must_be_integers(self, counts, message):
+        """Both used to be accepted."""
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            DatasetMeta(*counts)
+
+    def test_stat_counts_judged_by_the_count_rule(self, tmp_path):
+        """A count of 0 used to fail as "entity and relation counts must be
+        positive", naming neither the file nor the count."""
+        path = tmp_path / "stat.txt"
+        path.write_text("0 5\n")
+        self._write(tmp_path, "train", [(0, 0, 1, 0)])
+        message = f"{path}: num_entities must be positive, got 0"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_dataset(tmp_path)
+
 
 class TestWriteDataset:
     FACTS = dedupe(quads(*[(i % 5, i % 2, (i + t) % 7, t) for t in range(10)
@@ -428,23 +454,24 @@ class TestWriteDataset:
     def test_load_reads_back_what_it_writes(self, tmp_path, ratios, names):
         """A two-way split has no ``valid`` part, so it writes no
         ``valid.txt``, and loads with an empty validation split."""
-        split = chronological_split(self.FACTS, ratios)
-        assert list(split.files()) == names
-        write_dataset(tmp_path / "ds", self.META, split.files())
+        parts, _ = chronological_split(self.FACTS, ratios)
+        assert list(parts) == names
+        write_dataset(tmp_path / "ds", self.META, parts)
         assert sorted(path.name for path in (tmp_path / "ds").iterdir()) == sorted(
             ["stat.txt"] + [f"{name}.txt" for name in names])
         ds = load_dataset(tmp_path / "ds")
         assert (ds.meta.num_entities, ds.meta.num_relations) == (7, 2)
         for name in ("train", "valid", "test"):
-            np.testing.assert_array_equal(ds.split(name), getattr(split, name))
+            want = parts.get(name, np.empty((0, 4), np.int64))
+            np.testing.assert_array_equal(ds.split(name), want)
 
     def test_two_way_over_three_way_leaves_no_stale_split(self, tmp_path):
-        write_dataset(tmp_path, self.META, chronological_split(self.FACTS).files())
-        split = chronological_split(self.FACTS, (0.8, 0.2))
-        write_dataset(tmp_path, DatasetMeta(8, 3), split.files())
+        write_dataset(tmp_path, self.META, chronological_split(self.FACTS)[0])
+        parts, _ = chronological_split(self.FACTS, (0.8, 0.2))
+        write_dataset(tmp_path, DatasetMeta(8, 3), parts)
         assert not (tmp_path / "valid.txt").exists()
         ds = load_dataset(tmp_path)
         assert (ds.meta.num_entities, ds.meta.num_relations) == (8, 3)
         assert len(ds.valid) == 0
-        np.testing.assert_array_equal(ds.train, split.train)
-        np.testing.assert_array_equal(ds.test, split.test)
+        np.testing.assert_array_equal(ds.train, parts["train"])
+        np.testing.assert_array_equal(ds.test, parts["test"])

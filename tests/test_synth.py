@@ -5,7 +5,8 @@ import pytest
 
 from copygen.data import DatasetMeta, parse_quadruple_file, serialize_quadruples
 from copygen.history import recurrence_stats
-from copygen.synth import CapacityError, SynthConfig, generate
+from copygen.options import CapacityError, SynthConfig
+from copygen.synth import generate
 
 
 def split_quads(quads, at):

@@ -10,7 +10,8 @@ from copygen import model, training
 from copygen.data import dedupe
 from copygen.history import FactIndex, HistVocab, masks_for, vocab_from_quads
 from copygen.model import stable_softmax
-from copygen.synth import SynthConfig, generate
+from copygen.options import SynthConfig
+from copygen.synth import generate
 from copygen.training import (
     AmsGrad,
     GradientError,
