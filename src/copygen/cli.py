@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .options import MODES, REGIMES, SynthConfig, TrainConfig
+from .options import MODES, REGIMES, SynthConfig, TrainConfig, count_problem
 
 _THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "NUMEXPR_NUM_THREADS")
@@ -329,9 +329,9 @@ def dispatch(argv) -> int:
     # every usage error (exit 2) comes before any missing directory (exit 1)
     for opt in opts:
         value = run.values[opt.key]
-        if opt.least is not None and value is not None and value < opt.least:
-            parser.error(f"{args.command}: {opt.option} must be at least {opt.least}, "
-                         f"got {value}")
+        if opt.least is not None and value is not None:
+            if problem := count_problem(opt.option, value, opt.least):
+                parser.error(f"{args.command}: {problem}")
     for opt in opts:
         out = run.values[opt.key]
         if opt.writes and out is not None and not Path(out).parent.is_dir():
@@ -358,13 +358,17 @@ def _dataset(run, params=None):
     n, r = ds.meta.num_entities, ds.meta.num_relations
     if params is None:
         reciprocal = run.reciprocal
-    elif params.num_entities == n and params.num_relations in (r, 2 * r):
-        reciprocal = params.num_relations == 2 * r
-    else:
+    elif params.num_entities != n or params.num_relations not in (r, 2 * r):
         raise ValueError(
             f"checkpoint shape ({params.num_entities} entities, "
             f"{params.num_relations} relations) does not match the dataset "
             f"({n} entities, {r} relations or {2 * r} with inverses); check --data")
+    elif params.num_snapshots != ds.meta.num_snapshots:
+        raise ValueError(
+            f"checkpoint has {params.num_snapshots} snapshots, the dataset "
+            f"{ds.meta.num_snapshots} at --granularity {run.granularity}; check --granularity")
+    else:
+        reciprocal = params.num_relations == 2 * r
     if not reciprocal:
         return ds
     return dataclasses.replace(ds, **{name: data.augment_reciprocal(ds.split(name), ds.meta)[0]

@@ -9,12 +9,11 @@ import math
 
 import numpy as np
 
-# The forward stages are called as model.<name>, where the benchmark's tracer
-# (bench/spans.py) wraps them.
-from . import model
 from .data import as_quads, checked_quads
-from .history import FactIndex, HistVocab, block_pairs
-from .model import ModelParams, block_rows, build_heads, check_mix, mix, time_directions
+from .history import FactIndex, HistVocab
+# The forward stages run inside head_blocks, in copygen.model's namespace,
+# where the benchmark's tracer (bench/spans.py) wraps them.
+from .model import ModelParams, block_rows, check_mix, head_blocks, mix
 from .options import REGIMES, heads_of
 # score_batch is unused here. It stays bound because the benchmark's tracer
 # wraps evaluation.score_batch, like rank_of_truth and evaluate, by looking
@@ -191,15 +190,12 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
     query's heads and keep-row are built once and every mix is ranked
     against them.
 
-    Per chunk of ``CHUNK_ROWS`` queries, the K=2d head GEMMs run on the
-    whole chunk into two new arrays at parameter dtype, and its keep-rows
-    into a third, all freed before the next chunk's are made; the chunk's
-    history pairs are selected once. The chunk is then walked in blocks of
-    ``block_rows(N)`` rows: ``build_heads`` adds each block's time terms
-    (from the heads' ``time_directions``, computed once per call) and biases
-    to its GEMM rows, takes the copy head's tanh, and turns the rows into
-    float64 heads in reused block buffers, whose finiteness is checked (a
-    convex mix of finite heads is finite), and each mix is written from
+    Per chunk of ``CHUNK_ROWS`` queries, the keep-rows are built into one
+    new array, and ``head_blocks`` runs the chunk's head GEMMs and walks it
+    in blocks of ``block_rows(N)`` rows, building each block's float64
+    heads in reused block buffers; the chunk's arrays are freed before the
+    next chunk's are made. Each block's heads have their finiteness checked
+    (a convex mix of finite heads is finite), and each mix is written from
     them into one more buffer and ranked, all while the block is in cache.
     Every step is row-wise, so the ranks are bitwise those of whole-chunk
     heads. A non-finite head row raises, naming the first such query; ranks
@@ -221,22 +217,15 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
     mixed = np.empty((height, n))
     beats = np.empty((height, n), dtype=bool)
     ties = np.empty_like(beats)
-    directions = time_directions(params)
     for start in range(0, len(q), CHUNK_ROWS):
         chunk = q[start:start + CHUNK_ROWS]
-        subjects, relations = chunk[:, 0], chunk[:, 1]
-        inputs = model.query_inputs(params, subjects, relations)
-        index = model.copy_index_batch(params, inputs) if "pc" in need else None
-        logits = model.generation_logits_batch(params, inputs) if need != ["pc"] else None
-        del inputs
         keep = _candidates(filter_index, regime, chunk, n)
-        for block, *pairs in block_pairs(vocab, subjects, relations, height):
+        for block, heads in head_blocks(
+                params, chunk[:, [0, 1, 3]], vocab, need,
+                lambda rows: {name: buffer[:rows.stop - rows.start]
+                              for name, buffer in blocks.items()}):
             truths = chunk[block, 2]
             b = len(truths)
-            heads = {name: buffer[:b] for name, buffer in blocks.items()}
-            build_heads(heads, params, directions, chunk[block, 3],
-                        None if index is None else index[block],
-                        None if logits is None else logits[block], *pairs)
             # a head row is finite or all NaN, so its first entry tells which
             finite = np.ones(b, dtype=bool)
             for head in heads.values():
@@ -249,8 +238,8 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
             for j, (mode, alpha) in enumerate(mixes):
                 scores = mix(heads, mode, alpha, out=mixed[:b])
                 ranks[j, done:done + b] = _rank_block(scores, truths, *masks)
-        # free the chunk's arrays (masks holds a view of keep) before the next one's
-        del index, logits, keep, masks
+        # free the chunk's keep-rows (masks holds a view of them) before the next one's
+        del keep, masks
     return [_result(q, mode_ranks, mode, regime, num_relations, per_snapshot)
             for mode_ranks, mode in zip(ranks, modes)]
 

@@ -134,15 +134,16 @@ def masks_for(vocab: HistVocab, subjects, relations, logits: np.ndarray,
 
 
 def block_pairs(vocab: HistVocab, subjects, relations, height: int):
-    """Yield each block of ``height`` queries of a batch as its row slice and
-    its history pairs, (row within the block, object) arrays as
-    ``apply_mask`` takes them. The batch's pairs are selected once; they
-    come in row order, so each block's are one slice of them."""
+    """Yield each block of ``height`` queries of a batch (the last may hold
+    fewer) as its row slice and its history pairs, (row within the block,
+    object) arrays as ``apply_mask`` takes them. The batch's pairs are
+    selected once; they come in row order, so each block's are one slice of
+    them."""
     rows, objects = vocab.facts.select(subjects, relations, before=vocab.frontier)
-    starts = np.arange(0, len(subjects), height)
-    edges = np.searchsorted(rows, [*starts, len(subjects)])
-    for lo, i, j in zip(starts.tolist(), edges[:-1], edges[1:]):
-        yield slice(lo, lo + height), rows[i:j] - lo, objects[i:j]
+    edges = [*range(0, len(subjects), height), len(subjects)]
+    cuts = np.searchsorted(rows, edges)
+    for lo, hi, i, j in zip(edges, edges[1:], cuts, cuts[1:]):
+        yield slice(lo, hi), rows[i:j] - lo, objects[i:j]
 
 
 def recurrence_stats(history, probe) -> dict[str, float]:

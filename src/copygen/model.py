@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .data import checked_queries
-from .options import (MODE_HEADS, MODES, alpha_problem, heads_of, hyperparameter_problem,
-                      magnitude_problem, require)
+from .options import (MODE_HEADS, MODES, alpha_problem, count_problem, heads_of,
+                      hyperparameter_problem, magnitude_problem, require)
 # The forward stages are called through this module's namespace, where the
 # benchmark's tracer (bench/spans.py) wraps them; it also wraps masks_for
 # here, which this module does not call.
@@ -243,40 +243,55 @@ def build_heads(heads: dict[str, np.ndarray], params: ModelParams,
             stable_softmax(heads[name], out=heads[name])
 
 
+def head_blocks(params: ModelParams, queries: np.ndarray, vocab: HistVocab, need, out):
+    """The one forward head pass: yield ``(rows, heads)`` for each block of
+    ``block_rows(N)`` rows of the (B, 3) checked (s, p, t) ``queries``.
+
+    The K=2d head GEMMs that the head names ``need`` require (the copy GEMM
+    for ``pc``, the generation GEMM for ``pg`` / ``pg_new``) run on the
+    whole batch, and the batch's history pairs are selected once. Each
+    block's heads are the dict ``out(rows)`` returns for its row slice;
+    ``build_heads`` writes them in place before the block is yielded. The
+    GEMM outputs are freed once the blocks are exhausted.
+    """
+    subjects, relations, times = queries.T
+    inputs = query_inputs(params, subjects, relations)
+    index = copy_index_batch(params, inputs) if "pc" in need else None
+    logits = generation_logits_batch(params, inputs) if set(need) - {"pc"} else None
+    del inputs
+    directions = time_directions(params)
+    for rows, *pairs in block_pairs(vocab, subjects, relations,
+                                    block_rows(params.num_entities)):
+        heads = out(rows)
+        build_heads(heads, params, directions, times[rows],
+                    None if index is None else index[rows],
+                    None if logits is None else logits[rows], *pairs)
+        yield rows, heads
+
+
 def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVocab,
                 modes) -> dict[str, np.ndarray]:
     """The float64 softmax heads that ``modes`` mix, keyed as in
     ``MODE_HEADS`` and ordered as ``heads_of(modes)``, each of shape (B, N).
 
-    The query inputs are built once and each head is computed once, however
-    many modes (or alphas) are later mixed from them with ``mix``. Each head
-    GEMM is turned into its heads by ``build_heads``, in blocks of
-    ``block_rows(N)`` rows, before the next runs, so next to the heads only
-    one GEMM output is alive. Ids out of range are rejected, naming the
-    first such query row.
+    Each head is computed once, however many modes (or alphas) are later
+    mixed from them with ``mix``. ``head_blocks`` runs on the whole batch
+    once per GEMM, the copy head's and then the generation heads', writing
+    row slices of the results, so next to the heads only one GEMM output is
+    alive. Ids out of range are rejected, naming the first such query row.
     """
     for mode in modes:
         check_mix(mode)
-    subjects, relations, times = checked_queries(
-        subjects, relations, times, params.num_entities, params.num_relations).T
+    queries = checked_queries(subjects, relations, times, params.num_entities,
+                              params.num_relations)
     need = heads_of(modes)
-    inputs = query_inputs(params, subjects, relations)
-    n = params.num_entities
-    heads = {name: np.empty((len(inputs), n)) for name in need}
-    directions = time_directions(params)
-    blocks = list(block_pairs(vocab, subjects, relations, block_rows(n)))
-    if "pc" in need:
-        index = copy_index_batch(params, inputs)
-        for block, *pairs in blocks:
-            build_heads({"pc": heads["pc"][block]}, params, directions, times[block],
-                        index[block], None, *pairs)
-        del index
-    generation = [name for name in need if name != "pc"]
-    if generation:
-        logits = generation_logits_batch(params, inputs)
-        for block, *pairs in blocks:
-            build_heads({name: heads[name][block] for name in generation}, params,
-                        directions, times[block], None, logits[block], *pairs)
+    heads = {name: np.empty((len(queries), params.num_entities)) for name in need}
+    for copy in (True, False):  # the copy head, then the generation heads
+        part = [name for name in need if (name == "pc") == copy]
+        if part:
+            for _ in head_blocks(params, queries, vocab, part,
+                                 lambda rows: {name: heads[name][rows] for name in part}):
+                pass
     return heads
 
 
@@ -344,12 +359,11 @@ def _checkpoint_layout(path, blob: bytes | bytearray) -> tuple[tuple, dict[str, 
     if len(blob) < _HEADER.size:
         raise ValueError(f"{path}: truncated header ({len(blob)} of {_HEADER.size} bytes)")
     _, n, r_aug, horizon, d, mag, alpha = _HEADER.unpack_from(blob)
-    for field, value, least in (("N", n, 1), ("R_aug", r_aug, 1), ("T", horizon, 0), ("d", d, 1)):
-        if value < least:
-            raise ValueError(f"{path}: header field {field} is {value}, expected >= {least}")
-    problem = hyperparameter_problem(mag, alpha)
-    if problem:
-        raise ValueError(f"{path}: header field {problem}")
+    for problem in (count_problem("N", n), count_problem("R_aug", r_aug),
+                    count_problem("T", horizon, least=0), count_problem("d", d),
+                    hyperparameter_problem(mag, alpha)):
+        if problem:
+            raise ValueError(f"{path}: header field {problem}")
     tensors, end = {}, _HEADER.size
     for name, shape in tensor_shapes(n, r_aug, d).items():
         tensors[name] = (end, shape)

@@ -39,8 +39,8 @@ def count_problem(name: str, value, least: int = 1) -> str | None:
     """The count ``name`` must be an integer, not a bool, and at least ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         return f"{name} must be an integer, got {value!r}"
-    bound = "positive" if least == 1 else f"at least {least}"
-    return None if value >= least else f"{name} must be {bound}, got {value}"
+    bound = "must be positive, got" if least == 1 else f"must be at least {least}, got"
+    return None if value >= least else f"{name} {bound} {value}"
 
 
 def alpha_problem(alpha: float) -> str | None:

@@ -1,6 +1,19 @@
-"""Shared test plumbing: the acceptance suite registers one line per
-criterion here so the verdicts are printed after the run regardless of
-capture settings."""
+"""Shared test plumbing: the environment of a fresh interpreter that
+imports copygen from ``src``, and the acceptance suite's verdicts, one line
+per criterion, printed after the run regardless of capture settings."""
+
+import os
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def src_env() -> dict[str, str]:
+    """The environment with ``src`` on the path, for a fresh interpreter."""
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
+                                                        os.environ.get("PYTHONPATH")]))}
+
 
 ACCEPTANCE_RESULTS: list[tuple[str, bool, str]] = []
 

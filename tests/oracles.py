@@ -246,6 +246,18 @@ def rank_oracle(scores, truth, removed=()):
     raise AssertionError("truth missing from candidates")
 
 
+def count_scores(history, queries, num_entities):
+    """The recurrency count scorer: for each (s, p, ...) query row, every
+    entity's score is the number of ``history`` facts (s, p, entity, t), at
+    any time t. The ranking breaks its ties by ascending id."""
+    counts = {}
+    for s, p, o, _ in np.asarray(history).reshape(-1, 4).tolist():
+        row = counts.setdefault((s, p), [0] * num_entities)
+        row[o] += 1
+    return np.array([counts.get((s, p), [0] * num_entities)
+                     for s, p, *_ in np.asarray(queries).tolist()], dtype=np.float64)
+
+
 def rel_err(a, b, floor=1e-3):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

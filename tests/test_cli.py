@@ -24,6 +24,7 @@ from copygen.history import vocab_from_quads
 from copygen.model import ModelParams, load_checkpoint, save_checkpoint, score_batch
 from copygen.options import REGIMES, SynthConfig, TrainConfig
 
+from conftest import src_env
 from oracles import checkpoint_config_text, lookup
 
 
@@ -498,6 +499,23 @@ class TestUsageAndErrors:
             f"error: checkpoint shape ({n} entities, {r + 1} relations) does not match the "
             f"dataset ({n} entities, {r} relations or {2 * r} with inverses); check --data\n")
 
+    def test_checkpoint_snapshot_count_must_match(self, synth_dir, checkpoint, capsys):
+        """A checkpoint trained at granularity 1 does not answer a dataset
+        read at granularity 3, whose snapshots are other time spans: the
+        commands fail naming both snapshot counts (they used to run)."""
+        horizon = load_checkpoint(checkpoint).num_snapshots
+        coarse = load_dataset(synth_dir, granularity=3).meta.num_snapshots
+        assert horizon == load_dataset(synth_dir).meta.num_snapshots != coarse
+        for argv in (["eval"], ["ablate"],
+                     ["predict", "--subject", "0", "--relation", "0", "--time", "2"]):
+            assert cli.main([*argv, "--checkpoint", str(checkpoint), "--data", str(synth_dir),
+                             "--granularity", "3"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: checkpoint has {horizon} snapshots, the dataset {coarse} at "
+                f"--granularity 3; check --granularity\n")
+
     @pytest.mark.parametrize("command, option", [
         ("prepare", "--reciprocal"), ("eval", "--reciprocal"), ("ablate", "--reciprocal"),
         ("predict", "--reciprocal"), ("sweep-alpha", "--alpha"),
@@ -566,6 +584,7 @@ class TestUsageAndErrors:
         (tmp_path / "out").mkdir()
         opts = cli.COMMANDS[command]
         least = next(opt.least for opt in opts if opt.option == option)
+        assert least == 1  # the count rule words this bound "positive"
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{option[2:]} = {least - 2}\n")
         for extra, value in (([option, str(least - 1)], least - 1),
@@ -580,7 +599,7 @@ class TestUsageAndErrors:
                 assert exc.value.code == 2
                 captured = capsys.readouterr()
                 assert captured.err.endswith(f"copygen: error: {command}: {option} must be "
-                                             f"at least {least}, got {value}\n")
+                                             f"positive, got {value}\n")
                 assert captured.out == ""
                 assert not any(var in os.environ for var in cli._THREAD_ENV)
         assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "run.cfg"]
@@ -883,14 +902,14 @@ class TestInstalledEntryPoint:
         import sys
 
         proc = subprocess.run([sys.executable, "-m", "copygen.cli", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
         assert proc.stdout.startswith("copygen ")
         proc = subprocess.run(
             [sys.executable, "-m", "copygen.cli", "train", "--data", str(synth_dir),
              "--out", str(tmp_path / "t.cyg"), "--dim", "4", "--epochs", "1",
              "--threads", "1"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
 
 

@@ -7,7 +7,6 @@ import ast
 import ctypes
 import importlib
 import inspect
-import os
 import subprocess
 import sys
 import textwrap
@@ -15,6 +14,7 @@ import typing
 from pathlib import Path
 
 import pytest
+from conftest import src_env
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "copygen"
@@ -188,6 +188,23 @@ def test_block_rows_is_the_one_block_formula():
     assert found == {("model", "block_rows")}
 
 
+# The stages of the forward head pass: the K=2d GEMMs and their inputs, the
+# time terms, the blocks' history pairs and the heads built from them.
+HEAD_PASS = ("build_heads", "block_pairs", "time_directions", "query_inputs",
+             "copy_index_batch", "generation_logits_batch")
+
+
+@pytest.mark.parametrize("name", HEAD_PASS)
+def test_head_pass_is_written_once(name):
+    """Scoring and evaluation build their heads through ``model.head_blocks``;
+    only the train step, whose GEMM rows become the deltas its backward
+    GEMMs read, runs the stages itself. A second forward pass could drift
+    from the first, which only bitwise tests would notice."""
+    found = {(path.stem, scope) for path in sorted(SRC.glob("*.py"))
+             for scope in reads_of(name, path.read_text(encoding="utf-8"))}
+    assert found == {("model", "head_blocks"), ("training", "_loss_and_grads")}
+
+
 def messages_of(fragment: str, source: str) -> int:
     """How many string pieces of ``source`` that are not docstrings hold
     ``fragment``; an f-string's literal parts count one by one."""
@@ -207,10 +224,12 @@ def test_finds_message_pieces():
     assert messages_of("must be an integer, got", source) == 1
 
 
-# A message fragment of each value rule in ``copygen.options``. ("must be an
-# integer, got" and not "must be an integer": evaluation's "truth must be an
-# integer entity id in [0, N)" is a rule about entity ids, not a count.)
-RULE_MESSAGES = ("mask_magnitude is", "alpha must lie in", "must be an integer, got")
+# A message fragment of each value rule in ``copygen.options``, the count
+# rule's two bounds included. ("must be an integer, got" and not "must be an
+# integer": evaluation's "truth must be an integer entity id in [0, N)" is a
+# rule about entity ids, not a count.)
+RULE_MESSAGES = ("mask_magnitude is", "alpha must lie in", "must be an integer, got",
+                 "must be positive, got", "must be at least ")
 
 
 @pytest.mark.parametrize("fragment", RULE_MESSAGES)
@@ -270,13 +289,6 @@ def test_every_type_hint_resolves():
     for name in modules:
         found.update(unresolved_type_hints(importlib.import_module(name)))
     assert found == {}
-
-
-def src_env() -> dict[str, str]:
-    """The environment with ``src`` on the path, for a fresh interpreter."""
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent),
-                                                        os.environ.get("PYTHONPATH")]))}
 
 
 def test_configs_load_no_numpy():

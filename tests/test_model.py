@@ -578,12 +578,15 @@ class TestCheckpoint:
     @pytest.mark.parametrize("field, offset, value",
                              [("N", 4, 0), ("R_aug", 8, -2), ("T", 12, -1), ("d", 16, 0)])
     def test_bad_header_counts_rejected(self, tmp_path, field, offset, value):
+        """The count rule judges the header: T may be 0, the others not."""
+        bound = "at least 0" if field == "T" else "positive"
         path = tmp_path / "m.cyg"
         save_checkpoint(self._params(), path)
         blob = bytearray(path.read_bytes())
         blob[offset:offset + 4] = struct.pack("<i", value)
         path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match=rf"m\.cyg: header field {field} is {value}"):
+        with pytest.raises(ValueError,
+                           match=rf"m\.cyg: header field {field} must be {bound}, got {value}$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("field, offset, value",
