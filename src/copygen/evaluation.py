@@ -13,7 +13,7 @@ from .data import as_quads, checked_quads
 from .history import FactIndex, HistVocab
 # The forward stages run inside head_blocks, in copygen.model's namespace,
 # where the benchmark's tracer (bench/spans.py) wraps them.
-from .model import ModelParams, block_rows, check_mix, head_blocks, mix
+from .model import ModelParams, check_mix, head_blocks, mix
 from .options import REGIMES, heads_of
 # score_batch is unused here. It stays bound because the benchmark's tracer
 # wraps evaluation.score_batch, like rank_of_truth and evaluate, by looking
@@ -63,16 +63,14 @@ def _candidates(filter_index: FactIndex | None, regime: str, queries: np.ndarray
 
 
 def _rank_block(scores: np.ndarray, truths: np.ndarray, keep: np.ndarray,
-                before: np.ndarray, beats: np.ndarray | None = None,
-                ties: np.ndarray | None = None) -> list[int]:
+                before: np.ndarray) -> list[int]:
     """1-based rank of each row's truth among the row's kept entities, for a
     (b, N) block of finite score rows: one plus the kept entities that score
     higher, plus those that tie with a smaller id. ``before`` marks the ids
-    below each row's truth; ``beats`` and ``ties`` are optional (b, N)
-    boolean scratch."""
+    below each row's truth."""
     truth_scores = scores[np.arange(len(truths)), truths][:, None]
-    beats = np.greater(scores, truth_scores, out=beats)
-    ties = np.equal(scores, truth_scores, out=ties)
+    beats = scores > truth_scores
+    ties = scores == truth_scores
     ties &= before
     beats |= ties
     beats &= keep
@@ -193,14 +191,14 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
     Per chunk of ``CHUNK_ROWS`` queries, the keep-rows are built into one
     new array, and ``head_blocks`` runs the chunk's head GEMMs and walks it
     in blocks of ``block_rows(N)`` rows, building each block's float64
-    heads in reused block buffers; the chunk's arrays are freed before the
-    next chunk's are made. Each block's heads have their finiteness checked
-    (a convex mix of finite heads is finite), and each mix is written from
-    them into one more buffer and ranked, all while the block is in cache.
-    Every step is row-wise, so the ranks are bitwise those of whole-chunk
-    heads. A non-finite head row raises, naming the first such query; ranks
-    already computed for earlier blocks of its chunk are discarded with the
-    rest.
+    heads in new arrays; the chunk's arrays are freed before the next
+    chunk's are made, a block's heads before the next block's, and each
+    mix before the next mix's. Each block's heads have their finiteness
+    checked (a convex mix of finite heads is finite), and each mix is made
+    from them and ranked, all while the block is in cache. Every step is
+    row-wise, so the ranks are bitwise those of whole-chunk heads. A
+    non-finite head row raises, naming the first such query; ranks already
+    computed for earlier blocks of its chunk are discarded with the rest.
     """
     regime = _check_regime(regime, filter_index)
     mixes = [(mode, params.alpha if alpha is None else alpha) for mode, alpha in mixes]
@@ -212,18 +210,12 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
     n = params.num_entities
     ranks = np.empty((len(mixes), len(q)), dtype=np.int64)
     ids = np.arange(n)
-    height = min(block_rows(n), CHUNK_ROWS)
-    blocks = {name: np.empty((height, n)) for name in need}
-    mixed = np.empty((height, n))
-    beats = np.empty((height, n), dtype=bool)
-    ties = np.empty_like(beats)
     for start in range(0, len(q), CHUNK_ROWS):
         chunk = q[start:start + CHUNK_ROWS]
         keep = _candidates(filter_index, regime, chunk, n)
         for block, heads in head_blocks(
                 params, chunk[:, [0, 1, 3]], vocab, need,
-                lambda rows: {name: buffer[:rows.stop - rows.start]
-                              for name, buffer in blocks.items()}):
+                lambda rows: {name: np.empty((rows.stop - rows.start, n)) for name in need}):
             truths = chunk[block, 2]
             b = len(truths)
             # a head row is finite or all NaN, so its first entry tells which
@@ -233,13 +225,16 @@ def _evaluate_mixes(params: ModelParams, quads, vocab: HistVocab, mixes, *,
             if not finite.all():
                 s, p, o, t = chunk[block][np.argmin(finite)].tolist()
                 raise _non_finite((s, p, t), o)
-            masks = (keep[block], ids < truths[:, None], beats[:b], ties[:b])
+            before = ids < truths[:, None]
             done = start + block.start
+            # each mix is freed once ranked, before the next is made
             for j, (mode, alpha) in enumerate(mixes):
-                scores = mix(heads, mode, alpha, out=mixed[:b])
-                ranks[j, done:done + b] = _rank_block(scores, truths, *masks)
-        # free the chunk's keep-rows (masks holds a view of them) before the next one's
-        del keep, masks
+                ranks[j, done:done + b] = _rank_block(mix(heads, mode, alpha), truths,
+                                                      keep[block], before)
+            # free the block's heads before the next block's are made
+            del heads
+        # free the chunk's keep-rows before the next one's
+        del keep
     return [_result(q, mode_ranks, mode, regime, num_relations, per_snapshot)
             for mode_ranks, mode in zip(ranks, modes)]
 

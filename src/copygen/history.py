@@ -77,7 +77,8 @@ class HistVocab:
         self.frozen = False
 
     def absorb_snapshot(self, facts, index: int | None = None) -> "HistVocab":
-        """Insert one snapshot's (s, p, o) facts and advance the frontier by 1.
+        """Insert one snapshot's (m, 3) array of (s, p, o) facts and advance
+        the frontier by 1; any other shape is rejected.
 
         ``index``, when given, must equal the current frontier: snapshots are
         absorbed strictly in order.
@@ -86,7 +87,9 @@ class HistVocab:
             raise SequencingError(f"expected snapshot {self.frontier}, got {index}")
         if self.frozen:
             raise SequencingError("vocabulary is frozen")
-        arr = np.asarray(facts, dtype=np.int64).reshape(-1, 3)
+        arr = np.asarray(facts, dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[1] != 3:
+            raise ValueError(f"expected an (m, 3) array of (s, p, o) facts, got shape {arr.shape}")
         stamped = np.hstack([arr, np.full((len(arr), 1), self.frontier)])
         self.facts = FactIndex(np.concatenate([self.facts.quads, stamped]))
         self.frontier += 1

@@ -201,11 +201,12 @@ def check_mix(mode: str, alpha: float = 0.0) -> None:
 def build_heads(heads: dict[str, np.ndarray], params: ModelParams,
                 directions: tuple[np.ndarray, np.ndarray], times,
                 index: np.ndarray | None, logits: np.ndarray | None,
-                rows: np.ndarray, objects: np.ndarray) -> None:
+                rows: np.ndarray, objects: np.ndarray) -> dict[str, np.ndarray]:
     """Turn a block of queries' head GEMM rows into their float64 softmax
     heads, written in place into ``heads`` (any of ``pc``, ``pg`` and
     ``pg_new``, at least one, each a (b, N) float64 array with contiguous
-    rows that shares no memory with ``index`` or ``logits``).
+    rows that shares no memory with ``index`` or ``logits``), and return
+    ``heads``.
 
     ``index`` (for ``pc``) and ``logits`` (for ``pg`` / ``pg_new``) are the
     block's (b, N) rows of ``copy_index_batch`` and
@@ -241,32 +242,47 @@ def build_heads(heads: dict[str, np.ndarray], params: ModelParams,
             np.copyto(heads[name], source)
             apply_mask(heads[name], rows, objects, magnitude, invert=invert)
             stable_softmax(heads[name], out=heads[name])
+    return heads
+
+
+def walk_blocks(params: ModelParams, queries: np.ndarray, vocab: HistVocab, index, logits, out):
+    """The one block walk of the head pass: yield ``(rows, heads)`` for each
+    block of ``block_rows(N)`` rows of the (B, 3) checked (s, p, t)
+    ``queries``, whose (B, N) head GEMM rows are ``index`` (from
+    ``copy_index_batch``, for ``pc``) and ``logits`` (from
+    ``generation_logits_batch``, for ``pg`` / ``pg_new``), either None when
+    no head needs it.
+
+    The time directions are computed and the batch's history pairs selected
+    once. Each block's heads are the dict ``out(rows)`` returns for its row
+    slice; ``build_heads`` writes them in place, finishing the block's GEMM
+    rows in place too (into the tanh copy index and the generation logits),
+    before the block is yielded. The walk keeps no reference to a block's
+    heads, so a caller that drops its own frees them before the next
+    block's are made.
+    """
+    subjects, relations, times = queries.T
+    directions = time_directions(params)
+    for rows, *pairs in block_pairs(vocab, subjects, relations, block_rows(params.num_entities)):
+        yield rows, build_heads(out(rows), params, directions, times[rows],
+                                None if index is None else index[rows],
+                                None if logits is None else logits[rows], *pairs)
 
 
 def head_blocks(params: ModelParams, queries: np.ndarray, vocab: HistVocab, need, out):
-    """The one forward head pass: yield ``(rows, heads)`` for each block of
-    ``block_rows(N)`` rows of the (B, 3) checked (s, p, t) ``queries``.
-
-    The K=2d head GEMMs that the head names ``need`` require (the copy GEMM
-    for ``pc``, the generation GEMM for ``pg`` / ``pg_new``) run on the
-    whole batch, and the batch's history pairs are selected once. Each
-    block's heads are the dict ``out(rows)`` returns for its row slice;
-    ``build_heads`` writes them in place before the block is yielded. The
-    GEMM outputs are freed once the blocks are exhausted.
+    """The forward head pass of scoring and evaluation: run the K=2d head
+    GEMMs that the head names ``need`` require (the copy GEMM for ``pc``,
+    the generation GEMM for ``pg`` / ``pg_new``) on the whole batch of (B, 3)
+    checked (s, p, t) ``queries``, then yield its blocks' ``(rows, heads)``
+    from ``walk_blocks``. The GEMM outputs are freed once the blocks are
+    exhausted.
     """
-    subjects, relations, times = queries.T
+    subjects, relations, _ = queries.T
     inputs = query_inputs(params, subjects, relations)
     index = copy_index_batch(params, inputs) if "pc" in need else None
     logits = generation_logits_batch(params, inputs) if set(need) - {"pc"} else None
     del inputs
-    directions = time_directions(params)
-    for rows, *pairs in block_pairs(vocab, subjects, relations,
-                                    block_rows(params.num_entities)):
-        heads = out(rows)
-        build_heads(heads, params, directions, times[rows],
-                    None if index is None else index[rows],
-                    None if logits is None else logits[rows], *pairs)
-        yield rows, heads
+    yield from walk_blocks(params, queries, vocab, index, logits, out)
 
 
 def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVocab,
@@ -295,18 +311,17 @@ def score_heads(params: ModelParams, subjects, relations, times, vocab: HistVoca
     return heads
 
 
-def mix(heads: dict[str, np.ndarray], mode: str, alpha: float,
-        out: np.ndarray | None = None) -> np.ndarray:
+def mix(heads: dict[str, np.ndarray], mode: str, alpha: float) -> np.ndarray:
     """Probability rows of one mode from the heads ``MODE_HEADS[mode]``
     names in ``score_heads`` output (or in row slices of it): one head
     unchanged (``copy-only`` / ``gen-only`` are ``full`` at alpha 1 / 0), or
     the convex mixture ``alpha * pc + (1 - alpha) * pg`` (``pg_new`` for
-    ``gen-new``), written into ``out`` when it is given."""
+    ``gen-new``) in a new array."""
     check_mix(mode, alpha)
     first, *second = (heads[name] for name in MODE_HEADS[mode])
     if not second:
         return first
-    mixed = np.multiply(first, alpha, out=out)
+    mixed = first * alpha
     mixed += (1.0 - alpha) * second[0]
     return mixed
 

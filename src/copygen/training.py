@@ -33,10 +33,10 @@ from typing import Callable
 import numpy as np
 
 from .data import checked_quads, dedupe
-from .history import FactIndex, HistVocab, block_pairs
-from .model import (ModelParams, all_finite, block_rows, build_heads, check_mix,
-                    copy_index_batch, generation_logits_batch, query_inputs, tensor_shapes,
-                    time_directions, time_multipliers)
+from .history import FactIndex, HistVocab
+from .model import (ModelParams, all_finite, block_rows, check_mix, copy_index_batch,
+                    generation_logits_batch, query_inputs, tensor_shapes, time_multipliers,
+                    walk_blocks)
 from .options import TrainConfig
 # Unused here. They stay bound because the benchmark's tracer
 # (bench/spans.py) wraps them in this module's namespace.
@@ -130,11 +130,12 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
     is passed.
 
     The two K=2d head GEMMs and the backward GEMMs run on the whole batch;
-    the float64 work between them runs on blocks of rows, whose heads and
-    deltas stay in cache. ``build_heads`` adds each block's time terms and
-    biases to its GEMM rows, takes the copy tanh, and turns the rows into
-    both heads in reused float64 buffers, which then become the losses and
-    both deltas, flush-cast back over the block's rows of the GEMM outputs.
+    the float64 work between them runs on the blocks of rows that
+    ``model.walk_blocks`` walks, whose heads and deltas stay in cache. The
+    walk finishes each block's GEMM rows in place into the tanh copy index
+    and the generation logits and builds both heads from them in rows of
+    two reused float64 buffers, which then become the losses and both
+    deltas, flush-cast back over the block's rows of the GEMM outputs.
     Every operation is row-wise, so losses and gradients are bitwise those
     of the whole-batch formulas.
     """
@@ -151,24 +152,25 @@ def _loss_and_grads(params: ModelParams, batch, vocab: HistVocab, alpha: float,
 
     losses = np.empty(m)
     height = block_rows(n)
-    # Row 0 of each head buffer carries the running bias gradient (below).
+    # The walk's blocks have block_rows(N) rows; row 0 of each head buffer
+    # carries the running bias gradient (below).
     pc, pg = np.empty((height + 1, n)), np.empty((height + 1, n))
     tanh_grad = np.empty((height, n))
     inputs = query_inputs(params, subjects, relations)  # (m, 2d)
-    directions = time_directions(params)
-    # (m, N) at parameter dtype; build_heads turns each block's rows into the
+    # (m, N) at parameter dtype; the walk turns each block's rows into the
     # tanh copy index and the generation logits, then they become its deltas
     index = copy_index_batch(params, inputs)
     logits = generation_logits_batch(params, inputs)
     dt = index.dtype
-    for block, *pairs in block_pairs(vocab, subjects, relations, height):
+    for block, heads in walk_blocks(
+            params, q[:, [0, 1, 3]], vocab, index, logits,
+            lambda rows: {"pc": pc[1:1 + rows.stop - rows.start],
+                          "pg": pg[1:1 + rows.stop - rows.start]}):
         lo = block.start
         t = truths[block]
         b = len(t)
         rows = np.arange(b)
-        c, g = pc[1:b + 1], pg[1:b + 1]
-        build_heads({"pc": c, "pg": g}, params, directions, steps[block], index[block],
-                    logits[block], *pairs)
+        c, g = heads["pc"], heads["pg"]
         floored = np.maximum(alpha * c[rows, t] + (1.0 - alpha) * g[rows, t], LOSS_FLOOR)
         losses[block] = -np.log(floored)
 

@@ -13,12 +13,10 @@ import numpy as np
 import pytest
 
 from conftest import record_criterion
-from copygen.data import augment_reciprocal, chronological_split, DatasetMeta
+from copygen.data import augment_reciprocal
 from copygen.evaluation import build_filter, evaluate, rank_of_truth
 from copygen.history import HistVocab, vocab_from_quads
 from copygen.model import score_batch, score_heads
-from copygen.options import SynthConfig
-from copygen.synth import generate
 from copygen.training import TrainConfig, fit
 
 from oracles import (
@@ -200,36 +198,25 @@ def test_criterion_6_forward_oracle():
     assert passed, worst
 
 
-SYNTH_META = DatasetMeta(num_entities=100, num_relations=5)
-
-
-def desk_scale_run(recurrence, seed=13):
-    config = SynthConfig(num_entities=100, num_relations=5, num_snapshots=20,
-                         facts_per_snapshot=200, recurrence=recurrence,
-                         seed=seed, fixed_objects=True)
-    quads, _ = generate(config)
-    parts, _ = chronological_split(quads)
-    train, r_aug = augment_reciprocal(parts["train"], SYNTH_META)
-    valid, _ = augment_reciprocal(parts["valid"], SYNTH_META)
-    test, _ = augment_reciprocal(parts["test"], SYNTH_META)
-    train_config = TrainConfig(alpha=0.8, dim=32, learning_rate=0.001,
-                               batch_size=1024, epochs=30, seed=0)
-    params, log = fit(train, 100, r_aug, 20, train_config)
+def desk_scale_run(desk_fit, recurrence):
+    """The desk fit at ``recurrence`` with fixed objects, its test facts, its
+    frozen train history and the filter of all three splits."""
+    params, train, valid, test, log = desk_fit(recurrence, True)
     vocab = vocab_from_quads(train).freeze()
     filter_index = build_filter(train, valid, test)
     return params, test, vocab, filter_index, log
 
 
 @pytest.fixture(scope="module")
-def full_recurrence_run():
+def full_recurrence_run(desk_fit):
     started = time.perf_counter()
-    run = desk_scale_run(recurrence=1.0)
+    run = desk_scale_run(desk_fit, recurrence=1.0)
     return run, time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
-def high_recurrence_run():
-    return desk_scale_run(recurrence=0.9)
+def high_recurrence_run(desk_fit):
+    return desk_scale_run(desk_fit, recurrence=0.9)
 
 
 def test_criterion_7_ablation_identities(high_recurrence_run):

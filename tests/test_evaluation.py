@@ -555,12 +555,13 @@ class TestBlockedEvaluation:
         queries at N=3000 in 256-row chunks with float32 parameters, in units
         of one (chunk, N) float64 array: one chunk's two float32 GEMM outputs
         (1.0) and keep-rows (0.125), which are freed before the next chunk's
-        are made, plus the (block, N) buffers. No timing test catches a
-        reintroduced (chunk, N) temporary, which costs a few percent of a
-        round, so this counts the bytes (whole-chunk float64 heads read 2.66
-        and 3.66; a chunk's arrays kept alive over the next chunk's GEMMs
-        read 1.77, its keep-rows alone 1.40 to 1.44; freed in time, they
-        read 1.31 to 1.35)."""
+        are made, plus one block's heads, scores and rank masks, (block, N)
+        arrays made per block and freed before the next block's. No timing
+        test catches a reintroduced (chunk, N) temporary, which costs a few
+        percent of a round, so this counts the bytes (whole-chunk float64
+        heads read 2.66 and 3.66; a chunk's arrays kept alive over the next
+        chunk's GEMMs read 1.77, its keep-rows alone 1.40 to 1.44; freed in
+        time, they read 1.31 to 1.35)."""
         rng = np.random.default_rng(4)
         n, r, chunk = 3000, 4, 256
         params = random_params(rng, n, 2 * r, 8, dtype=np.float32)

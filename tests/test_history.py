@@ -50,6 +50,19 @@ class TestAbsorb:
         with pytest.raises(SequencingError):
             vocab.absorb_snapshot([(1, 0, 3)], index=2)
 
+    @pytest.mark.parametrize("facts", [np.arange(12).reshape(3, 4), [(1, 0, 2, 0)],
+                                       [1, 0, 2], [], np.zeros((2, 3, 1), dtype=int)],
+                             ids=["3x4", "1x4", "flat", "empty-flat", "3-d"])
+    def test_rejects_facts_not_m_by_3(self, facts):
+        """Reshaping to (-1, 3) would read a (3, 4) array as four garbage
+        triples and fail on a (1, 4) one inside numpy; each shape but (m, 3)
+        is rejected by name and leaves the vocabulary as it was."""
+        vocab = HistVocab()
+        shape = np.shape(facts)
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            vocab.absorb_snapshot(facts)
+        assert vocab.frontier == 0 and len(vocab.facts.quads) == 0
+
     def test_frozen_rejects_absorb(self):
         vocab = HistVocab().freeze()
         with pytest.raises(SequencingError):

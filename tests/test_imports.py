@@ -188,21 +188,27 @@ def test_block_rows_is_the_one_block_formula():
     assert found == {("model", "block_rows")}
 
 
-# The stages of the forward head pass: the K=2d GEMMs and their inputs, the
-# time terms, the blocks' history pairs and the heads built from them.
-HEAD_PASS = ("build_heads", "block_pairs", "time_directions", "query_inputs",
-             "copy_index_batch", "generation_logits_batch")
+# The stages of the forward head pass and the functions that alone run
+# them: the K=2d GEMMs and their inputs, which the train step also runs
+# because its GEMM rows become its deltas, and the block stages (the time
+# terms, the blocks' history pairs and the heads built from them).
+HEAD_PASS = {
+    **dict.fromkeys(("query_inputs", "copy_index_batch", "generation_logits_batch"),
+                    {("model", "head_blocks"), ("training", "_loss_and_grads")}),
+    **dict.fromkeys(("time_directions", "block_pairs", "build_heads"),
+                    {("model", "walk_blocks")}),
+}
 
 
 @pytest.mark.parametrize("name", HEAD_PASS)
 def test_head_pass_is_written_once(name):
-    """Scoring and evaluation build their heads through ``model.head_blocks``;
-    only the train step, whose GEMM rows become the deltas its backward
-    GEMMs read, runs the stages itself. A second forward pass could drift
-    from the first, which only bitwise tests would notice."""
+    """Scoring and evaluation build their heads through ``model.head_blocks``,
+    and every block of a head pass, the train step's too, is walked by
+    ``model.walk_blocks``. A second forward pass could drift from the first,
+    which only bitwise tests would notice."""
     found = {(path.stem, scope) for path in sorted(SRC.glob("*.py"))
              for scope in reads_of(name, path.read_text(encoding="utf-8"))}
-    assert found == {("model", "head_blocks"), ("training", "_loss_and_grads")}
+    assert found == HEAD_PASS[name]
 
 
 def messages_of(fragment: str, source: str) -> int:

@@ -323,11 +323,11 @@ class TestInPlaceHeads:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_build_heads_in_any_order_and_in_row_blocks(self, dtype):
-        """build_heads builds each time term in its first head's rows. Every
-        order of the three heads (the evaluator's follow a set, whose order
-        varies with PYTHONHASHSEED) gives the out-of-place heads bitwise,
-        also when the heads are rows 1..b of larger buffers, as in the train
-        step, whose other rows stay untouched."""
+        """build_heads builds each time term in its first head's rows. The
+        program hands it its heads in ``heads_of`` order, but every order of
+        the three heads gives the out-of-place heads bitwise, also when the
+        heads are rows 1..b of larger buffers, as in the train step, whose
+        other rows stay untouched."""
         rng = np.random.default_rng(23)
         n = 6
         vocab = vocab_from_quads([(1, 0, o, 0) for o in range(n)]
