@@ -195,15 +195,66 @@ def normalize_timestamps(quads, granularity: int) -> np.ndarray:
     return q
 
 
+def packed_keys(columns) -> tuple[np.ndarray, list[int], list[int]] | None:
+    """One int64 key per row of the table whose int64 columns are
+    ``columns``, with the keys' numeric order the rows' lexicographic order,
+    first column first. Each column, less its minimum, takes
+    ``(max - min).bit_length()`` bits of the key, the first column the
+    highest. Returns the keys with each column's minimum and width, which
+    decode them, or None when the widths add up to more than 63 bits."""
+    lows, widths = [], []
+    for column in columns:
+        low, high = (int(column.min()), int(column.max())) if len(column) else (0, 0)
+        lows.append(low)
+        widths.append((high - low).bit_length())
+    if sum(widths) > 63:
+        return None
+    keys = np.zeros(len(columns[0]), dtype=np.int64)
+    for column, low, width in zip(columns, lows, widths):
+        keys <<= width
+        keys |= column - low  # in [0, 2**width), even where int64 arithmetic wraps
+    return keys, lows, widths
+
+
+def lex_order(table) -> np.ndarray:
+    """The stable permutation that sorts the rows of an (n, k) int64 table
+    in ascending lexicographic order, first column first. Each row's packed
+    key ends in its index, so the keys are distinct and the low bits of the
+    sorted keys are the permutation; ``np.lexsort`` sorts a table whose keys
+    would not fit in 63 bits."""
+    packed = packed_keys([*table.T, np.arange(len(table))])
+    if packed is None:
+        return np.lexsort(table.T[::-1])  # lexsort's last key is its primary one
+    keys, _, widths = packed
+    keys.sort()
+    keys &= (1 << widths[-1]) - 1
+    return keys
+
+
 def dedupe(quads) -> np.ndarray:
     """The distinct rows of an (n, 4) int64 array in ascending lexicographic
     order, first column first: the rows and order ``np.unique(axis=0)``
-    gives, from a sort of the rows' indices and a comparison of neighbours."""
+    gives. The rows' packed keys are sorted, equal neighbours dropped and
+    the rows decoded from the keys that remain; a table whose keys would
+    not fit is sorted by :func:`lex_order` and its rows compared instead."""
     q = as_quads(quads)
-    q = q[np.lexsort(q.T[::-1])]  # lexsort's last key is its primary one
-    fresh = np.ones(len(q), dtype=bool)
-    fresh[1:] = (q[1:] != q[:-1]).any(axis=1)
-    return q[fresh]
+    packed = packed_keys(q.T)
+    if packed is None:
+        q = q[lex_order(q)]
+        fresh = np.ones(len(q), dtype=bool)
+        fresh[1:] = (q[1:] != q[:-1]).any(axis=1)
+        return q[fresh]
+    keys, lows, widths = packed
+    keys.sort()  # in place here and below: set-up leaves fewer freed blocks in the heap
+    fresh = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    keys = keys[fresh]
+    rows = np.empty((len(keys), 4), dtype=np.int64)
+    for j in reversed(range(4)):  # the last column holds the lowest bits
+        np.bitwise_and(keys, (1 << widths[j]) - 1, out=rows[:, j])
+        rows[:, j] += lows[j]
+        keys >>= widths[j]
+    return rows
 
 
 def augment_reciprocal(quads, meta: DatasetMeta) -> tuple[np.ndarray, int]:

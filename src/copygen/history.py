@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import as_quads
+from .data import as_quads, lex_order
 from .options import magnitude_problem, require
 
 
@@ -16,18 +16,31 @@ class SequencingError(ValueError):
 
 
 def _pair_keys(subjects, relations) -> np.ndarray:
-    """One int64 key per (subject, relation) pair of non-negative ids."""
-    return (np.asarray(subjects, dtype=np.int64) << 32) | np.asarray(relations, dtype=np.int64)
+    """One int64 key per (subject, relation) pair, in the pairs' order. Both
+    ids must lie in [0, 2**31), or keys would collide; the first pair out of
+    range is an error that names its row."""
+    s = np.asarray(subjects, dtype=np.int64)
+    p = np.asarray(relations, dtype=np.int64)
+    bad = (s | p) >> 31  # nonzero for a negative id or one of 2**31 or more
+    if bad.any():
+        i = int(np.flatnonzero(bad)[0])
+        raise ValueError(f"(subject, relation) row {i} {(int(s[i]), int(p[i]))} is out of "
+                         f"range: both ids must lie in [0, {2**31})")
+    return (s << 32) | p
 
 
 class FactIndex:
-    """(s, p, o, t) facts sorted by (subject, relation) key, then object."""
+    """(s, p, o, t) facts sorted by (subject, relation) key, then object,
+    facts that tie on all three in input order: the order of one stable
+    sort, which :func:`copygen.data.lex_order` makes from each fact's
+    packed (s, p, o, row) key. Subject and relation ids must lie in
+    [0, 2**31); the first fact outside is an error that names its row."""
 
     def __init__(self, quads=()):
         q = as_quads(quads)
         keys = _pair_keys(q[:, 0], q[:, 1])
-        order = np.lexsort((q[:, 2], keys))
-        self.quads = q[order]
+        order = lex_order(q[:, :3])
+        self.quads = np.take(q, order, axis=0)  # the rows q[order], gathered faster
         self.keys = keys[order]
 
     @property

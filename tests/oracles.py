@@ -287,3 +287,14 @@ def dedupe_oracle(quads):
     """Distinct (n, 4) int64 rows in ascending lexicographic order, by numpy's
     own row sort."""
     return np.unique(np.asarray(quads, dtype=np.int64).reshape(-1, 4), axis=0)
+
+
+def fact_index_oracle(quads):
+    """The facts of a ``FactIndex`` and their (subject, relation) keys, in
+    the order one stable ``np.lexsort`` gives: by the key
+    ``subject << 32 | relation``, then object, facts that tie on both in
+    input order."""
+    q = np.asarray(quads, dtype=np.int64).reshape(-1, 4)
+    keys = (q[:, 0] << 32) | q[:, 1]
+    order = np.lexsort((q[:, 2], keys))
+    return q[order], keys[order]

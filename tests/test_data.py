@@ -14,6 +14,7 @@ from copygen.data import (
     dedupe,
     load_dataset,
     normalize_timestamps,
+    packed_keys,
     parse_quadruple_file,
     read_quadruple_file,
     serialize_quadruples,
@@ -205,19 +206,33 @@ class TestDedupe:
     @given(st.data())
     def test_matches_row_unique(self, example):
         """Distinct rows in np.unique(axis=0) order, int64, (0, 4) when
-        empty, from any rows: repeats, negative and extreme values."""
-        pool = example.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=4))
-        value = st.one_of(st.sampled_from(pool), st.integers(-3, 3))
-        rows = example.draw(st.lists(st.tuples(value, value, value, value), max_size=40))
-        repeats = example.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=10))
-        q = np.asarray(rows + [rows[i] for i in repeats if rows], dtype=np.int64).reshape(-1, 4)
-        if example.draw(st.booleans()):
-            q = q[::-1]  # a strided view
-        got = dedupe(q)
-        assert got.dtype == np.int64 and got.shape[1:] == (4,)
-        assert np.array_equal(got, dedupe_oracle(q))
-        empty = dedupe(q[:0])
-        assert empty.dtype == np.int64 and empty.shape == (0, 4)
+        empty, from any rows: repeats, negative and extreme values. Each
+        example checks a table of narrow columns, whose rows' packed keys
+        fit, and a table with both ends of int64 in one column, whose keys
+        cannot, so both sort paths run every time."""
+        for wide in (False, True):
+            bound = 2**63 if wide else 2**12
+            pool = example.draw(st.lists(st.integers(-bound, bound - 1), min_size=1, max_size=4))
+            value = st.one_of(st.sampled_from(pool), st.integers(-3, 3))
+            rows = example.draw(st.lists(st.tuples(value, value, value, value), max_size=40))
+            if wide:
+                column = example.draw(st.integers(0, 3))
+                for end in (-2**63, 2**63 - 1):
+                    row = list(example.draw(st.tuples(value, value, value, value)))
+                    row[column] = end
+                    rows.append(tuple(row))
+            repeats = example.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=10))
+            q = np.asarray(rows + [rows[i] for i in repeats if rows], dtype=np.int64).reshape(-1, 4)
+            if not wide:  # each column narrow, but maybe far from zero
+                q += example.draw(st.lists(st.integers(-2**62, 2**62), min_size=4, max_size=4))
+            if example.draw(st.booleans()):
+                q = q[::-1]  # a strided view
+            assert (packed_keys(q.T) is None) == wide
+            got = dedupe(q)
+            assert got.dtype == np.int64 and got.shape[1:] == (4,)
+            assert np.array_equal(got, dedupe_oracle(q))
+            empty = dedupe(q[:0])
+            assert empty.dtype == np.int64 and empty.shape == (0, 4)
 
 
 class TestNormalize:

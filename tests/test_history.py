@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from copygen.data import packed_keys
 from copygen.evaluation import build_filter
 from copygen.history import (
     FactIndex,
@@ -15,7 +16,7 @@ from copygen.history import (
     vocab_from_quads,
 )
 
-from oracles import filter_oracle, lookup, recurrence_oracle, vocab_oracle
+from oracles import fact_index_oracle, filter_oracle, lookup, recurrence_oracle, vocab_oracle
 
 
 # every (subject, relation) pair random_quads can draw
@@ -89,6 +90,77 @@ class TestAbsorb:
             for (s, p), objs in previous.items():
                 assert objs <= set(lookup(vocab, s, p).tolist())
             previous = {key: set(lookup(vocab, *key).tolist()) for key in PAIRS}
+
+
+class TestPairRange:
+    """Subject and relation ids outside [0, 2**31) are rejected by row: the
+    key ``subject << 32 | relation`` of (1, -1) is -1, the key of (0, -1)
+    too, and (0, 2**32) shares its key with (1, 0)."""
+
+    def test_absorb_rejects_negative_relation(self):
+        vocab = HistVocab()
+        with pytest.raises(ValueError, match=re.escape("row 0 (1, -1) is out of range")):
+            vocab.absorb_snapshot([(1, -1, 2), (5, 0, 3)])
+        assert vocab.frontier == 0 and len(vocab.facts.quads) == 0
+
+    @pytest.mark.parametrize("quads,row", [
+        ([(0, 2**32, 5, 0), (1, 0, 7, 0)], "row 0 (0, 4294967296)"),
+        ([(1, 0, 7, 0), (2**31, 0, 7, 0)], "row 1 (2147483648, 0)"),
+        ([(1, 0, 7, 0), (3, 2, 7, 1), (-1, 0, 7, 0)], "row 2 (-1, 0)"),
+    ], ids=["relation-2^32", "subject-2^31", "negative-subject"])
+    def test_index_rejects_ids_out_of_range(self, quads, row):
+        with pytest.raises(ValueError, match=re.escape(f"{row} is out of range")):
+            FactIndex(quads)
+
+    def test_select_rejects_ids_out_of_range(self):
+        index = FactIndex([(1, 0, 7, 0)])
+        with pytest.raises(ValueError, match=re.escape("row 1 (0, -1) is out of range")):
+            index.select([1, 0], [0, -1])
+        with pytest.raises(ValueError, match=re.escape("row 0 (0, 4294967296) is out")):
+            index.select([0], [2**32])
+
+    def test_largest_ids_are_kept_apart(self):
+        top = 2**31 - 1
+        index = FactIndex([(top, top, 5, 0), (top, 0, 6, 0), (0, top, 7, 0)])
+        rows, objects = index.select([top, top, 0, 0], [top, 0, top, 0])
+        assert rows.tolist() == [0, 1, 2] and objects.tolist() == [5, 6, 7]
+
+
+def recurring_facts(rng, count=200):
+    """Random facts in shuffled order in which each (s, p, o) triple recurs
+    at several times."""
+    triples = np.column_stack([rng.integers(0, 20, 30), rng.integers(0, 6, 30),
+                               rng.integers(0, 20, 30)])
+    return np.column_stack([triples[rng.integers(0, 30, count)],
+                            rng.integers(0, 50, count)]).astype(np.int64)
+
+
+def wide_facts(rng, count=60):
+    """Facts with subject, relation and object ids near 2**31 and a few
+    recurring triples, too wide for one packed 63-bit key."""
+    near = 2**31 - 1 - rng.integers(0, 3, (count, 3))
+    near[rng.random((count, 3)) < 0.3] = 0
+    facts = np.column_stack([near, rng.integers(0, 9, count)]).astype(np.int64)
+    facts[count // 2:, :3] = facts[:count - count // 2, :3]  # each triple twice or more
+    return facts[rng.permutation(count)]
+
+
+class TestIndexOrder:
+    @pytest.mark.parametrize("make,packed", [(recurring_facts, True), (wide_facts, False)],
+                             ids=["recurring", "wide"])
+    def test_matches_lexsort_reference(self, make, packed):
+        """``quads`` and ``keys`` equal, bitwise, those of one stable
+        ``np.lexsort``, on the packed-key path and on its fallback; facts
+        that tie on (s, p, o) keep their input order."""
+        quads = make(np.random.default_rng(29))
+        _, counts = np.unique(quads[:, :3], axis=0, return_counts=True)
+        assert counts.max() >= 2 and len(np.unique(quads[:, 3])) > 1
+        assert (packed_keys([*quads[:, :3].T, np.arange(len(quads))]) is not None) == packed
+        index = FactIndex(quads)
+        want_quads, want_keys = fact_index_oracle(quads)
+        for got, want in ((index.quads, want_quads), (index.keys, want_keys)):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestLookup:

@@ -211,6 +211,16 @@ def test_head_pass_is_written_once(name):
     assert found == HEAD_PASS[name]
 
 
+def test_lexsort_is_only_the_packed_key_fallback():
+    """Rows are sorted by their packed int64 keys, and only ``data.lex_order``
+    falls back to ``np.lexsort``, for a table whose keys would not fit. A
+    second sort rule could order ties differently, which only bitwise tests
+    would notice."""
+    found = {(path.stem, scope) for path in sorted(SRC.glob("*.py"))
+             for scope in reads_of("lexsort", path.read_text(encoding="utf-8"))}
+    assert found == {("data", "lex_order")}
+
+
 def messages_of(fragment: str, source: str) -> int:
     """How many string pieces of ``source`` that are not docstrings hold
     ``fragment``; an f-string's literal parts count one by one."""
